@@ -46,6 +46,7 @@ from .strong import (
     build_verifier,
     check_verifier_observer_language_equality,
     verifier_dot,
+    verifier_verdict,
     verify_infinite_step_strong,
     verify_k_step_strong,
 )
@@ -56,6 +57,7 @@ from .weak import (
     Witness,
     build_weak_state_tree,
     tree_dot,
+    tree_node_count,
     verdict_to_dict,
     verify_current_state_opacity,
     verify_infinite_step_weak,

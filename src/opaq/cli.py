@@ -19,13 +19,13 @@ from .strong import (
     build_sst,
     build_verifier,
     verifier_dot,
-    verify_infinite_step_strong,
+    verifier_verdict,
     verify_k_step_strong,
 )
 from .weak import (
     build_weak_state_tree,
-    secret_intersecting_roots,
     tree_dot,
+    tree_node_count,
     verdict_to_dict,
     verify_current_state_opacity,
     verify_infinite_step_weak,
@@ -131,18 +131,11 @@ def _run_verify(args) -> int:
     else:
         sipa = build_sipa(nfa)
         ver = build_verifier(nfa, obs, sipa, max_states=args.state_cap)
-        verdict = verify_infinite_step_strong(nfa, obs, sipa)
+        verdict = verifier_verdict(ver)
 
     if args.property in ("k-weak", "k-strong", "cs"):
-        k = args.k if args.property != "cs" else 0
-        tree_nodes = 0
-        if args.property == "k-strong":
-            sipa = sipa or build_sipa(nfa)
-            for root in secret_intersecting_roots(nfa, obs):
-                tree_nodes += build_sst(nfa, obs, sipa, root, k).node_count
-        else:
-            for root in secret_intersecting_roots(nfa, obs):
-                tree_nodes += build_weak_state_tree(nfa, obs, root, k).node_count
+        # Weak trees and SSTs have the same shape, so one count serves both.
+        tree_nodes = tree_node_count(nfa, obs, args.k if args.property != "cs" else 0)
 
     payload = verdict_to_dict(args.property, args.k, verdict)
     payload["sizes"] = _sizes(nfa, obs, sipa, ver, tree_nodes)
@@ -179,7 +172,7 @@ def _run_export(args) -> int:
         print("error: --root and --k are required for tree exports", file=sys.stderr)
         return 2
     root = nfa.state_set(t.strip() for t in args.root.split(","))
-    if root not in set(obs.states):
+    if root not in obs.index:
         print(f"error: root {args.root!r} is not a reachable observer state", file=sys.stderr)
         return 2
     if args.structure == "weak-tree":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # A canonical, duplicate-free tuple of state identifiers, sorted by
 # declaration order of the owning Nfa.
@@ -54,22 +54,23 @@ class Nfa:
     secret: tuple[str, ...]
 
     _order: dict[str, int] = field(init=False, repr=False, compare=False)
+    _observable: dict[str, bool] = field(init=False, repr=False, compare=False)
     _step: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _silent: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _rows: RowTable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         order = {s: i for i, s in enumerate(self.states)}
         if len(order) != len(self.states):
             raise ModelError("duplicate state identifiers")
-        names = [e.name for e in self.events]
-        if len(set(names)) != len(names):
+        observable = {e.name: e.observable for e in self.events}
+        if len(observable) != len(self.events):
             raise ModelError("duplicate event names")
-        event_by_name = {e.name: e for e in self.events}
         for src, ev, dst in self.transitions:
             for endpoint in (src, dst):
                 if endpoint not in order:
                     raise ModelError(f"transition ({src},{ev},{dst}) uses undeclared state {endpoint!r}")
-            if ev not in event_by_name:
+            if ev not in observable:
                 raise ModelError(f"transition ({src},{ev},{dst}) uses undeclared event {ev!r}")
         if len(set(self.transitions)) != len(self.transitions):
             raise ModelError("duplicate transitions")
@@ -84,20 +85,15 @@ class Nfa:
 
         step: dict[tuple[str, str], list[str]] = {}
         silent: dict[str, list[str]] = {}
-        unobservable = {e.name for e in self.events if not e.observable}
         for src, ev, dst in self.transitions:
             step.setdefault((src, ev), []).append(dst)
-            if ev in unobservable:
+            if not observable[ev]:
                 silent.setdefault(src, []).append(dst)
         object.__setattr__(self, "_order", order)
-        object.__setattr__(
-            self, "_step",
-            {k: tuple(sorted(set(v), key=order.__getitem__)) for k, v in step.items()},
-        )
-        object.__setattr__(
-            self, "_silent",
-            {k: tuple(sorted(set(v), key=order.__getitem__)) for k, v in silent.items()},
-        )
+        object.__setattr__(self, "_observable", observable)
+        object.__setattr__(self, "_step", {k: tuple(v) for k, v in step.items()})
+        object.__setattr__(self, "_silent", {k: tuple(v) for k, v in silent.items()})
+        object.__setattr__(self, "_rows", None)
 
     # -- canonical views -------------------------------------------------
 
@@ -128,13 +124,13 @@ class Nfa:
         return frozenset(self.secret)
 
     def is_observable(self, event: str) -> bool:
-        for e in self.events:
-            if e.name == event:
-                return e.observable
-        raise ModelError(f"unknown event {event!r}")
+        try:
+            return self._observable[event]
+        except KeyError:
+            raise ModelError(f"unknown event {event!r}") from None
 
     def event_declared(self, event: str) -> bool:
-        return any(e.name == event for e in self.events)
+        return event in self._observable
 
 
 def validate_model(raw: Mapping) -> Nfa:
@@ -239,23 +235,29 @@ def step(nfa: Nfa, from_states: Iterable[str], event: str) -> StateSet:
     return nfa.state_set(out)
 
 
-def unobservable_reach(nfa: Nfa, from_states: Iterable[str]) -> StateSet:
-    """States reachable via unobservable events only (fixpoint closure).
-
-    Always a superset of the input; unobservable cycles are handled by the
-    visited set, never by bounded unrolling.
-    """
+def _silent_closure(nfa: Nfa, from_states: Iterable[str], barred: frozenset[str]) -> StateSet:
+    # The input plus every state reached along unobservable edges without
+    # entering a state in *barred*.  Unobservable cycles are handled by the
+    # visited set, never by bounded unrolling.
     reached = set(from_states)
     frontier = list(reached)
     while frontier:
         nxt = []
         for s in frontier:
             for t in nfa._silent.get(s, ()):
-                if t not in reached:
+                if t not in reached and t not in barred:
                     reached.add(t)
                     nxt.append(t)
         frontier = nxt
     return nfa.state_set(reached)
+
+
+def unobservable_reach(nfa: Nfa, from_states: Iterable[str]) -> StateSet:
+    """States reachable via unobservable events only (fixpoint closure).
+
+    Always a superset of the input.
+    """
+    return _silent_closure(nfa, from_states, frozenset())
 
 
 def observable_reach(nfa: Nfa, from_states: Iterable[str], event: str) -> StateSet:
@@ -282,18 +284,7 @@ def nonsecret_unobservable_reach(nfa: Nfa, from_states: Iterable[str]) -> StateS
     The starting states are used as given (they are not filtered); only
     states reached after an event are constrained.
     """
-    secret = nfa.secret_set
-    reached = set(from_states)
-    frontier = list(reached)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in nfa._silent.get(s, ()):
-                if t not in reached and t not in secret:
-                    reached.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return nfa.state_set(reached)
+    return _silent_closure(nfa, from_states, nfa.secret_set)
 
 
 def secret_avoiding_reach(nfa: Nfa, from_states: Iterable[str], event: str) -> StateSet:
@@ -310,6 +301,114 @@ def secret_avoiding_reach(nfa: Nfa, from_states: Iterable[str], event: str) -> S
     closed = nonsecret_unobservable_reach(nfa, from_states)
     after = [t for t in step(nfa, closed, event) if t not in secret]
     return nonsecret_unobservable_reach(nfa, after)
+
+
+# -- bitmask row table ---------------------------------------------------
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of *mask*, lowest first.
+
+    Cost follows the number of set bits, not the width of the mask, which
+    matters for wide models whose sets are sparse.
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def union(rows: Sequence[int], mask: int) -> int:
+    """OR of ``rows[i]`` over the set bits i of *mask*."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _closure(succ: Sequence[int], x: int, allowed: int) -> int:
+    # {x} plus every state reached from x along succ edges whose every
+    # entered state lies in *allowed*; x itself is kept as given.
+    reached = frontier = 1 << x
+    while frontier:
+        frontier = union(succ, frontier) & allowed & ~reached
+        reached |= frontier
+    return reached
+
+
+class RowTable:
+    """The two one-observation step relations of an Nfa, as bitmask rows.
+
+    Bit i of every mask stands for ``states[i]``, so a mask's bits come out
+    in declaration order.  Row position e follows ``events`` (the observable
+    events in declaration order).  ``reach[e][x]`` is the observable reach of
+    {x} under event e: the projected automaton's edges.  ``avoid[e][x]`` is
+    the secret-avoiding reach of {x} for nonsecret x (the tagged automaton's
+    N-to-N edges) and 0 for secret x.  Both steps distribute over union, so
+    the step of a set is the OR of its members' rows (:func:`union`).
+    ``support[e]`` holds the states whose reach row under e is nonempty
+    (avoid rows are nonempty only there too): ANDing a set with it first
+    skips the members that cannot move.  ``initial`` is the unobservable
+    closure of the initial states, ``clean`` the all-nonsecret closure of
+    the nonsecret initial states.
+
+    Use :func:`row_table`, which builds the table once per model.
+    """
+
+    def __init__(self, nfa: Nfa) -> None:
+        order = nfa._order
+        n = len(nfa.states)
+        self.states = nfa.states
+        self.events = nfa.observable_events
+        silent = [0] * n
+        step = {e: [0] * n for e in self.events}
+        for src, ev, dst in nfa.transitions:
+            (step[ev] if nfa._observable[ev] else silent)[order[src]] |= 1 << order[dst]
+        self.secret = sum(1 << order[s] for s in nfa.secret)
+        self.nonsecret = nonsecret = (1 << n) - 1 & ~self.secret
+        # A state without silent successors is its own closure, and one
+        # without an e-successor in its closure has an empty e row: the
+        # loops below skip such states, which keeps wide models cheap.
+        loud = [x for x in range(n) if silent[x]]
+        closure = [1 << x for x in range(n)]
+        clean = closure[:]
+        for x in loud:
+            closure[x] = _closure(silent, x, -1)
+            clean[x] = _closure(silent, x, nonsecret)
+        reach, avoid, support = [], [], []
+        for row in step.values():
+            movers = {x for x in range(n) if row[x]}
+            moving = sum(1 << x for x in movers)
+            movers.update(x for x in loud if closure[x] & moving)
+            reach.append([0] * n)
+            avoid.append([0] * n)
+            for x in movers:
+                reach[-1][x] = union(closure, union(row, closure[x]))
+                if nonsecret >> x & 1:
+                    avoid[-1][x] = union(clean, union(row, clean[x]) & nonsecret)
+            support.append(sum(1 << x for x in movers))
+        self.reach, self.avoid, self.support = reach, avoid, support
+        start = sum(1 << order[s] for s in nfa.initial)
+        self.initial = union(closure, start)
+        self.clean = union(clean, start & nonsecret)
+
+    def state_set(self, mask: int) -> StateSet:
+        states = self.states
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(states[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+
+def row_table(nfa: Nfa) -> RowTable:
+    """The model's row table, built on first use and cached on the model."""
+    if nfa._rows is None:
+        object.__setattr__(nfa, "_rows", RowTable(nfa))
+    return nfa._rows
 
 
 def format_state_set(states: StateSet) -> str:

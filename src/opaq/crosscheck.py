@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core import Nfa, model_to_dict
-from .observer import build_observer
+from .observer import Observer, build_observer
 from .oracle import (
     OracleConfig,
     OracleVerdict,
@@ -29,7 +29,7 @@ from .oracle import (
     replay_strong_violation,
     replay_weak_violation,
 )
-from .projection import build_sipa
+from .projection import Sipa, build_sipa
 from .strong import (
     build_sst,
     build_verifier,
@@ -108,9 +108,9 @@ def _witness_replays(nfa: Nfa, prop: str, k: int | None, verdict: Verdict) -> bo
     return replay_infinite_strong_violation(nfa, obs)
 
 
-def _agreement_rows(nfa: Nfa, seed: int, ks: tuple[int, ...]) -> list[dict]:
-    obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
+def _agreement_rows(
+    nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer, sipa: Sipa
+) -> list[dict]:
     rows = []
 
     def row(prop: str, k: int | None, verify: Verdict, oracle: OracleVerdict) -> dict:
@@ -138,9 +138,9 @@ def _agreement_rows(nfa: Nfa, seed: int, ks: tuple[int, ...]) -> list[dict]:
     return rows
 
 
-def _structural_checks(nfa: Nfa, seed: int, ks: tuple[int, ...], result: BatchResult) -> None:
-    obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
+def _structural_checks(
+    nfa: Nfa, seed: int, ks: tuple[int, ...], result: BatchResult, obs: Observer, sipa: Sipa
+) -> None:
     ver = build_verifier(nfa, obs, sipa)
     n = len(nfa.states)
     n_eo = len(nfa.observable_events)
@@ -219,7 +219,9 @@ def run_crosscheck(
         cfg = model_config(seed, index, max_states)
         nfa = random_nfa(cfg)
         result.models += 1
-        rows = _agreement_rows(nfa, cfg.seed, ks)
+        obs = build_observer(nfa)
+        sipa = build_sipa(nfa)
+        rows = _agreement_rows(nfa, cfg.seed, ks, obs, sipa)
         result.rows.extend(rows)
         for r in rows:
             if not r["agree"] or not r["witness_replays"]:
@@ -236,7 +238,7 @@ def run_crosscheck(
                         json.dump(record, fh, indent=2, sort_keys=True)
                     result.divergence_fixtures.append(path)
         if structural:
-            _structural_checks(nfa, cfg.seed, ks, result)
+            _structural_checks(nfa, cfg.seed, ks, result, obs, sipa)
     result.elapsed = time.monotonic() - started
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 from .core import (
     Nfa,
     ResourceLimitError,
     StateSet,
     format_state_set,
-    observable_reach,
-    unobservable_reach,
+    row_table,
+    union,
 )
 
 
@@ -21,12 +22,21 @@ class Observer:
     ``states`` is in construction (BFS) order with the initial estimate
     first; ``transitions`` holds only pairs whose reach is nonempty, so the
     automaton is deterministic and partial.
+
+    The same automaton is also held by position, for the searches that run
+    on the model's row table: ``index`` maps an estimate to its position in
+    ``states``, ``masks`` holds each estimate as a bitmask over declaration
+    order, and ``moves[i]`` lists the (event position, target position)
+    pairs of estimate i in event order.
     """
 
     states: tuple[StateSet, ...]
     initial: StateSet
     transitions: dict[tuple[StateSet, str], StateSet]
     events: tuple[str, ...]
+    index: dict[StateSet, int] = field(repr=False)
+    masks: tuple[int, ...] = field(repr=False)
+    moves: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     def successors(self, state: StateSet) -> tuple[tuple[str, StateSet], ...]:
         return tuple(
@@ -43,31 +53,44 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
     state numbering for DOT export and witness extraction.  Empty-reach
     targets are never materialized.
     """
-    initial = unobservable_reach(nfa, nfa.initial)
-    states: list[StateSet] = [initial]
-    seen = {initial}
-    transitions: dict[tuple[StateSet, str], StateSet] = {}
-    queue = [initial]
-    while queue:
-        current = queue.pop(0)
-        for event in nfa.observable_events:
-            target = observable_reach(nfa, current, event)
+    table = row_table(nfa)
+    rows = tuple(enumerate(zip(table.reach, table.support)))
+    masks = [table.initial]
+    position = {table.initial: 0}
+    moves = []
+    # The discovery list is the FIFO queue: estimate i is expanded when the
+    # walk reaches position i.
+    for current in masks:
+        out = []
+        for e, (row, support) in rows:
+            target = union(row, current & support)
             if not target:
                 continue
-            transitions[(current, event)] = target
-            if target not in seen:
-                seen.add(target)
-                states.append(target)
-                queue.append(target)
-                if max_states is not None and len(states) > max_states:
+            j = position.get(target)
+            if j is None:
+                j = position[target] = len(masks)
+                masks.append(target)
+                if max_states is not None and len(masks) > max_states:
                     raise ResourceLimitError(
                         f"observer exceeded {max_states} states"
                     )
+            out.append((e, j))
+        moves.append(tuple(out))
+    states = tuple(table.state_set(m) for m in masks)
+    events = table.events
+    transitions = {
+        (states[i], events[e]): states[j]
+        for i, out in enumerate(moves)
+        for e, j in out
+    }
     return Observer(
-        states=tuple(states),
-        initial=initial,
+        states=states,
+        initial=states[0],
         transitions=transitions,
-        events=nfa.observable_events,
+        events=events,
+        index={state: i for i, state in enumerate(states)},
+        masks=tuple(masks),
+        moves=tuple(moves),
     )
 
 
@@ -88,9 +111,9 @@ def shortest_access_strings(obs: Observer) -> dict[StateSet, tuple[str, ...]]:
     Ties break by event declaration order, so the map is deterministic.
     """
     access: dict[StateSet, tuple[str, ...]] = {obs.initial: ()}
-    queue = [obs.initial]
+    queue = deque([obs.initial])
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         for event, target in obs.successors(current):
             if target not in access:
                 access[target] = access[current] + (event,)

@@ -9,17 +9,11 @@ constructions downstream.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .core import (
-    Nfa,
-    StateSet,
-    nonsecret_unobservable_reach,
-    observable_reach,
-    secret_avoiding_reach,
-    unobservable_reach,
-)
+from .core import Nfa, StateSet, bits, row_table
 
 TAG_N = "N"
 TAG_Y = "Y"
@@ -75,30 +69,20 @@ def build_projected_automaton(nfa: Nfa) -> ProjectedAutomaton:
     """One observable-event NFA over the same state set.
 
     An edge (x, e, x') is present exactly when x' lies in the observable
-    reach of {x} under e.
+    reach of {x} under e: the model's reach rows.
     """
+    table = row_table(nfa)
+    states = nfa.states
     transitions = []
-    for x in nfa.states:
-        for event in nfa.observable_events:
-            for target in observable_reach(nfa, (x,), event):
-                transitions.append((x, event, target))
+    for x, name in enumerate(states):
+        for event, rows in zip(table.events, table.reach):
+            for target in bits(rows[x]):
+                transitions.append((name, event, states[target]))
     return ProjectedAutomaton(
-        states=nfa.states,
-        initial=unobservable_reach(nfa, nfa.initial),
-        events=nfa.observable_events,
+        states=states,
+        initial=table.state_set(table.initial),
+        events=table.events,
         transitions=tuple(transitions),
-    )
-
-
-def _initial_tags(nfa: Nfa) -> tuple[TaggedState, ...]:
-    # A state in the closed initial estimate is tagged N exactly when some
-    # nonsecret initial state reaches it by an all-nonsecret unobservable
-    # run; otherwise it is tagged Y.  Each base appears once.
-    closed = unobservable_reach(nfa, nfa.initial)
-    nonsecret_start = [s for s in nfa.initial if s not in nfa.secret_set]
-    clean = set(nonsecret_unobservable_reach(nfa, nonsecret_start))
-    return tuple(
-        TaggedState(x, TAG_N if x in clean else TAG_Y) for x in closed
     )
 
 
@@ -109,56 +93,61 @@ def build_sipa(nfa: Nfa, trimmed: bool = True) -> Sipa:
     x' reached secret-avoidingly yields (x_N,e,x'_N) and (x_Y,e,x'_N),
     otherwise (x_N,e,x'_Y) and (x_Y,e,x'_Y); from a secret base only
     (x_Y,e,x'_Y).  A tagged state with tag N therefore never has a secret
-    base.
+    base.  Targets come from the model's reach rows, N tags from its avoid
+    rows.
+
+    The initial tagged states are the closed initial estimate, each base
+    tagged N exactly when some nonsecret initial state reaches it by an
+    all-nonsecret unobservable run, and Y otherwise.
     """
-    initial = _initial_tags(nfa)
-    secret = nfa.secret_set
-    transitions: list[tuple[TaggedState, str, TaggedState]] = []
+    table = row_table(nfa)
+    states = nfa.states
+    # Tagged state x_N has id 2x and x_Y id 2x+1, so ascending ids follow
+    # (declaration order, tag) order.
+    tagged = [TaggedState(name, tag) for name in states for tag in (TAG_N, TAG_Y)]
+    initial_ids = [2 * x + (0 if table.clean >> x & 1 else 1) for x in bits(table.initial)]
+    edges: list[tuple[int, int, int]] = []
     n_edges: dict[tuple[str, str], frozenset[str]] = {}
-    for x in nfa.states:
-        for event in nfa.observable_events:
-            targets = observable_reach(nfa, (x,), event)
+    for x, name in enumerate(states):
+        secret_base = table.secret >> x & 1
+        for e, event in enumerate(table.events):
+            targets = table.reach[e][x]
             if not targets:
                 continue
-            if x in secret:
-                for t in targets:
-                    transitions.append((TaggedState(x, TAG_Y), event, TaggedState(t, TAG_Y)))
+            if secret_base:
+                edges.extend((2 * x + 1, e, 2 * t + 1) for t in bits(targets))
                 continue
-            avoiding = set(secret_avoiding_reach(nfa, (x,), event))
+            avoiding = table.avoid[e][x]
             if avoiding:
-                n_edges[(x, event)] = frozenset(avoiding)
-            for t in targets:
-                tag = TAG_N if t in avoiding else TAG_Y
-                transitions.append((TaggedState(x, TAG_N), event, TaggedState(t, tag)))
-                transitions.append((TaggedState(x, TAG_Y), event, TaggedState(t, tag)))
+                n_edges[(name, event)] = frozenset(table.state_set(avoiding))
+            for t in bits(targets):
+                dst = 2 * t + (0 if avoiding >> t & 1 else 1)
+                edges += ((2 * x, e, dst), (2 * x + 1, e, dst))
 
     if trimmed:
-        by_src: dict[TaggedState, list[tuple[TaggedState, str, TaggedState]]] = {}
-        for tr in transitions:
-            by_src.setdefault(tr[0], []).append(tr)
-        reachable = set(initial)
-        frontier = list(initial)
-        while frontier:
-            src = frontier.pop(0)
-            for _, _, t in by_src.get(src, ()):
-                if t not in reachable:
-                    reachable.add(t)
-                    frontier.append(t)
-        transitions = [tr for tr in transitions if tr[0] in reachable]
-        order = {s: i for i, s in enumerate(nfa.states)}
-        states = tuple(
-            sorted(reachable, key=lambda ts: (order[ts.base], ts.tag))
-        )
+        by_src: dict[int, list[int]] = {}
+        for src, _, dst in edges:
+            by_src.setdefault(src, []).append(dst)
+        reachable = set(initial_ids)
+        queue = deque(initial_ids)
+        while queue:
+            for dst in by_src.get(queue.popleft(), ()):
+                if dst not in reachable:
+                    reachable.add(dst)
+                    queue.append(dst)
+        edges = [edge for edge in edges if edge[0] in reachable]
+        tagged_states = tuple(tagged[i] for i in sorted(reachable))
     else:
-        states = tuple(
-            [TaggedState(x, TAG_N) for x in nfa.states if x not in secret]
-            + [TaggedState(x, TAG_Y) for x in nfa.states]
+        tagged_states = tuple(
+            [tagged[2 * x] for x in bits(table.nonsecret)]
+            + [tagged[2 * x + 1] for x in range(len(states))]
         )
+    events = table.events
     return Sipa(
-        states=states,
-        initial=initial,
-        events=nfa.observable_events,
-        transitions=tuple(transitions),
+        states=tagged_states,
+        initial=tuple(tagged[i] for i in initial_ids),
+        events=events,
+        transitions=tuple((tagged[src], events[e], tagged[dst]) for src, e, dst in edges),
         trimmed=trimmed,
         n_edges=n_edges,
     )

@@ -13,24 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import (
-    Nfa,
-    ResourceLimitError,
-    StateSet,
-    format_pair,
-    nonsecret_unobservable_reach,
-    secret_avoiding_reach,
-)
+from .core import Nfa, RowTable, StateSet, format_pair, row_table, union
 from .observer import Observer, build_observer
-from .projection import Sipa, TAG_N, build_sipa, sipa_n_step
+from .projection import Sipa
 from .weak import (
-    Pair,
+    Child,
     StateTree,
     Verdict,
     Witness,
+    _explore,
     _grow_tree,
-    _search_pairs,
-    secret_intersecting_roots,
+    _tree_root,
+    _verdict,
 )
 
 
@@ -56,38 +50,32 @@ class VerifierAutomaton:
         )
 
 
-def _sst_step(nfa: Nfa, sipa: Sipa, obs: Observer, estimate: StateSet, x2: StateSet, event: str) -> StateSet:
-    """Second-component successor: N-to-N steps, equal to the secret-avoiding reach."""
-    target = obs.transitions[(estimate, event)]
-    via_sipa = sipa_n_step(sipa, x2, event) & set(target)
-    via_reach = set(secret_avoiding_reach(nfa, x2, event)) & set(target)
-    assert via_sipa == via_reach, "tagged-edge and reach-based secret-avoiding steps disagree"
-    return nfa.state_set(via_sipa)
+# Second components step through the model's avoid rows, which are the
+# tagged automaton's N-to-N edges; the ``sipa`` arguments below are
+# accepted so that callers holding one can pass it, and are not consulted.
 
 
-def sst_root_pair(nfa: Nfa, root_state: StateSet) -> Pair:
-    # The root keeps the full estimate as x1; x2 is its nonsecret part
-    # (secret visits before the window do not disqualify a state).
-    secret = nfa.secret_set
-    return root_state, tuple(s for s in root_state if s not in secret)
+def _strong_child(table: RowTable, obs: Observer) -> Child:
+    # x1 follows the observer; x2 takes the secret-avoiding step, kept
+    # inside the new estimate.
+    avoid, support, masks = table.avoid, table.support, obs.masks
+    return lambda e, j, x1, x2: (masks[j], union(avoid[e], x2 & support[e]) & masks[j])
+
+
+def _sst_roots(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:
+    # Each secret-intersecting estimate keeps the full estimate as x1; x2 is
+    # its nonsecret part (secret visits before the window do not disqualify
+    # a state).
+    nonsecret = table.nonsecret
+    return [(i, m, m & nonsecret) for i, m in enumerate(obs.masks) if m & table.secret]
 
 
 def build_sst(nfa: Nfa, obs: Observer, sipa: Sipa, root_state: StateSet, k: int) -> StateTree:
     """Materialize the depth-K secret-unvisited state tree for one root."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if root_state not in set(obs.states):
-        raise ValueError(f"root {format_pair(root_state, ())} is not a reachable observer state")
-    if not set(root_state) & set(nfa.secret_set):
-        raise ValueError("root estimate contains no secret state")
-    return _grow_tree(
-        nfa, obs, root_state, k,
-        sst_root_pair(nfa, root_state),
-        lambda pair, event: (
-            obs.transitions[(pair[0], event)],
-            _sst_step(nfa, sipa, obs, pair[0], pair[1], event),
-        ),
-    )
+    i = _tree_root(nfa, obs, root_state, k)
+    table = row_table(nfa)
+    m = obs.masks[i]
+    return _grow_tree(table, obs, (i, m, m & table.nonsecret), k, _strong_child(table, obs))
 
 
 def verify_k_step_strong(
@@ -101,32 +89,15 @@ def verify_k_step_strong(
         raise ValueError("k must be nonnegative")
     if obs is None:
         obs = build_observer(nfa)
-    if sipa is None:
-        sipa = build_sipa(nfa)
-    return _search_pairs(
-        nfa, obs, secret_intersecting_roots(nfa, obs), k,
-        lambda root: sst_root_pair(nfa, root),
-        lambda pair, event: (
-            obs.transitions[(pair[0], event)],
-            _sst_step(nfa, sipa, obs, pair[0], pair[1], event),
-        ),
-    )
+    table = row_table(nfa)
+    nodes, hit = _explore(obs, _sst_roots(table, obs), _strong_child(table, obs), k, True)
+    return _verdict(table, obs, nodes, hit)
 
 
-def _verifier_initial(nfa: Nfa, obs: Observer, sipa: Sipa) -> VerifierState:
-    tagged_n = {ts.base for ts in sipa.initial if ts.tag == TAG_N}
-    x2 = tuple(s for s in obs.initial if s in tagged_n)
-    clean = nonsecret_unobservable_reach(nfa, [s for s in nfa.initial if s not in nfa.secret_set])
-    assert x2 == clean, "initial tagged states disagree with the nonsecret closure"
-    return VerifierState(obs.initial, x2)
-
-
-def _verifier_step(nfa: Nfa, sipa: Sipa, obs: Observer, state: VerifierState, event: str) -> VerifierState:
-    x1 = obs.transitions[(state.x1, event)]
-    x2 = sipa_n_step(sipa, state.x2, event) & set(x1)
-    via_reach = set(secret_avoiding_reach(nfa, state.x2, event)) & set(x1)
-    assert x2 == via_reach, "tagged-edge and reach-based secret-avoiding steps disagree"
-    return VerifierState(x1, nfa.state_set(x2))
+def _verifier_root(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:
+    # The closed initial estimate, paired with the states whose initial tag
+    # is N: the all-nonsecret closure of the nonsecret initial states.
+    return [(0, obs.masks[0], table.clean & obs.masks[0])]
 
 
 def build_verifier(
@@ -144,31 +115,19 @@ def build_verifier(
     """
     if obs is None:
         obs = build_observer(nfa)
-    if sipa is None:
-        sipa = build_sipa(nfa)
-    initial = _verifier_initial(nfa, obs, sipa)
-    states = [initial]
-    seen = {initial}
-    transitions: dict[tuple[VerifierState, str], VerifierState] = {}
-    queue = [initial]
-    while queue:
-        current = queue.pop(0)
-        for event in obs.events:
-            if (current.x1, event) not in obs.transitions:
-                continue
-            target = _verifier_step(nfa, sipa, obs, current, event)
-            transitions[(current, event)] = target
-            if target not in seen:
-                seen.add(target)
-                states.append(target)
-                queue.append(target)
-                if max_states is not None and len(states) > max_states:
-                    raise ResourceLimitError(f"verifier exceeded {max_states} states")
+    table = row_table(nfa)
+    edges: list[tuple[int, int, int]] = []
+    nodes, _ = _explore(
+        obs, _verifier_root(table, obs), _strong_child(table, obs), None, False,
+        edges, max_states,
+    )
+    states = [VerifierState(obs.states[i], table.state_set(x2)) for i, _, x2, *_ in nodes]
+    events = obs.events
     return VerifierAutomaton(
         states=tuple(states),
-        initial=initial,
-        transitions=transitions,
-        events=obs.events,
+        initial=states[0],
+        transitions={(states[n], events[e]): states[m] for n, e, m in edges},
+        events=events,
     )
 
 
@@ -177,29 +136,40 @@ def verify_infinite_step_strong(
     obs: Observer | None = None,
     sipa: Sipa | None = None,
 ) -> Verdict:
-    """Abort construction at the first empty second component.
+    """Walk the verifier without building it; stop at the first empty second component.
 
     The witness is the observation reaching the offending verifier state.
     """
     if obs is None:
         obs = build_observer(nfa)
-    if sipa is None:
-        sipa = build_sipa(nfa)
-    initial = _verifier_initial(nfa, obs, sipa)
-    seen = {initial}
-    queue: list[tuple[VerifierState, tuple[str, ...]]] = [(initial, ())]
-    while queue:
-        current, path = queue.pop(0)
-        if not current.x2:
-            return Verdict(False, Witness((), path, (current.x1, current.x2)))
-        for event in obs.events:
-            if (current.x1, event) not in obs.transitions:
-                continue
-            target = _verifier_step(nfa, sipa, obs, current, event)
-            if target not in seen:
-                seen.add(target)
-                queue.append((target, path + (event,)))
-    return Verdict(True)
+    table = row_table(nfa)
+    nodes, hit = _explore(obs, _verifier_root(table, obs), _strong_child(table, obs), None, True)
+    return _verdict(table, obs, nodes, hit)
+
+
+def verifier_verdict(ver: VerifierAutomaton) -> Verdict:
+    """The infinite-step strong verdict read off a built verifier.
+
+    Equal to :func:`verify_infinite_step_strong`: the violating state is the
+    first one, in construction (BFS) order, whose second component is
+    empty.  ``transitions`` is filled in that same order, so the first
+    transition into a state is the one that discovered it; following those
+    back from the violating state gives the witness.
+    """
+    target = next((state for state in ver.states if not state.x2), None)
+    if target is None:
+        return Verdict(True)
+    parent: dict[VerifierState, tuple[VerifierState, str]] = {}
+    for (src, event), dst in ver.transitions.items():
+        parent.setdefault(dst, (src, event))
+        if dst == target:
+            break
+    path = []
+    state = target
+    while state != ver.initial:
+        state, event = parent[state]
+        path.append(event)
+    return Verdict(False, Witness((), tuple(reversed(path)), (target.x1, target.x2)))
 
 
 def check_verifier_observer_language_equality(

@@ -17,10 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Nfa, StateSet, format_pair, observable_reach
+from .core import Nfa, ResourceLimitError, RowTable, StateSet, format_pair, row_table, union
 from .observer import Observer, build_observer, shortest_access_strings
 
 Pair = tuple[StateSet, StateSet]
+
+# A pair-search node over the observer: (estimate position, x1 mask, x2
+# mask, parent node position or -1, event position from the parent, depth).
+Node = tuple[int, int, int, int, int, int]
+# Child pair of (x1, x2) on event position e into estimate position j.
+Child = Callable[[int, int, int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -83,127 +89,189 @@ class StateTree:
         return len(self.nodes)
 
 
-def weak_root_pair(nfa: Nfa, root_state: StateSet) -> Pair:
-    secret = nfa.secret_set
-    x1 = tuple(s for s in root_state if s in secret)
-    x2 = tuple(s for s in root_state if s not in secret)
-    return x1, x2
+def _weak_roots(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:
+    # Each secret-intersecting estimate, split into its secret part (x1)
+    # and its nonsecret part (x2).
+    secret, nonsecret = table.secret, table.nonsecret
+    return [(i, m & secret, m & nonsecret) for i, m in enumerate(obs.masks) if m & secret]
+
+
+def _weak_child(table: RowTable) -> Child:
+    reach, support = table.reach, table.support
+    return lambda e, j, x1, x2: (
+        union(reach[e], x1 & support[e]),
+        union(reach[e], x2 & support[e]),
+    )
 
 
 def _grow_tree(
-    nfa: Nfa,
+    table: RowTable,
     obs: Observer,
-    root_state: StateSet,
+    root: tuple[int, int, int],
     k: int,
-    root_pair: Pair,
-    child: Callable[[Pair, str], Pair],
+    child: Child,
 ) -> StateTree:
     # Duplicate pairs within one tree are deliberately not merged; the node
     # count stays within the structural cap 1+|Eo|+...+|Eo|^K.
-    root = TreeNode(root_pair[0], root_pair[1], 0)
-    nodes = [root]
-    edges: list[tuple[TreeNode, str, TreeNode]] = []
-    frontier: list[tuple[TreeNode, StateSet]] = [(root, root_state)]
+    i, x1, x2 = root
+    root_node = TreeNode(table.state_set(x1), table.state_set(x2), 0)
+    nodes = [root_node]
+    edges = []
+    frontier = [(root_node, i, x1, x2)]
     for depth in range(1, k + 1):
-        nxt: list[tuple[TreeNode, StateSet]] = []
-        for node, estimate in frontier:
-            for event, target in obs.successors(estimate):
-                x1, x2 = child((node.x1, node.x2), event)
-                new = TreeNode(x1, x2, depth)
+        nxt = []
+        for node, i, x1, x2 in frontier:
+            for e, j in obs.moves[i]:
+                c1, c2 = child(e, j, x1, x2)
+                new = TreeNode(table.state_set(c1), table.state_set(c2), depth)
                 nodes.append(new)
-                edges.append((node, event, new))
-                nxt.append((new, target))
+                edges.append((node, obs.events[e], new))
+                nxt.append((new, j, c1, c2))
         frontier = nxt
-    return StateTree(root_state, root, tuple(nodes), tuple(edges))
+    return StateTree(obs.states[root[0]], root_node, tuple(nodes), tuple(edges))
+
+
+def _tree_root(nfa: Nfa, obs: Observer, root_state: StateSet, k: int) -> int:
+    """Position of a valid tree root in ``obs.states``; ValueError otherwise."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    i = obs.index.get(root_state)
+    if i is None:
+        raise ValueError(f"root {format_pair(root_state, ())} is not a reachable observer state")
+    if not obs.masks[i] & row_table(nfa).secret:
+        raise ValueError("root estimate contains no secret state")
+    return i
 
 
 def build_weak_state_tree(nfa: Nfa, obs: Observer, root_state: StateSet, k: int) -> StateTree:
     """Materialize the depth-K tree rooted at a secret-intersecting estimate."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if root_state not in set(obs.states):
-        raise ValueError(f"root {format_pair(root_state, ())} is not a reachable observer state")
-    if not set(root_state) & set(nfa.secret_set):
-        raise ValueError("root estimate contains no secret state")
-    return _grow_tree(
-        nfa, obs, root_state, k,
-        weak_root_pair(nfa, root_state),
-        lambda pair, event: (
-            observable_reach(nfa, pair[0], event),
-            observable_reach(nfa, pair[1], event),
-        ),
-    )
+    i = _tree_root(nfa, obs, root_state, k)
+    table = row_table(nfa)
+    m = obs.masks[i]
+    return _grow_tree(table, obs, (i, m & table.secret, m & table.nonsecret), k, _weak_child(table))
 
 
 def secret_intersecting_roots(nfa: Nfa, obs: Observer) -> tuple[StateSet, ...]:
-    secret = nfa.secret_set
-    return tuple(s for s in obs.states if set(s) & secret)
+    secret = row_table(nfa).secret
+    return tuple(s for s, m in zip(obs.states, obs.masks) if m & secret)
 
 
-def _search_pairs(
-    nfa: Nfa,
-    obs: Observer,
-    roots: tuple[StateSet, ...],
-    k: int | None,
-    root_pair: Callable[[StateSet], Pair],
-    child: Callable[[Pair, str], Pair],
-) -> Verdict:
-    """Multi-source BFS over pairs with a global visited set.
+def tree_node_count(nfa: Nfa, obs: Observer, k: int) -> int:
+    """Summed node count of the depth-K trees over every secret-intersecting root.
 
-    Roots seed the queue in observer construction order and events expand in
-    declaration order, so the first empty-``x2`` pair dequeued yields the
-    shortest (then lexicographically least by construction) witness.
+    A tree node stands for an observation string of length at most K that
+    the observer accepts from the root, for weak trees and SSTs alike, so a
+    per-depth count of observer paths gives the total without building a
+    tree: the cost grows with K times the observer's transitions, not
+    with |Eo|^K.
     """
-    access = shortest_access_strings(obs)
-    queue: list[tuple[Pair, StateSet, StateSet, tuple[str, ...]]] = []
-    visited: set[tuple[StateSet, Pair]] = set()
+    secret = row_table(nfa).secret
+    paths = [1 if m & secret else 0 for m in obs.masks]
+    total = sum(paths)
+    for _ in range(k):
+        nxt = [0] * len(paths)
+        for count, out in zip(paths, obs.moves):
+            for _, j in out:
+                nxt[j] += count
+        paths = nxt
+        level = sum(paths)
+        if not level:
+            break
+        total += level
+    return total
+
+
+def _explore(
+    obs: Observer,
+    roots: list[tuple[int, int, int]],
+    child: Child,
+    k: int | None,
+    stop_at_empty: bool,
+    edges: list[tuple[int, int, int]] | None = None,
+    max_states: int | None = None,
+) -> tuple[list[Node], int | None]:
+    """Multi-source BFS over (estimate, x1, x2) nodes with a global visited set.
+
+    This one walk is behind every verdict and the verifier.  Roots seed the
+    queue in observer construction order and events expand in declaration
+    order; the discovery list is the FIFO queue.  A child pair depends only
+    on its parent pair and the event, and BFS meets each pair at its
+    shallowest depth, so reachability of an empty-``x2`` node within depth
+    *k* (None: unbounded) is decided exactly.
+
+    With *stop_at_empty* the walk returns the position of the first node
+    whose ``x2`` is empty, which gives the shortest (then lexicographically
+    least by construction) witness.  Otherwise it runs to exhaustion,
+    appending every (node, event position, node) edge to *edges*; more
+    than *max_states* nodes then raise ResourceLimitError (the verifier's
+    state cap).
+    """
+    nodes: list[Node] = []
+    seen: dict[tuple[int, int, int], int] = {}
     for root in roots:
-        pair = root_pair(root)
-        key = (root, pair)
-        if key not in visited:
-            visited.add(key)
-            queue.append((pair, root, root, ()))
-    while queue:
-        pair, estimate, root, continuation = queue.pop(0)
-        if not pair[1]:
-            return Verdict(False, Witness(access[root], continuation, pair))
-        if k is not None and len(continuation) >= k:
+        if root not in seen:
+            seen[root] = len(nodes)
+            nodes.append((*root, -1, -1, 0))
+            if stop_at_empty and not root[2]:
+                return nodes, len(nodes) - 1
+    moves = obs.moves
+    # nodes grows while the loop walks it: the walk is the queue.
+    for n, (i, x1, x2, _, _, depth) in enumerate(nodes):
+        if k is not None and depth >= k:
             continue
-        for event, target in obs.successors(estimate):
-            nxt = child(pair, event)
-            key = (target, nxt)
-            if key not in visited:
-                visited.add(key)
-                queue.append((nxt, target, root, continuation + (event,)))
-    return Verdict(True)
+        for e, j in moves[i]:
+            c1, c2 = child(e, j, x1, x2)
+            key = (j, c1, c2)
+            m = seen.get(key)
+            if m is None:
+                m = seen[key] = len(nodes)
+                nodes.append((j, c1, c2, n, e, depth + 1))
+                if stop_at_empty and not c2:
+                    return nodes, m
+                if max_states is not None and len(nodes) > max_states:
+                    raise ResourceLimitError(f"verifier exceeded {max_states} states")
+            if edges is not None:
+                edges.append((n, e, m))
+    return nodes, None
+
+
+def _verdict(table: RowTable, obs: Observer, nodes: list[Node], hit: int | None) -> Verdict:
+    """Verdict of a stopped walk; the witness follows parent pointers from *hit*."""
+    if hit is None:
+        return Verdict(True)
+    continuation = []
+    n = hit
+    while nodes[n][3] >= 0:
+        continuation.append(obs.events[nodes[n][4]])
+        n = nodes[n][3]
+    prefix = shortest_access_strings(obs)[obs.states[nodes[n][0]]]
+    _, x1, x2 = nodes[hit][:3]
+    node = (table.state_set(x1), table.state_set(x2))
+    return Verdict(False, Witness(prefix, tuple(reversed(continuation)), node))
+
+
+def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None) -> Verdict:
+    if obs is None:
+        obs = build_observer(nfa)
+    table = row_table(nfa)
+    nodes, hit = _explore(obs, _weak_roots(table, obs), _weak_child(table), k, True)
+    return _verdict(table, obs, nodes, hit)
 
 
 def verify_k_step_weak(nfa: Nfa, k: int, obs: Observer | None = None) -> Verdict:
     """Opaque iff every tree node over every secret-intersecting root keeps x2 nonempty."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if obs is None:
-        obs = build_observer(nfa)
-    return _search_pairs(
-        nfa, obs, secret_intersecting_roots(nfa, obs), k,
-        lambda root: weak_root_pair(nfa, root),
-        lambda pair, event: (
-            observable_reach(nfa, pair[0], event),
-            observable_reach(nfa, pair[1], event),
-        ),
-    )
+    return _weak_search(nfa, obs, k)
 
 
 def verify_current_state_opacity(nfa: Nfa, obs: Observer | None = None) -> Verdict:
-    """No reachable estimate may consist of secret states only."""
-    if obs is None:
-        obs = build_observer(nfa)
-    secret = nfa.secret_set
-    for state in obs.states:
-        if state and all(s in secret for s in state):
-            access = shortest_access_strings(obs)
-            return Verdict(False, Witness(access[state], (), (state, ())))
-    return Verdict(True)
+    """No reachable estimate may consist of secret states only.
+
+    This is the weak check at K=0: a root's x2 is empty exactly when its
+    estimate has no nonsecret state.
+    """
+    return _weak_search(nfa, obs, 0)
 
 
 def verify_infinite_step_weak(nfa: Nfa, obs: Observer | None = None) -> Verdict:
@@ -212,16 +280,7 @@ def verify_infinite_step_weak(nfa: Nfa, obs: Observer | None = None) -> Verdict:
     Pairs number at most 4^|X|, so the search terminates without an explicit
     depth bound; opaque iff no reachable pair has an empty second component.
     """
-    if obs is None:
-        obs = build_observer(nfa)
-    return _search_pairs(
-        nfa, obs, secret_intersecting_roots(nfa, obs), None,
-        lambda root: weak_root_pair(nfa, root),
-        lambda pair, event: (
-            observable_reach(nfa, pair[0], event),
-            observable_reach(nfa, pair[1], event),
-        ),
-    )
+    return _weak_search(nfa, obs, None)
 
 
 def tree_dot(tree: StateTree, name: str = "state_tree") -> str:

@@ -11,15 +11,21 @@ from opaq import (
     build_sst,
     build_verifier,
     check_verifier_observer_language_equality,
+    nonsecret_unobservable_reach,
+    observable_reach,
+    secret_avoiding_reach,
     validate_model,
     verifier_dot,
+    verifier_verdict,
     verify_infinite_step_strong,
     verify_k_step_strong,
     verify_k_step_weak,
 )
+from opaq.core import row_table, union
 from opaq.oracle import MaskEngine
+from opaq.projection import TAG_N, sipa_n_step
 
-from test_reach import small_models
+from test_reach import small_models, subset_of_states
 from test_weak import chain
 
 
@@ -241,3 +247,35 @@ def test_verifier_size_and_projection(nfa):
     assert len(ver.states) <= 4 ** len(nfa.states)
     ok, certificate = check_verifier_observer_language_equality(obs, ver)
     assert ok, certificate
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_steps_equal_the_set_based_steps(data):
+    # Every construction steps by ORing rows of the model's row table; the
+    # set-based reach functions and the tagged automaton's N-to-N edges are
+    # the definitions those rows must reproduce on every subset.
+    nfa = data.draw(small_models())
+    table = row_table(nfa)
+    sipa = build_sipa(nfa)
+    subset = data.draw(subset_of_states(nfa))
+    nonsecret = {s for s in subset if s not in nfa.secret_set}
+
+    def mask(members):
+        return sum(1 << nfa.states.index(s) for s in members)
+
+    for e, event in enumerate(table.events):
+        reach = union(table.reach[e], mask(subset))
+        assert table.state_set(reach) == observable_reach(nfa, subset, event)
+        avoid = table.state_set(union(table.avoid[e], mask(nonsecret)))
+        assert avoid == secret_avoiding_reach(nfa, nonsecret, event)
+        assert set(avoid) == sipa_n_step(sipa, nonsecret, event)
+    tagged_n = [ts.base for ts in sipa.initial if ts.tag == TAG_N]
+    clean = nonsecret_unobservable_reach(nfa, [s for s in nfa.initial if s not in nfa.secret_set])
+    assert tuple(tagged_n) == clean == table.state_set(table.clean)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfa=small_models())
+def test_verdict_read_off_the_verifier_equals_the_search(nfa):
+    assert verifier_verdict(build_verifier(nfa)) == verify_infinite_step_strong(nfa)
