@@ -33,7 +33,8 @@ def main() -> int:
     for prop in ("cs", "k-weak", "k-strong", "inf-weak", "inf-strong"):
         n, a = totals[prop], agreed[prop]
         print(f"{prop:<12}{n:>8}{a:>8}{a / n:>9.4f}")
-    print(f"\nelapsed: {result.elapsed:.1f}s over {result.models} models")
+    rate = len(result.rows) / result.elapsed if result.elapsed > 0 else float("inf")
+    print(f"\nelapsed: {result.elapsed:.1f}s over {result.models} models ({rate:,.0f} checks/s)")
     for path in result.divergence_fixtures:
         print(f"divergence fixture: {path}")
     for line in result.structural_failures:

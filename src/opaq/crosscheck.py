@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .core import Nfa, model_to_dict
 from .observer import Observer, build_observer
 from .oracle import (
+    MaskEngine,
     OracleConfig,
     OracleVerdict,
     oracle_infinite_step_strong,
@@ -94,23 +95,28 @@ def model_config(base_seed: int, index: int, max_states: int, max_events: int = 
     )
 
 
-def _witness_replays(nfa: Nfa, prop: str, k: int | None, verdict: Verdict) -> bool:
+def _witness_replays(
+    nfa: Nfa, prop: str, k: int | None, verdict: Verdict, eng: MaskEngine
+) -> bool:
     if verdict.opaque:
         return True
     w = verdict.witness
     obs = w.prefix + w.continuation
     if prop in ("cs", "k-weak"):
-        return replay_weak_violation(nfa, obs, len(w.prefix), k if prop == "k-weak" else 0)
+        return replay_weak_violation(nfa, obs, len(w.prefix), k if prop == "k-weak" else 0, eng=eng)
     if prop == "inf-weak":
-        return replay_weak_violation(nfa, obs, len(w.prefix), None)
+        return replay_weak_violation(nfa, obs, len(w.prefix), None, eng=eng)
     if prop == "k-strong":
-        return replay_strong_violation(nfa, obs, k)
-    return replay_infinite_strong_violation(nfa, obs)
+        return replay_strong_violation(nfa, obs, k, eng=eng)
+    return replay_infinite_strong_violation(nfa, obs, eng=eng)
 
 
 def _agreement_rows(
     nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer, sipa: Sipa
 ) -> list[dict]:
+    # One oracle engine per model: the model's oracle searches and witness
+    # replays share its memoized steps and estimate BFS.
+    eng = MaskEngine(nfa)
     rows = []
 
     def row(prop: str, k: int | None, verify: Verdict, oracle: OracleVerdict) -> dict:
@@ -122,18 +128,25 @@ def _agreement_rows(
             "oracle_opaque": oracle.opaque,
             "oracle_exact": oracle.exact,
             "agree": verify.opaque == oracle.opaque,
-            "witness_replays": _witness_replays(nfa, prop, k, verify),
+            "witness_replays": _witness_replays(nfa, prop, k, verify, eng),
         }
 
-    rows.append(row("cs", None, verify_current_state_opacity(nfa, obs), oracle_k_step_weak(nfa, 0)))
+    rows.append(row("cs", None, verify_current_state_opacity(nfa, obs), oracle_k_step_weak(nfa, 0, eng=eng)))
     for k in ks:
-        rows.append(row("k-weak", k, verify_k_step_weak(nfa, k, obs), oracle_k_step_weak(nfa, k)))
+        rows.append(row("k-weak", k, verify_k_step_weak(nfa, k, obs), oracle_k_step_weak(nfa, k, eng=eng)))
         rows.append(
-            row("k-strong", k, verify_k_step_strong(nfa, k, obs, sipa), oracle_k_step_strong(nfa, k))
+            row("k-strong", k, verify_k_step_strong(nfa, k, obs, sipa), oracle_k_step_strong(nfa, k, eng=eng))
         )
-    rows.append(row("inf-weak", None, verify_infinite_step_weak(nfa, obs), oracle_infinite_step_weak(nfa)))
     rows.append(
-        row("inf-strong", None, verify_infinite_step_strong(nfa, obs, sipa), oracle_infinite_step_strong(nfa))
+        row("inf-weak", None, verify_infinite_step_weak(nfa, obs), oracle_infinite_step_weak(nfa, eng=eng))
+    )
+    rows.append(
+        row(
+            "inf-strong",
+            None,
+            verify_infinite_step_strong(nfa, obs, sipa),
+            oracle_infinite_step_strong(nfa, eng=eng),
+        )
     )
     return rows
 

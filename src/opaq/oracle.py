@@ -14,6 +14,12 @@ with current-state opacity.
 
 Every reported violation is replayed through an independent per-observation
 recomputation before being returned (soundness self-check).
+
+A :class:`MaskEngine` caches, for its one model, the whole-set steps
+``reach(mask, event)`` and ``avoid_reach(mask, event)`` and the estimate BFS,
+so every search and replay accepts an ``eng`` built once per model (a fresh
+one when omitted).  The self-check always replays on a fresh engine, so a
+wrong cached step cannot confirm its own violation.
 """
 
 from __future__ import annotations
@@ -63,7 +69,11 @@ class OracleVerdict:
 
 
 class MaskEngine:
-    """Bitmask reachability over a fixed model; one bit per state."""
+    """Bitmask reachability over a fixed model; one bit per state.
+
+    ``reach`` and ``avoid_reach`` are memoized per (mask, event), and the
+    estimate BFS is kept once run; the caches live as long as the engine.
+    """
 
     def __init__(self, nfa: Nfa):
         self.nfa = nfa
@@ -86,6 +96,9 @@ class MaskEngine:
             self.step_tbl[ev][self.index[src]] |= bit
             if ev in unobservable:
                 self.silent_tbl[self.index[src]] |= bit
+        self._reach_memo: dict[tuple[int, str], int] = {}
+        self._avoid_memo: dict[tuple[int, str], int] = {}
+        self._bfs: tuple[list[int], dict[int, tuple[str, ...]], int] | None = None
 
     def _mask(self, states) -> int:
         out = 0
@@ -133,11 +146,19 @@ class MaskEngine:
         return reached
 
     def reach(self, mask: int, event: str) -> int:
-        return self.ur(self.step(self.ur(mask), event))
+        out = self._reach_memo.get((mask, event))
+        if out is None:
+            out = self.ur(self.step(self.ur(mask), event))
+            self._reach_memo[mask, event] = out
+        return out
 
     def avoid_reach(self, mask: int, event: str) -> int:
-        inner = self.step(self.ur_nonsecret(mask), event) & self.nonsecret
-        return self.ur_nonsecret(inner)
+        out = self._avoid_memo.get((mask, event))
+        if out is None:
+            inner = self.step(self.ur_nonsecret(mask), event) & self.nonsecret
+            out = self.ur_nonsecret(inner)
+            self._avoid_memo[mask, event] = out
+        return out
 
     def estimates(self, w: tuple[str, ...]) -> list[int] | None:
         """Closure-included reach sets along *w*; None if infeasible."""
@@ -163,8 +184,21 @@ class MaskEngine:
         return cont
 
 
+def _engine(nfa: Nfa, eng: MaskEngine | None) -> MaskEngine:
+    if eng is None:
+        return MaskEngine(nfa)
+    if eng.nfa is not nfa:
+        raise ValueError("the engine was built for another model")
+    return eng
+
+
 def _reach_bfs(eng: MaskEngine) -> tuple[list[int], dict[int, tuple[str, ...]], int]:
-    """All reachable estimate sets with shortest access observations."""
+    """All reachable estimate sets with shortest access observations.
+
+    Computed on the engine's first call and kept; callers must not mutate it.
+    """
+    if eng._bfs is not None:
+        return eng._bfs
     start = eng.ur(eng.initial)
     order = [start]
     access = {start: ()}
@@ -179,19 +213,22 @@ def _reach_bfs(eng: MaskEngine) -> tuple[list[int], dict[int, tuple[str, ...]], 
                 depth = max(depth, len(access[target]))
                 order.append(target)
                 queue.append(target)
-    return order, access, depth
+    eng._bfs = order, access, depth
+    return eng._bfs
 
 
 # -- per-observation replays (soundness self-checks) -----------------------
 
 
-def replay_weak_violation(nfa: Nfa, w: tuple[str, ...], split: int, k: int | None) -> bool:
+def replay_weak_violation(
+    nfa: Nfa, w: tuple[str, ...], split: int, k: int | None, *, eng: MaskEngine | None = None
+) -> bool:
     """Definitional check of one claimed weak violation at (*w*, *split*).
 
     True when some secret state in the estimate at the split continues over
     the remaining observation while no nonsecret state there does.
     """
-    eng = MaskEngine(nfa)
+    eng = _engine(nfa, eng)
     if not 0 <= split <= len(w):
         return False
     if k is not None and len(w) - split > k:
@@ -205,9 +242,11 @@ def replay_weak_violation(nfa: Nfa, w: tuple[str, ...], split: int, k: int | Non
     return bool(a & eng.secret & c) and not (a & eng.nonsecret & c)
 
 
-def replay_strong_violation(nfa: Nfa, w: tuple[str, ...], k: int) -> bool:
+def replay_strong_violation(
+    nfa: Nfa, w: tuple[str, ...], k: int, *, eng: MaskEngine | None = None
+) -> bool:
     """Definitional check of one claimed K-step strong violation at *w*."""
-    eng = MaskEngine(nfa)
+    eng = _engine(nfa, eng)
     ests = eng.estimates(w)
     if ests is None:
         return False
@@ -220,9 +259,11 @@ def replay_strong_violation(nfa: Nfa, w: tuple[str, ...], k: int) -> bool:
     return precondition and not window
 
 
-def replay_infinite_strong_violation(nfa: Nfa, w: tuple[str, ...]) -> bool:
+def replay_infinite_strong_violation(
+    nfa: Nfa, w: tuple[str, ...], *, eng: MaskEngine | None = None
+) -> bool:
     """Definitional check of one claimed infinite-step strong violation at *w*."""
-    eng = MaskEngine(nfa)
+    eng = _engine(nfa, eng)
     if eng.estimates(w) is None:
         return False
     clean, dirty = _flagged_initial(eng)
@@ -234,6 +275,7 @@ def replay_infinite_strong_violation(nfa: Nfa, w: tuple[str, ...]) -> bool:
 
 
 def _checked(nfa: Nfa, verdict: OracleVerdict, kind: str, k: int | None) -> OracleVerdict:
+    # Replays on a fresh engine, independent of the search's memo.
     if verdict.violation is not None:
         if kind == "weak":
             ok = replay_weak_violation(nfa, verdict.violation, verdict.split, k)
@@ -251,7 +293,9 @@ def _checked(nfa: Nfa, verdict: OracleVerdict, kind: str, k: int | None) -> Orac
 # -- K-step weak ------------------------------------------------------------
 
 
-def oracle_k_step_weak(nfa: Nfa, k: int, cfg: OracleConfig | None = None) -> OracleVerdict:
+def oracle_k_step_weak(
+    nfa: Nfa, k: int, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
+) -> OracleVerdict:
     """Quantifier evaluation of the K-step weak definition.
 
     Every observation splits into a prefix reaching an estimate and a
@@ -263,7 +307,7 @@ def oracle_k_step_weak(nfa: Nfa, k: int, cfg: OracleConfig | None = None) -> Ora
     if k < 0:
         raise ValueError("k must be nonnegative")
     cfg = cfg or OracleConfig()
-    eng = MaskEngine(nfa)
+    eng = _engine(nfa, eng)
     order, access, depth = _reach_bfs(eng)
     bound = depth + k if cfg.max_len is None else cfg.max_len
     exact = bound >= depth + k
@@ -276,7 +320,7 @@ def oracle_k_step_weak(nfa: Nfa, k: int, cfg: OracleConfig | None = None) -> Ora
             continue
         if budget < k:
             exact = False
-        hit = _weak_dfs(eng, a & eng.secret, a & eng.nonsecret, budget, ())
+        hit = _weak_dfs(eng, a & eng.secret, a & eng.nonsecret, budget)
         if hit is not None:
             w = access[a] + hit
             return _checked(
@@ -287,25 +331,31 @@ def oracle_k_step_weak(nfa: Nfa, k: int, cfg: OracleConfig | None = None) -> Ora
     return OracleVerdict(True, None, None, bound, exact)
 
 
-def _weak_dfs(eng: MaskEngine, fs: int, fns: int, budget: int, path: tuple[str, ...]):
-    if fs and not fns:
-        return path
-    if budget == 0 or not fs:
-        return None
-    for event in eng.events:
-        ns, nns = eng.reach(fs, event), eng.reach(fns, event)
-        if not (ns | nns):
+def _weak_dfs(eng: MaskEngine, fs: int, fns: int, budget: int) -> tuple[str, ...] | None:
+    # Preorder walk on an explicit stack (events in declaration order, first
+    # hit wins), so a large K cannot exhaust the interpreter's recursion.
+    stack = [(fs, fns, ())]
+    while stack:
+        fs, fns, path = stack.pop()
+        if fs and not fns:
+            return path
+        if len(path) == budget or not fs:
             continue
-        hit = _weak_dfs(eng, ns, nns, budget - 1, path + (event,))
-        if hit is not None:
-            return hit
+        children = []
+        for event in eng.events:
+            ns, nns = eng.reach(fs, event), eng.reach(fns, event)
+            if ns | nns:
+                children.append((ns, nns, path + (event,)))
+        stack.extend(reversed(children))
     return None
 
 
 # -- K-step strong -----------------------------------------------------------
 
 
-def oracle_k_step_strong(nfa: Nfa, k: int, cfg: OracleConfig | None = None) -> OracleVerdict:
+def oracle_k_step_strong(
+    nfa: Nfa, k: int, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
+) -> OracleVerdict:
     """Quantifier evaluation of the K-step strong definition.
 
     For each observation the window covers its last K observable events (or
@@ -317,7 +367,7 @@ def oracle_k_step_strong(nfa: Nfa, k: int, cfg: OracleConfig | None = None) -> O
     if k < 0:
         raise ValueError("k must be nonnegative")
     cfg = cfg or OracleConfig()
-    eng = MaskEngine(nfa)
+    eng = _engine(nfa, eng)
     order, access, depth = _reach_bfs(eng)
     bound = depth + k if cfg.max_len is None else cfg.max_len
     exact = bound >= depth + k
@@ -329,16 +379,7 @@ def oracle_k_step_strong(nfa: Nfa, k: int, cfg: OracleConfig | None = None) -> O
             exact = False
         if budget < 0:
             continue
-        hit = _strong_dfs(
-            eng,
-            estimate=a,
-            sec_cont=a & eng.secret,
-            window=a & eng.nonsecret,
-            budget=budget,
-            k=k,
-            check_short=at_initial,
-            path=(),
-        )
+        hit = _strong_dfs(eng, a, budget, k, check_short=at_initial)
         if hit is not None:
             w = access[a] + hit
             return _checked(
@@ -349,37 +390,41 @@ def oracle_k_step_strong(nfa: Nfa, k: int, cfg: OracleConfig | None = None) -> O
     return OracleVerdict(True, None, None, bound, exact)
 
 
-def _strong_dfs(eng, estimate, sec_cont, window, budget, k, check_short, path):
-    depth = len(path)
-    # Windows anchored at the initial estimate may be shorter than K; all
-    # others are checked at full window length only.
-    if (depth == k or (check_short and depth < k)) and sec_cont and not window:
-        return path
-    if depth >= budget:
-        return None
-    for event in eng.events:
-        nxt = eng.reach(estimate, event)
-        if not nxt:
+def _strong_dfs(
+    eng: MaskEngine, anchor: int, budget: int, k: int, check_short: bool
+) -> tuple[str, ...] | None:
+    # Preorder walk from the window anchor on an explicit stack, as in
+    # _weak_dfs.  Nodes are (estimate, secret continuation, window, path).
+    stack = [(anchor, anchor & eng.secret, anchor & eng.nonsecret, ())]
+    while stack:
+        estimate, sec_cont, window, path = stack.pop()
+        depth = len(path)
+        # Windows anchored at the initial estimate may be shorter than K; all
+        # others are checked at full window length only.
+        if (depth == k or (check_short and depth < k)) and sec_cont and not window:
+            return path
+        if depth >= budget:
             continue
-        hit = _strong_dfs(
-            eng,
-            estimate=nxt,
-            sec_cont=eng.reach(sec_cont, event) | (nxt & eng.secret),
-            window=eng.avoid_reach(window, event),
-            budget=budget,
-            k=k,
-            check_short=check_short,
-            path=path + (event,),
-        )
-        if hit is not None:
-            return hit
+        children = []
+        for event in eng.events:
+            nxt = eng.reach(estimate, event)
+            if nxt:
+                children.append((
+                    nxt,
+                    eng.reach(sec_cont, event) | (nxt & eng.secret),
+                    eng.avoid_reach(window, event),
+                    path + (event,),
+                ))
+        stack.extend(reversed(children))
     return None
 
 
 # -- infinite-step weak -------------------------------------------------------
 
 
-def oracle_infinite_step_weak(nfa: Nfa, cfg: OracleConfig | None = None) -> OracleVerdict:
+def oracle_infinite_step_weak(
+    nfa: Nfa, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
+) -> OracleVerdict:
     """K-step weak check with unbounded continuations.
 
     Continuation behavior depends only on the (secret-descended,
@@ -387,7 +432,7 @@ def oracle_infinite_step_weak(nfa: Nfa, cfg: OracleConfig | None = None) -> Orac
     exploration is exact once every reachable pair has been expanded.
     """
     cfg = cfg or OracleConfig()
-    eng = MaskEngine(nfa)
+    eng = _engine(nfa, eng)
     order, access, _ = _reach_bfs(eng)
     bound = 0
     exact = True
@@ -456,7 +501,9 @@ def _flagged_step(eng: MaskEngine, clean: int, dirty: int, event: str) -> tuple[
     return _flagged_ur(eng, new_clean, new_dirty)
 
 
-def oracle_infinite_step_strong(nfa: Nfa, cfg: OracleConfig | None = None) -> OracleVerdict:
+def oracle_infinite_step_strong(
+    nfa: Nfa, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
+) -> OracleVerdict:
     """Quantifier evaluation of the infinite-step strong definition.
 
     Runs that have visited a secret are tracked by flagged reachability over
@@ -466,7 +513,7 @@ def oracle_infinite_step_strong(nfa: Nfa, cfg: OracleConfig | None = None) -> Or
     joint (flagged set, avoiding set) node, so it is exact on termination.
     """
     cfg = cfg or OracleConfig()
-    eng = MaskEngine(nfa)
+    eng = _engine(nfa, eng)
     clean, dirty = _flagged_initial(eng)
     avoid = eng.ur_nonsecret(eng.initial & eng.nonsecret)
     queue: list[tuple[int, int, int, tuple[str, ...]]] = [(clean, dirty, avoid, ())]
@@ -497,8 +544,10 @@ def oracle_infinite_step_strong(nfa: Nfa, cfg: OracleConfig | None = None) -> Or
     return OracleVerdict(True, None, None, bound, exact)
 
 
-def oracle_current_state(nfa: Nfa, cfg: OracleConfig | None = None) -> OracleVerdict:
-    return oracle_k_step_weak(nfa, 0, cfg)
+def oracle_current_state(
+    nfa: Nfa, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
+) -> OracleVerdict:
+    return oracle_k_step_weak(nfa, 0, cfg, eng=eng)
 
 
 # -- random models -------------------------------------------------------------

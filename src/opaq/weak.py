@@ -52,7 +52,8 @@ class Verdict:
     witness: Witness | None = None
 
     def __post_init__(self) -> None:
-        assert self.opaque == (self.witness is None)
+        if self.opaque != (self.witness is None):
+            raise ValueError("a verdict has a witness exactly when it is not opaque")
 
 
 def verdict_to_dict(property_name: str, k: int | None, verdict: Verdict) -> dict:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,9 @@ from opaq import (
     random_nfa,
     secret_avoiding_reach,
     unobservable_reach,
+    validate_model,
 )
+from opaq.crosscheck import model_config
 from opaq.oracle import (
     MaskEngine,
     replay_strong_violation,
@@ -150,12 +155,25 @@ def test_mask_engine_matches_set_primitives(nfa, data):
     sources = data.draw(st.sets(st.sampled_from(nfa.states)))
     mask = eng._mask(sources)
     assert eng.to_states(eng.ur(mask)) == unobservable_reach(nfa, sources)
-    if nfa.observable_events:
-        event = data.draw(st.sampled_from(nfa.observable_events))
-        assert eng.to_states(eng.reach(mask, event)) == observable_reach(nfa, sources, event)
-        assert eng.to_states(eng.avoid_reach(mask, event)) == secret_avoiding_reach(
-            nfa, sources, event
+    if not nfa.observable_events:
+        return
+    pairs = data.draw(
+        st.lists(
+            st.tuples(st.sets(st.sampled_from(nfa.states)), st.sampled_from(nfa.observable_events)),
+            min_size=1,
+            max_size=6,
         )
+    )
+    # The second pass answers every query from the engine's memo.
+    for second in (False, True):
+        for sources, event in pairs:
+            mask = eng._mask(sources)
+            if second:
+                assert (mask, event) in eng._reach_memo and (mask, event) in eng._avoid_memo
+            assert eng.to_states(eng.reach(mask, event)) == observable_reach(nfa, sources, event)
+            assert eng.to_states(eng.avoid_reach(mask, event)) == secret_avoiding_reach(
+                nfa, sources, event
+            )
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,3 +185,64 @@ def test_violations_come_with_replayable_observations(nfa, k):
     strong = oracle_k_step_strong(nfa, k)
     if not strong.opaque:
         assert replay_strong_violation(nfa, strong.violation, k)
+
+
+def test_k_searches_run_iteratively_at_large_k():
+    # One event; a nonsecret and a secret state each loop, so every search
+    # walks a single path 1500 observations deep and never finds a violation.
+    nfa = validate_model(
+        {
+            "states": ["n", "s"],
+            "events": [{"name": "a", "observable": True}],
+            "initial": ["n", "s"],
+            "secret": ["s"],
+            "transitions": [["n", "a", "n"], ["s", "a", "s"]],
+        }
+    )
+    for search in (oracle_k_step_weak, oracle_k_step_strong):
+        verdict = search(nfa, 1500)
+        assert verdict.opaque and verdict.exact and verdict.bound == 1500
+
+
+GOLDEN_BATCH = os.path.join(os.path.dirname(__file__), "fixtures", "golden", "oracle_batch.json")
+
+
+def _oracle_search(nfa, prop, k, eng):
+    if prop == "k-weak":
+        return oracle_k_step_weak(nfa, k, eng=eng)
+    if prop == "k-strong":
+        return oracle_k_step_strong(nfa, k, eng=eng)
+    if prop == "inf-weak":
+        return oracle_infinite_step_weak(nfa, eng=eng)
+    return oracle_infinite_step_strong(nfa, eng=eng)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh-engine", "shared-engine"])
+def test_oracle_batch_matches_golden(shared):
+    """Every oracle verdict on a 60-model batch, pinned before the engine memo existed.
+
+    With ``shared`` one engine per model serves the searches in the order
+    ``crosscheck._agreement_rows`` calls them: cs (k-weak at 0), then k-weak
+    and k-strong per K, then inf-weak and inf-strong.
+    """
+    with open(GOLDEN_BATCH, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    searches = [tuple(s) for s in golden["searches"]]
+    order = [("k-weak", 0)] + [(p, k) for k in range(4) for p in ("k-weak", "k-strong")]
+    order += [("inf-weak", None), ("inf-strong", None)]
+    assert set(order) == set(searches)
+    assert len(golden["verdicts"]) == golden["models"]
+    for index, expected in enumerate(golden["verdicts"]):
+        nfa = random_nfa(model_config(golden["base_seed"], index, golden["max_states"]))
+        eng = MaskEngine(nfa) if shared else None
+        got = {}
+        for prop, k in order:
+            v = _oracle_search(nfa, prop, k, eng)
+            row = [v.opaque, None if v.violation is None else list(v.violation), v.split, v.bound, v.exact]
+            assert got.setdefault((prop, k), row) == row
+        assert [got[s] for s in searches] == expected, f"model {index}"
+
+
+def test_engine_of_another_model_is_rejected(g2, g8frag):
+    with pytest.raises(ValueError):
+        oracle_k_step_weak(g2, 1, eng=MaskEngine(g8frag))

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from opaq import (
     verify_infinite_step_weak,
     verify_k_step_weak,
 )
+from opaq.weak import Verdict, Witness
 
 from test_reach import small_models
 
@@ -194,3 +199,22 @@ def test_witness_replays_through_the_observer(nfa):
     assert state is not None
     assert set(w.node[0]) | set(w.node[1]) <= set(state)
     assert w.node[1] == ()
+
+
+def test_verdict_rejects_a_missing_or_stray_witness():
+    with pytest.raises(ValueError):
+        Verdict(False)
+    with pytest.raises(ValueError):
+        Verdict(True, Witness(("a",), (), (("1",), ())))
+
+
+def test_verdict_invariant_holds_under_optimize():
+    # Under -O an assert-based check would be stripped and Verdict(False) accepted.
+    path = [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "from opaq.weak import Verdict; Verdict(False)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "ValueError" in proc.stderr
