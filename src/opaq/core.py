@@ -32,6 +32,10 @@ class ResourceLimitError(RuntimeError):
     """Raised when a construction exceeds its configured state cap."""
 
 
+class InvariantError(RuntimeError):
+    """Raised when an internal invariant breaks: a program bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class Event:
     name: str

@@ -17,8 +17,8 @@ recomputation before being returned (soundness self-check).
 
 A :class:`MaskEngine` caches, for its one model, the whole-set steps
 ``reach(mask, event)`` and ``avoid_reach(mask, event)`` and the estimate BFS,
-so every search and replay accepts an ``eng`` built once per model (a fresh
-one when omitted).  The self-check always replays on a fresh engine, so a
+so the K-step and infinite-step searches and the replays accept an ``eng``
+built once per model (a fresh one when omitted).  The self-check always replays on a fresh engine, so a
 wrong cached step cannot confirm its own violation.
 """
 
@@ -160,6 +160,29 @@ class MaskEngine:
             self._avoid_memo[mask, event] = out
         return out
 
+    def reach_bfs(self) -> tuple[list[int], dict[int, tuple[str, ...]], int]:
+        """All reachable estimate sets with shortest access observations.
+
+        Computed on the first call and kept; callers must not mutate it.
+        """
+        if self._bfs is None:
+            start = self.ur(self.initial)
+            order = [start]
+            access = {start: ()}
+            depth = 0
+            queue = [start]
+            while queue:
+                current = queue.pop(0)
+                for event in self.events:
+                    target = self.reach(current, event)
+                    if target and target not in access:
+                        access[target] = access[current] + (event,)
+                        depth = max(depth, len(access[target]))
+                        order.append(target)
+                        queue.append(target)
+            self._bfs = order, access, depth
+        return self._bfs
+
     def estimates(self, w: tuple[str, ...]) -> list[int] | None:
         """Closure-included reach sets along *w*; None if infeasible."""
         current = self.ur(self.initial)
@@ -190,31 +213,6 @@ def _engine(nfa: Nfa, eng: MaskEngine | None) -> MaskEngine:
     if eng.nfa is not nfa:
         raise ValueError("the engine was built for another model")
     return eng
-
-
-def _reach_bfs(eng: MaskEngine) -> tuple[list[int], dict[int, tuple[str, ...]], int]:
-    """All reachable estimate sets with shortest access observations.
-
-    Computed on the engine's first call and kept; callers must not mutate it.
-    """
-    if eng._bfs is not None:
-        return eng._bfs
-    start = eng.ur(eng.initial)
-    order = [start]
-    access = {start: ()}
-    depth = 0
-    queue = [start]
-    while queue:
-        current = queue.pop(0)
-        for event in eng.events:
-            target = eng.reach(current, event)
-            if target and target not in access:
-                access[target] = access[current] + (event,)
-                depth = max(depth, len(access[target]))
-                order.append(target)
-                queue.append(target)
-    eng._bfs = order, access, depth
-    return eng._bfs
 
 
 # -- per-observation replays (soundness self-checks) -----------------------
@@ -308,7 +306,7 @@ def oracle_k_step_weak(
         raise ValueError("k must be nonnegative")
     cfg = cfg or OracleConfig()
     eng = _engine(nfa, eng)
-    order, access, depth = _reach_bfs(eng)
+    order, access, depth = eng.reach_bfs()
     bound = depth + k if cfg.max_len is None else cfg.max_len
     exact = bound >= depth + k
     for a in order:
@@ -368,7 +366,7 @@ def oracle_k_step_strong(
         raise ValueError("k must be nonnegative")
     cfg = cfg or OracleConfig()
     eng = _engine(nfa, eng)
-    order, access, depth = _reach_bfs(eng)
+    order, access, depth = eng.reach_bfs()
     bound = depth + k if cfg.max_len is None else cfg.max_len
     exact = bound >= depth + k
     start = order[0]
@@ -433,7 +431,7 @@ def oracle_infinite_step_weak(
     """
     cfg = cfg or OracleConfig()
     eng = _engine(nfa, eng)
-    order, access, _ = _reach_bfs(eng)
+    order, access, _ = eng.reach_bfs()
     bound = 0
     exact = True
     for a in order:
@@ -544,10 +542,8 @@ def oracle_infinite_step_strong(
     return OracleVerdict(True, None, None, bound, exact)
 
 
-def oracle_current_state(
-    nfa: Nfa, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
-) -> OracleVerdict:
-    return oracle_k_step_weak(nfa, 0, cfg, eng=eng)
+def oracle_current_state(nfa: Nfa, cfg: OracleConfig | None = None) -> OracleVerdict:
+    return oracle_k_step_weak(nfa, 0, cfg)
 
 
 # -- random models -------------------------------------------------------------

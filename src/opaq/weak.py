@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Nfa, ResourceLimitError, RowTable, StateSet, format_pair, row_table, union
+from .core import InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, format_pair, row_table, union
 from .observer import Observer, build_observer, shortest_access_strings
 
 Pair = tuple[StateSet, StateSet]
@@ -53,7 +53,7 @@ class Verdict:
 
     def __post_init__(self) -> None:
         if self.opaque != (self.witness is None):
-            raise ValueError("a verdict has a witness exactly when it is not opaque")
+            raise InvariantError("a verdict has a witness exactly when it is not opaque")
 
 
 def verdict_to_dict(property_name: str, k: int | None, verdict: Verdict) -> dict:

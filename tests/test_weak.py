@@ -19,6 +19,7 @@ from opaq import (
     verify_infinite_step_weak,
     verify_k_step_weak,
 )
+from opaq.core import InvariantError
 from opaq.weak import Verdict, Witness
 
 from test_reach import small_models
@@ -202,9 +203,11 @@ def test_witness_replays_through_the_observer(nfa):
 
 
 def test_verdict_rejects_a_missing_or_stray_witness():
-    with pytest.raises(ValueError):
+    # Not a ValueError: the CLI reports those as bad input (exit 2), not as a bug.
+    assert not issubclass(InvariantError, ValueError)
+    with pytest.raises(InvariantError):
         Verdict(False)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         Verdict(True, Witness(("a",), (), (("1",), ())))
 
 
@@ -217,4 +220,4 @@ def test_verdict_invariant_holds_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1
-    assert "ValueError" in proc.stderr
+    assert "InvariantError" in proc.stderr
