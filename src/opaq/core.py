@@ -421,3 +421,8 @@ def format_state_set(states: StateSet) -> str:
 
 def format_pair(x1: StateSet, x2: StateSet) -> str:
     return f"({format_state_set(x1)},{format_state_set(x2)})"
+
+
+def dot_quote(text: str) -> str:
+    """*text* as a DOT quoted string, with backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .core import Nfa, model_to_dict
@@ -173,16 +174,24 @@ def _structural_checks(
             f"seed {seed}: verifier/observer projection failed: {certificate[0]}"
         )
 
+    # One tree of each kind per root, at the largest K; the tree at k is its
+    # depth-<=k prefix (nodes are in level order).  Emptiness is not absorbing
+    # at k when an edge from an empty x2 to a nonempty one ends at depth <= k.
+    top = max(ks)
+    trees = []
+    for root in secret_intersecting_roots(nfa, obs):
+        weak = build_weak_state_tree(nfa, obs, root, top)
+        sst = build_sst(nfa, obs, sipa, root, top)
+        refill = min((d.depth for s, _, d in sst.edges if d.x2 and not s.x2), default=top + 1)
+        trees.append(([n.depth for n in weak.nodes], [n.depth for n in sst.nodes], refill))
     for k in ks:
         cap = sum(n_eo**i for i in range(k + 1))
-        for root in secret_intersecting_roots(nfa, obs):
-            tree = build_weak_state_tree(nfa, obs, root, k)
-            if tree.node_count > cap:
+        for weak_depths, sst_depths, refill in trees:
+            if bisect_right(weak_depths, k) > cap:
                 result.cap_failures.append(f"seed {seed}: weak tree exceeds node cap at k={k}")
-            sst = build_sst(nfa, obs, sipa, root, k)
-            if sst.node_count > cap:
+            if bisect_right(sst_depths, k) > cap:
                 result.cap_failures.append(f"seed {seed}: sst exceeds node cap at k={k}")
-            if not _emptiness_absorbing(sst):
+            if refill <= k:
                 result.absorbing_failures.append(
                     f"seed {seed}: sst emptiness not absorbing at k={k}"
                 )
@@ -195,21 +204,6 @@ def _structural_checks(
             result.weak_bound_failures.append(
                 f"seed {seed}: weak verdict at k=2^|X|-2 disagrees with the infinite check"
             )
-
-
-def _emptiness_absorbing(tree) -> bool:
-    children: dict[int, list] = {}
-    for src, _, dst in tree.edges:
-        children.setdefault(id(src), []).append(dst)
-    stack = [(tree.root, False)]
-    while stack:
-        node, saw_empty = stack.pop()
-        empty = not node.x2
-        if saw_empty and not empty:
-            return False
-        for child in children.get(id(node), ()):
-            stack.append((child, saw_empty or empty))
-    return True
 
 
 def run_crosscheck(
@@ -226,6 +220,8 @@ def run_crosscheck(
     One record per (seed, property, k) with both verdicts and an agreement
     flag.  Records are emitted in seed order regardless of scheduling.
     """
+    if not ks:
+        raise ValueError("the K range is empty")
     started = time.monotonic()
     result = BatchResult()
     for index in range(models):

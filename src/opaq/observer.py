@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .core import (
     Nfa,
     ResourceLimitError,
     StateSet,
+    dot_quote,
     format_state_set,
     row_table,
     union,
@@ -27,7 +27,9 @@ class Observer:
     on the model's row table: ``index`` maps an estimate to its position in
     ``states``, ``masks`` holds each estimate as a bitmask over declaration
     order, and ``moves[i]`` lists the (event position, target position)
-    pairs of estimate i in event order.
+    pairs of estimate i in event order.  ``parents[i]`` is the position of the
+    estimate whose first move into i discovered i (-1 for the initial one):
+    followed back, those moves spell the BFS-shortest observation reaching i.
     """
 
     states: tuple[StateSet, ...]
@@ -37,6 +39,7 @@ class Observer:
     index: dict[StateSet, int] = field(repr=False)
     masks: tuple[int, ...] = field(repr=False)
     moves: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    parents: tuple[int, ...] = field(repr=False)
 
     def successors(self, state: StateSet) -> tuple[tuple[str, StateSet], ...]:
         return tuple(
@@ -58,9 +61,11 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
     masks = [table.initial]
     position = {table.initial: 0}
     moves = []
+    # Plain ints, not tuples, so that recording them adds no GC-tracked objects.
+    parents = [-1]
     # The discovery list is the FIFO queue: estimate i is expanded when the
     # walk reaches position i.
-    for current in masks:
+    for i, current in enumerate(masks):
         out = []
         for e, (row, support) in rows:
             target = union(row, current & support)
@@ -70,6 +75,7 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
             if j is None:
                 j = position[target] = len(masks)
                 masks.append(target)
+                parents.append(i)
                 if max_states is not None and len(masks) > max_states:
                     raise ResourceLimitError(
                         f"observer exceeded {max_states} states"
@@ -91,6 +97,7 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
         index={state: i for i, state in enumerate(states)},
         masks=tuple(masks),
         moves=tuple(moves),
+        parents=tuple(parents),
     )
 
 
@@ -105,33 +112,16 @@ def observer_state_after(obs: Observer, w: tuple[str, ...]) -> StateSet | None:
     return current
 
 
-def shortest_access_strings(obs: Observer) -> dict[StateSet, tuple[str, ...]]:
-    """BFS-shortest observation reaching each observer state.
-
-    Ties break by event declaration order, so the map is deterministic.
-    """
-    access: dict[StateSet, tuple[str, ...]] = {obs.initial: ()}
-    queue = deque([obs.initial])
-    while queue:
-        current = queue.popleft()
-        for event, target in obs.successors(current):
-            if target not in access:
-                access[target] = access[current] + (event,)
-                queue.append(target)
-    return access
-
-
 def observer_dot(obs: Observer) -> str:
     """Deterministic DOT rendering; one node per estimate."""
     lines = ["digraph observer {", "  rankdir=LR;"]
     for state in obs.states:
-        label = format_state_set(state)
+        label = dot_quote(format_state_set(state))
         shape = "doublecircle" if state == obs.initial else "circle"
-        lines.append(f'  "{label}" [shape={shape}];')
+        lines.append(f"  {label} [shape={shape}];")
     for state in obs.states:
         for event, target in obs.successors(state):
-            lines.append(
-                f'  "{format_state_set(state)}" -> "{format_state_set(target)}" [label="{event}"];'
-            )
+            src, dst = dot_quote(format_state_set(state)), dot_quote(format_state_set(target))
+            lines.append(f"  {src} -> {dst} [label={dot_quote(event)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

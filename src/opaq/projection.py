@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .core import Nfa, StateSet, bits, row_table
+from .core import Nfa, StateSet, bits, dot_quote, row_table
 
 TAG_N = "N"
 TAG_Y = "Y"
@@ -166,9 +166,9 @@ def projected_dot(pa: ProjectedAutomaton) -> str:
     initial = set(pa.initial)
     for state in pa.states:
         shape = "doublecircle" if state in initial else "circle"
-        lines.append(f'  "{state}" [shape={shape}];')
+        lines.append(f"  {dot_quote(state)} [shape={shape}];")
     for src, event, dst in pa.transitions:
-        lines.append(f'  "{src}" -> "{dst}" [label="{event}"];')
+        lines.append(f"  {dot_quote(src)} -> {dot_quote(dst)} [label={dot_quote(event)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -178,8 +178,8 @@ def sipa_dot(sipa: Sipa) -> str:
     initial = set(sipa.initial)
     for state in sipa.states:
         shape = "doublecircle" if state in initial else "circle"
-        lines.append(f'  "{state.label()}" [shape={shape}];')
+        lines.append(f"  {dot_quote(state.label())} [shape={shape}];")
     for src, event, dst in sipa.transitions:
-        lines.append(f'  "{src.label()}" -> "{dst.label()}" [label="{event}"];')
+        lines.append(f"  {dot_quote(src.label())} -> {dot_quote(dst.label())} [label={dot_quote(event)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

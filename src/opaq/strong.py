@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Nfa, RowTable, StateSet, format_pair, row_table, union
+from .core import Nfa, RowTable, StateSet, dot_quote, format_pair, row_table, union
 from .observer import Observer, build_observer
 from .projection import Sipa
 from .weak import (
@@ -228,13 +228,12 @@ def verifier_dot(ver: VerifierAutomaton) -> str:
     """Deterministic DOT rendering; one node per verifier state."""
     lines = ["digraph verifier {", "  rankdir=LR;"]
     for state in ver.states:
-        label = format_pair(state.x1, state.x2)
+        label = dot_quote(format_pair(state.x1, state.x2))
         shape = "doublecircle" if state == ver.initial else "circle"
-        lines.append(f'  "{label}" [shape={shape}];')
+        lines.append(f"  {label} [shape={shape}];")
     for state in ver.states:
         for event, target in ver.successors(state):
-            lines.append(
-                f'  "{format_pair(state.x1, state.x2)}" -> "{format_pair(target.x1, target.x2)}" [label="{event}"];'
-            )
+            src, dst = dot_quote(format_pair(*state)), dot_quote(format_pair(*target))
+            lines.append(f"  {src} -> {dst} [label={dot_quote(event)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,10 +15,13 @@ materializing duplicate subtrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
-from .core import InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, format_pair, row_table, union
-from .observer import Observer, build_observer, shortest_access_strings
+from .core import (
+    InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_quote, format_pair, row_table, union,
+)
+from .observer import Observer, build_observer
 
 Pair = tuple[StateSet, StateSet]
 
@@ -113,9 +116,11 @@ def _grow_tree(
     child: Child,
 ) -> StateTree:
     # Duplicate pairs within one tree are deliberately not merged; the node
-    # count stays within the structural cap 1+|Eo|+...+|Eo|^K.
+    # count stays within the structural cap 1+|Eo|+...+|Eo|^K.  Each mask
+    # is named once per tree; nodes share the immutable StateSet tuples.
+    name = cache(table.state_set)
     i, x1, x2 = root
-    root_node = TreeNode(table.state_set(x1), table.state_set(x2), 0)
+    root_node = TreeNode(name(x1), name(x2), 0)
     nodes = [root_node]
     edges = []
     frontier = [(root_node, i, x1, x2)]
@@ -124,7 +129,7 @@ def _grow_tree(
         for node, i, x1, x2 in frontier:
             for e, j in obs.moves[i]:
                 c1, c2 = child(e, j, x1, x2)
-                new = TreeNode(table.state_set(c1), table.state_set(c2), depth)
+                new = TreeNode(name(c1), name(c2), depth)
                 nodes.append(new)
                 edges.append((node, obs.events[e], new))
                 nxt.append((new, j, c1, c2))
@@ -237,7 +242,7 @@ def _explore(
 
 
 def _verdict(table: RowTable, obs: Observer, nodes: list[Node], hit: int | None) -> Verdict:
-    """Verdict of a stopped walk; the witness follows parent pointers from *hit*."""
+    """Verdict of a stopped walk; the witness follows *hit*'s parents, then the observer's."""
     if hit is None:
         return Verdict(True)
     continuation = []
@@ -245,10 +250,15 @@ def _verdict(table: RowTable, obs: Observer, nodes: list[Node], hit: int | None)
     while nodes[n][3] >= 0:
         continuation.append(obs.events[nodes[n][4]])
         n = nodes[n][3]
-    prefix = shortest_access_strings(obs)[obs.states[nodes[n][0]]]
+    prefix = []
+    j = nodes[n][0]
+    while j:
+        i = obs.parents[j]
+        prefix.append(obs.events[next(e for e, t in obs.moves[i] if t == j)])
+        j = i
     _, x1, x2 = nodes[hit][:3]
     node = (table.state_set(x1), table.state_set(x2))
-    return Verdict(False, Witness(prefix, tuple(reversed(continuation)), node))
+    return Verdict(False, Witness(tuple(reversed(prefix)), tuple(reversed(continuation)), node))
 
 
 def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None) -> Verdict:
@@ -289,9 +299,9 @@ def tree_dot(tree: StateTree, name: str = "state_tree") -> str:
     ids = {id(node): f"n{i}" for i, node in enumerate(tree.nodes)}
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
     for node in tree.nodes:
-        label = format_pair(node.x1, node.x2)
-        lines.append(f'  {ids[id(node)]} [shape=box,label="{label}"];')
+        label = dot_quote(format_pair(node.x1, node.x2))
+        lines.append(f"  {ids[id(node)]} [shape=box,label={label}];")
     for src, event, dst in tree.edges:
-        lines.append(f'  {ids[id(src)]} -> {ids[id(dst)]} [label="{event}"];')
+        lines.append(f"  {ids[id(src)]} -> {ids[id(dst)]} [label={dot_quote(event)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -182,6 +182,18 @@ def test_crosscheck_rejects_zero_states(capsys):
     assert "positive" in err
 
 
+def test_crosscheck_rejects_an_empty_k_range(tmp_path, capsys):
+    report = tmp_path / "report.jsonl"
+    code, out, err = run(
+        capsys, "crosscheck", "--k", "3..1", "--models", "2", "--report", str(report),
+        "--fixtures-dir", str(tmp_path / "div"),
+    )
+    assert code == 2
+    assert "K range is empty" in err
+    assert "agreement" not in out
+    assert not report.exists()
+
+
 def test_crosscheck_divergence_writes_fixture_and_fails(tmp_path, monkeypatch, capsys):
     # A batch with a construction/oracle disagreement must serialize each
     # divergent model before reporting failure.  No model diverges any more,

@@ -11,12 +11,27 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opaq import build_observer, build_sipa, build_sst, build_weak_state_tree, tree_node_count
+from opaq import (
+    build_observer,
+    build_projected_automaton,
+    build_sipa,
+    build_sst,
+    build_verifier,
+    build_weak_state_tree,
+    observer_dot,
+    projected_dot,
+    sipa_dot,
+    tree_dot,
+    tree_node_count,
+    validate_model,
+    verifier_dot,
+)
 from opaq.cli import main
 from opaq.weak import secret_intersecting_roots
 
@@ -84,3 +99,75 @@ def test_tree_nodes_are_counted_not_built(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0 and payload["opaque"]
     assert payload["sizes"]["tree_nodes"] == 32 * (2**17 - 1) == 4_194_272
+
+
+# What a DOT line of the exports may be once each quoted string is replaced by Q.
+DOT_LINE = re.compile(
+    r"digraph \w+ \{|  rankdir=(LR|TB);|  Q \[shape=\w+\];|  Q -> Q \[label=Q\];"
+    r"|  n\d+ \[shape=box,label=Q\];|  n\d+ -> n\d+ \[label=Q\];|\}"
+)
+
+
+def dot_tokens(line):
+    """*line* with each DOT quoted string replaced by Q, and the unescaped strings."""
+    skeleton, strings, i = [], [], 0
+    while i < len(line):
+        if line[i] != '"':
+            skeleton.append(line[i])
+            i += 1
+            continue
+        i += 1
+        text = []
+        while True:
+            assert i < len(line), f"unterminated quoted string in {line!r}"
+            if line[i] == "\\":
+                text.append(line[i + 1])
+                i += 2
+            elif line[i] == '"':
+                break
+            else:
+                text.append(line[i])
+                i += 1
+        skeleton.append("Q")
+        strings.append("".join(text))
+        i += 1
+    return "".join(skeleton), strings
+
+
+def test_dot_quotes_names_with_quotes_and_backslashes():
+    nfa = validate_model(
+        {
+            "states": ['s"0', "t\\1", "x"],
+            "events": [
+                {"name": 'e"v', "observable": True},
+                {"name": "c\\", "observable": True},
+                {"name": 'u"', "observable": False},
+            ],
+            "initial": ['s"0'],
+            "secret": ["t\\1"],
+            "transitions": [
+                ['s"0', 'e"v', "t\\1"], ['s"0', 'e"v', "x"], ["t\\1", "c\\", "x"],
+                ["x", 'u"', 's"0'], ["x", 'e"v', "t\\1"],
+            ],
+        }
+    )
+    obs = build_observer(nfa)
+    sipa = build_sipa(nfa)
+    root = next(state for state in obs.states if "t\\1" in state)
+    dots = [
+        observer_dot(obs),
+        projected_dot(build_projected_automaton(nfa)),
+        sipa_dot(sipa),
+        verifier_dot(build_verifier(nfa, obs)),
+        tree_dot(build_weak_state_tree(nfa, obs, root, 2)),
+        tree_dot(build_sst(nfa, obs, sipa, root, 2), "sst"),
+    ]
+    for dot in dots:
+        strings = []
+        for line in dot.splitlines():
+            skeleton, found = dot_tokens(line)
+            assert DOT_LINE.fullmatch(skeleton), line
+            strings += found
+        assert 'e"v' in strings and "c\\" in strings
+        assert any('s"0' in text for text in strings)
+        assert any("t\\1" in text for text in strings)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 
 from opaq import (
     build_observer,
+    build_sipa,
     build_weak_state_tree,
     observer_state_after,
     tree_dot,
     validate_model,
     verdict_to_dict,
     verify_current_state_opacity,
+    verify_infinite_step_strong,
     verify_infinite_step_weak,
+    verify_k_step_strong,
     verify_k_step_weak,
 )
 from opaq.core import InvariantError
@@ -221,3 +225,37 @@ def test_verdict_invariant_holds_under_optimize():
     )
     assert proc.returncode == 1
     assert "InvariantError" in proc.stderr
+
+
+def bfs_access_strings(obs):
+    # FIFO over the observer, successors in event declaration order: the
+    # first observation to reach an estimate is its shortest, ties broken
+    # by declaration order.
+    access = {obs.initial: ()}
+    queue = deque([obs.initial])
+    while queue:
+        current = queue.popleft()
+        for event, target in obs.successors(current):
+            if target not in access:
+                access[target] = access[current] + (event,)
+                queue.append(target)
+    return access
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfa=small_models(), k=st.integers(0, 3))
+def test_witness_prefix_is_the_shortest_access_string(nfa, k):
+    obs = build_observer(nfa)
+    sipa = build_sipa(nfa)
+    access = bfs_access_strings(obs)
+    verdicts = (
+        verify_current_state_opacity(nfa, obs),
+        verify_k_step_weak(nfa, k, obs),
+        verify_k_step_strong(nfa, k, obs, sipa),
+        verify_infinite_step_weak(nfa, obs),
+        verify_infinite_step_strong(nfa, obs, sipa),
+    )
+    for verdict in verdicts:
+        if not verdict.opaque:
+            prefix = verdict.witness.prefix
+            assert prefix == access[observer_state_after(obs, prefix)]
