@@ -35,7 +35,6 @@ def main() -> int:
     out = sys.argv[2]
     os.makedirs(out, exist_ok=True)
     obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
 
     def write(name: str, text: str) -> None:
         path = os.path.join(out, name)
@@ -45,11 +44,11 @@ def main() -> int:
 
     write("observer.dot", observer_dot(obs))
     write("projected.dot", projected_dot(build_projected_automaton(nfa)))
-    write("sipa.dot", sipa_dot(sipa))
-    write("verifier.dot", verifier_dot(build_verifier(nfa, obs, sipa)))
+    write("sipa.dot", sipa_dot(build_sipa(nfa)))
+    write("verifier.dot", verifier_dot(build_verifier(nfa, obs)))
     for i, root in enumerate(secret_intersecting_roots(nfa, obs)):
         write(f"weak_tree_{i}.dot", tree_dot(build_weak_state_tree(nfa, obs, root, 2)))
-        write(f"sst_{i}.dot", tree_dot(build_sst(nfa, obs, sipa, root, 2), "sst"))
+        write(f"sst_{i}.dot", tree_dot(build_sst(nfa, obs, root, 2), "sst"))
     return 0
 
 

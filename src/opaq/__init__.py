@@ -38,6 +38,7 @@ from .projection import (
     build_sipa,
     projected_dot,
     sipa_dot,
+    sipa_state_count,
 )
 from .strong import (
     VerifierAutomaton,
@@ -46,9 +47,9 @@ from .strong import (
     build_verifier,
     check_verifier_observer_language_equality,
     verifier_dot,
-    verifier_verdict,
     verify_infinite_step_strong,
     verify_k_step_strong,
+    walk_verifier,
 )
 from .weak import (
     StateTree,

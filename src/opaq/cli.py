@@ -14,14 +14,8 @@ import sys
 from .core import ModelError, ResourceLimitError, load_model
 from .crosscheck import run_crosscheck
 from .observer import build_observer, observer_dot
-from .projection import build_projected_automaton, build_sipa, projected_dot, sipa_dot
-from .strong import (
-    build_sst,
-    build_verifier,
-    verifier_dot,
-    verifier_verdict,
-    verify_k_step_strong,
-)
+from .projection import build_projected_automaton, build_sipa, projected_dot, sipa_dot, sipa_state_count
+from .strong import build_sst, build_verifier, verifier_dot, verify_k_step_strong, walk_verifier
 from .weak import (
     build_weak_state_tree,
     tree_dot,
@@ -69,12 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k", type=int, default=None)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                        help="cap on observer/verifier states (exit 3 when exceeded)")
+                        help="cap on the states of the observer and of each search "
+                        "(exit 3 when exceeded)")
     verify.add_argument("model")
 
     export = sub.add_parser("export", help="emit a structure as DOT on stdout")
     export.add_argument("--structure", required=True, choices=STRUCTURES)
-    export.add_argument("--root", default=None, help="comma-separated root estimate for trees")
+    export.add_argument("--root", default=None,
+                        help='root estimate for trees: comma-separated, or a JSON array such as \'["a,b","c"]\'')
     export.add_argument("--k", type=int, default=None)
     export.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     export.add_argument("model")
@@ -92,17 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sizes(nfa, obs, sipa=None, ver=None, tree_nodes=None) -> dict:
-    out = {"observer_states": len(obs.states)}
-    if sipa is not None:
-        out["sipa_states"] = len(sipa.states)
-    if ver is not None:
-        out["verifier_states"] = len(ver.states)
-    if tree_nodes is not None:
-        out["tree_nodes"] = tree_nodes
-    return out
-
-
 def _run_verify(args) -> int:
     if args.property in ("k-weak", "k-strong"):
         if args.k is None:
@@ -115,30 +100,30 @@ def _run_verify(args) -> int:
         print(f"warning: --k is ignored for property {args.property}", file=sys.stderr)
 
     nfa = load_model(args.model)
-    obs = build_observer(nfa, max_states=args.state_cap)
-    sipa = None
-    ver = None
-    tree_nodes = None
+    cap = args.state_cap
+    obs = build_observer(nfa, max_states=cap)
+    # Every size is counted off the row table or a walk the verdict needs;
+    # no structure is built only to be measured.
+    sizes = {"observer_states": len(obs.masks)}
+    if args.property in ("k-strong", "inf-strong"):
+        sizes["sipa_states"] = sipa_state_count(nfa)
     if args.property == "cs":
-        verdict = verify_current_state_opacity(nfa, obs)
+        verdict = verify_current_state_opacity(nfa, obs, cap)
     elif args.property == "k-weak":
-        verdict = verify_k_step_weak(nfa, args.k, obs)
+        verdict = verify_k_step_weak(nfa, args.k, obs, cap)
     elif args.property == "inf-weak":
-        verdict = verify_infinite_step_weak(nfa, obs)
+        verdict = verify_infinite_step_weak(nfa, obs, cap)
     elif args.property == "k-strong":
-        sipa = build_sipa(nfa)
-        verdict = verify_k_step_strong(nfa, args.k, obs, sipa)
+        verdict = verify_k_step_strong(nfa, args.k, obs, max_states=cap)
     else:
-        sipa = build_sipa(nfa)
-        ver = build_verifier(nfa, obs, sipa, max_states=args.state_cap)
-        verdict = verifier_verdict(ver)
+        verdict, sizes["verifier_states"] = walk_verifier(nfa, obs, cap)
 
     if args.property in ("k-weak", "k-strong", "cs"):
         # Weak trees and SSTs have the same shape, so one count serves both.
-        tree_nodes = tree_node_count(nfa, obs, args.k if args.property != "cs" else 0)
+        sizes["tree_nodes"] = tree_node_count(nfa, obs, args.k if args.property != "cs" else 0)
 
     payload = verdict_to_dict(args.property, args.k, verdict)
-    payload["sizes"] = _sizes(nfa, obs, sipa, ver, tree_nodes)
+    payload["sizes"] = sizes
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -148,7 +133,7 @@ def _run_verify(args) -> int:
             w = verdict.witness
             print(f"witness prefix: {' '.join(w.prefix) or '(empty)'}")
             print(f"witness continuation: {' '.join(w.continuation) or '(empty)'}")
-        for key, value in payload["sizes"].items():
+        for key, value in sizes.items():
             print(f"{key}: {value}")
     return 0 if verdict.opaque else 1
 
@@ -171,14 +156,20 @@ def _run_export(args) -> int:
     if args.root is None or args.k is None:
         print("error: --root and --k are required for tree exports", file=sys.stderr)
         return 2
-    root = nfa.state_set(t.strip() for t in args.root.split(","))
+    if args.root.lstrip().startswith("["):
+        names = json.loads(args.root)
+        if not all(isinstance(name, str) for name in names):
+            raise ValueError("--root: a JSON array must hold state names")
+    else:
+        names = [t.strip() for t in args.root.split(",")]
+    root = nfa.state_set(names)
     if root not in obs.index:
         print(f"error: root {args.root!r} is not a reachable observer state", file=sys.stderr)
         return 2
     if args.structure == "weak-tree":
         print(tree_dot(build_weak_state_tree(nfa, obs, root, args.k), "weak_tree"), end="")
     else:
-        print(tree_dot(build_sst(nfa, obs, build_sipa(nfa), root, args.k), "sst"), end="")
+        print(tree_dot(build_sst(nfa, obs, root, args.k), "sst"), end="")
     return 0
 
 

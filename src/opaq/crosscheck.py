@@ -31,7 +31,7 @@ from .oracle import (
     replay_strong_violation,
     replay_weak_violation,
 )
-from .projection import Sipa, build_sipa
+from .projection import build_sipa
 from .strong import (
     build_sst,
     build_verifier,
@@ -112,9 +112,7 @@ def _witness_replays(
     return replay_infinite_strong_violation(nfa, obs, eng=eng)
 
 
-def _agreement_rows(
-    nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer, sipa: Sipa
-) -> list[dict]:
+def _agreement_rows(nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer) -> list[dict]:
     # One oracle engine per model: the model's oracle searches and witness
     # replays share its memoized steps and estimate BFS.
     eng = MaskEngine(nfa)
@@ -135,31 +133,25 @@ def _agreement_rows(
     rows.append(row("cs", None, verify_current_state_opacity(nfa, obs), oracle_k_step_weak(nfa, 0, eng=eng)))
     for k in ks:
         rows.append(row("k-weak", k, verify_k_step_weak(nfa, k, obs), oracle_k_step_weak(nfa, k, eng=eng)))
-        rows.append(
-            row("k-strong", k, verify_k_step_strong(nfa, k, obs, sipa), oracle_k_step_strong(nfa, k, eng=eng))
-        )
+        rows.append(row("k-strong", k, verify_k_step_strong(nfa, k, obs), oracle_k_step_strong(nfa, k, eng=eng)))
     rows.append(
         row("inf-weak", None, verify_infinite_step_weak(nfa, obs), oracle_infinite_step_weak(nfa, eng=eng))
     )
     rows.append(
-        row(
-            "inf-strong",
-            None,
-            verify_infinite_step_strong(nfa, obs, sipa),
-            oracle_infinite_step_strong(nfa, eng=eng),
-        )
+        row("inf-strong", None, verify_infinite_step_strong(nfa, obs), oracle_infinite_step_strong(nfa, eng=eng))
     )
     return rows
 
 
 def _structural_checks(
-    nfa: Nfa, seed: int, ks: tuple[int, ...], result: BatchResult, obs: Observer, sipa: Sipa
+    nfa: Nfa, seed: int, ks: tuple[int, ...], result: BatchResult, obs: Observer
 ) -> None:
-    ver = build_verifier(nfa, obs, sipa)
+    sipa = build_sipa(nfa)
+    ver = build_verifier(nfa, obs)
     n = len(nfa.states)
     n_eo = len(nfa.observable_events)
 
-    if len(obs.states) > 2**n:
+    if len(obs.masks) > 2**n:
         result.cap_failures.append(f"seed {seed}: observer exceeds 2^|X| states")
     if len(sipa.states) > 2 * n:
         result.cap_failures.append(f"seed {seed}: tagged automaton exceeds 2|X| states")
@@ -181,7 +173,7 @@ def _structural_checks(
     trees = []
     for root in secret_intersecting_roots(nfa, obs):
         weak = build_weak_state_tree(nfa, obs, root, top)
-        sst = build_sst(nfa, obs, sipa, root, top)
+        sst = build_sst(nfa, obs, root, top)
         refill = min((d.depth for s, _, d in sst.edges if d.x2 and not s.x2), default=top + 1)
         trees.append(([n.depth for n in weak.nodes], [n.depth for n in sst.nodes], refill))
     for k in ks:
@@ -229,8 +221,7 @@ def run_crosscheck(
         nfa = random_nfa(cfg)
         result.models += 1
         obs = build_observer(nfa)
-        sipa = build_sipa(nfa)
-        rows = _agreement_rows(nfa, cfg.seed, ks, obs, sipa)
+        rows = _agreement_rows(nfa, cfg.seed, ks, obs)
         result.rows.extend(rows)
         for r in rows:
             if not r["agree"] or not r["witness_replays"]:
@@ -247,7 +238,7 @@ def run_crosscheck(
                         json.dump(record, fh, indent=2, sort_keys=True)
                     result.divergence_fixtures.append(path)
         if structural:
-            _structural_checks(nfa, cfg.seed, ks, result, obs, sipa)
+            _structural_checks(nfa, cfg.seed, ks, result, obs)
     result.elapsed = time.monotonic() - started
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (
     Nfa,
     ResourceLimitError,
+    RowTable,
     StateSet,
     dot_quote,
     format_state_set,
@@ -17,29 +19,43 @@ from .core import (
 
 @dataclass(frozen=True, eq=False)
 class Observer:
-    """Deterministic automaton over canonical state estimates.
+    """Deterministic automaton over canonical state estimates, held by position.
 
-    ``states`` is in construction (BFS) order with the initial estimate
-    first; ``transitions`` holds only pairs whose reach is nonempty, so the
-    automaton is deterministic and partial.
-
-    The same automaton is also held by position, for the searches that run
-    on the model's row table: ``index`` maps an estimate to its position in
-    ``states``, ``masks`` holds each estimate as a bitmask over declaration
-    order, and ``moves[i]`` lists the (event position, target position)
-    pairs of estimate i in event order.  ``parents[i]`` is the position of the
+    ``masks`` holds each estimate as a bitmask over declaration order, in
+    construction (BFS) order with the initial estimate first.  ``moves[i]``
+    lists the (event position, target position) pairs of estimate i in event
+    order; only moves whose reach is nonempty are kept, so the automaton is
+    deterministic and partial.  ``parents[i]`` is the position of the
     estimate whose first move into i discovered i (-1 for the initial one):
     followed back, those moves spell the BFS-shortest observation reaching i.
+
+    The named views (``states``, ``initial``, ``transitions`` keyed by
+    estimate and event name, and ``index``, an estimate's position) are
+    built on first access: the verdict searches read positions only.
     """
 
-    states: tuple[StateSet, ...]
-    initial: StateSet
-    transitions: dict[tuple[StateSet, str], StateSet]
     events: tuple[str, ...]
-    index: dict[StateSet, int] = field(repr=False)
     masks: tuple[int, ...] = field(repr=False)
     moves: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
     parents: tuple[int, ...] = field(repr=False)
+    table: RowTable = field(repr=False)
+
+    @cached_property
+    def states(self) -> tuple[StateSet, ...]:
+        return tuple(map(self.table.state_set, self.masks))
+
+    @cached_property
+    def initial(self) -> StateSet:
+        return self.states[0]
+
+    @cached_property
+    def transitions(self) -> dict[tuple[StateSet, str], StateSet]:
+        states, events = self.states, self.events
+        return {(states[i], events[e]): states[j] for i, out in enumerate(self.moves) for e, j in out}
+
+    @cached_property
+    def index(self) -> dict[StateSet, int]:
+        return {state: i for i, state in enumerate(self.states)}
 
     def successors(self, state: StateSet) -> tuple[tuple[str, StateSet], ...]:
         return tuple(
@@ -82,22 +98,12 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
                     )
             out.append((e, j))
         moves.append(tuple(out))
-    states = tuple(table.state_set(m) for m in masks)
-    events = table.events
-    transitions = {
-        (states[i], events[e]): states[j]
-        for i, out in enumerate(moves)
-        for e, j in out
-    }
     return Observer(
-        states=states,
-        initial=states[0],
-        transitions=transitions,
-        events=events,
-        index={state: i for i, state in enumerate(states)},
+        events=table.events,
         masks=tuple(masks),
         moves=tuple(moves),
         parents=tuple(parents),
+        table=table,
     )
 
 

@@ -10,10 +10,10 @@ constructions downstream.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import Nfa, StateSet, bits, dot_quote, row_table
+from .core import Nfa, StateSet, bits, dot_quote, row_table, union
 
 TAG_N = "N"
 TAG_Y = "Y"
@@ -47,10 +47,8 @@ class Sipa:
 
     ``trimmed`` indicates whether ``states`` and ``transitions`` hold only
     the tagged states reachable from the initial set (the default) or the
-    full universe.  ``n_edges`` always indexes the full N-to-N relation of
-    the two-case construction rule: tree and verifier steps may start from
-    window-eligible states whose N tag is unreachable in the trimmed graph,
-    so step queries must not depend on trimming.
+    full universe.  The N-to-N relation itself is the row table's avoid
+    rows, which tree and verifier steps read directly.
     """
 
     states: tuple[TaggedState, ...]
@@ -58,11 +56,6 @@ class Sipa:
     events: tuple[str, ...]
     transitions: tuple[tuple[TaggedState, str, TaggedState], ...]
     trimmed: bool
-    n_edges: dict[tuple[str, str], frozenset[str]] = field(repr=False, compare=False)
-
-    def n_targets(self, base: str, event: str) -> frozenset[str]:
-        """Bases x' with an N-to-N edge (x_N, event, x'_N)."""
-        return self.n_edges.get((base, event), frozenset())
 
 
 def build_projected_automaton(nfa: Nfa) -> ProjectedAutomaton:
@@ -107,19 +100,16 @@ def build_sipa(nfa: Nfa, trimmed: bool = True) -> Sipa:
     tagged = [TaggedState(name, tag) for name in states for tag in (TAG_N, TAG_Y)]
     initial_ids = [2 * x + (0 if table.clean >> x & 1 else 1) for x in bits(table.initial)]
     edges: list[tuple[int, int, int]] = []
-    n_edges: dict[tuple[str, str], frozenset[str]] = {}
-    for x, name in enumerate(states):
+    for x in range(len(states)):
         secret_base = table.secret >> x & 1
-        for e, event in enumerate(table.events):
-            targets = table.reach[e][x]
+        for e, rows in enumerate(table.reach):
+            targets = rows[x]
             if not targets:
                 continue
             if secret_base:
                 edges.extend((2 * x + 1, e, 2 * t + 1) for t in bits(targets))
                 continue
             avoiding = table.avoid[e][x]
-            if avoiding:
-                n_edges[(name, event)] = frozenset(table.state_set(avoiding))
             for t in bits(targets):
                 dst = 2 * t + (0 if avoiding >> t & 1 else 1)
                 edges += ((2 * x, e, dst), (2 * x + 1, e, dst))
@@ -149,16 +139,33 @@ def build_sipa(nfa: Nfa, trimmed: bool = True) -> Sipa:
         events=events,
         transitions=tuple((tagged[src], events[e], tagged[dst]) for src, e, dst in edges),
         trimmed=trimmed,
-        n_edges=n_edges,
     )
 
 
-def sipa_n_step(sipa: Sipa, bases: Iterable[str], event: str) -> set[str]:
-    """Union of N-to-N targets over *bases* (the secret-avoiding fragment)."""
-    out: set[str] = set()
-    for base in bases:
-        out.update(sipa.n_targets(base, event))
-    return out
+def sipa_state_count(nfa: Nfa) -> int:
+    """Number of states of the trimmed :func:`build_sipa`, counted without building it.
+
+    Every tagged state over a base reached by the projected automaton has
+    that base's outgoing edges (a secret base has only its Y tag), so the
+    reachable bases are the projected automaton's.  A reachable tagged state
+    is then an initial one or the target of an edge from a reachable base:
+    N-tagged along an avoid row, Y-tagged along the rest of the reach row.
+    """
+    table = row_table(nfa)
+    reached = frontier = table.initial
+    while frontier:
+        step = 0
+        for rows in table.reach:
+            step |= union(rows, frontier)
+        frontier = step & ~reached
+        reached |= frontier
+    tag_n = table.clean & table.initial
+    tag_y = table.initial & ~table.clean
+    for rows, avoid in zip(table.reach, table.avoid):
+        for x in bits(reached):
+            tag_n |= avoid[x]
+            tag_y |= rows[x] & ~avoid[x]
+    return tag_n.bit_count() + tag_y.bit_count()
 
 
 def projected_dot(pa: ProjectedAutomaton) -> str:

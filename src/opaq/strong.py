@@ -22,7 +22,6 @@ from .weak import (
     Child,
     StateTree,
     Verdict,
-    Witness,
     _explore,
     _grow_tree,
     _tree_root,
@@ -53,8 +52,9 @@ class VerifierAutomaton:
 
 
 # Second components step through the model's avoid rows, which are the
-# tagged automaton's N-to-N edges; the ``sipa`` arguments below are
-# accepted so that callers holding one can pass it, and are not consulted.
+# tagged automaton's N-to-N edges, so no ``sipa`` argument below is read.
+# The three entry points keep the parameter because perfbench/tests call
+# them with a SIPA in that position.
 
 
 def _strong_child(table: RowTable, obs: Observer) -> Child:
@@ -72,7 +72,7 @@ def _sst_roots(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:
     return [(i, m, m & nonsecret) for i, m in enumerate(obs.masks)]
 
 
-def build_sst(nfa: Nfa, obs: Observer, sipa: Sipa, root_state: StateSet, k: int) -> StateTree:
+def build_sst(nfa: Nfa, obs: Observer, root_state: StateSet, k: int) -> StateTree:
     """Materialize the depth-K secret-unvisited state tree for one root."""
     i = _tree_root(nfa, obs, root_state, k)
     table = row_table(nfa)
@@ -85,6 +85,7 @@ def verify_k_step_strong(
     k: int,
     obs: Observer | None = None,
     sipa: Sipa | None = None,
+    max_states: int | None = None,
 ) -> Verdict:
     """Opaque iff every SST node keeps its second component nonempty.
 
@@ -102,14 +103,26 @@ def verify_k_step_strong(
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
-    nodes, hit = _explore(obs, _sst_roots(table, obs), _strong_child(table, obs), k, True)
+    nodes, hit = _explore(
+        obs, _sst_roots(table, obs), _strong_child(table, obs), k, True,
+        max_states=max_states, search="k-step strong search",
+    )
     return _verdict(table, obs, nodes, hit)
 
 
-def _verifier_root(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:
-    # The closed initial estimate, paired with the states whose initial tag
-    # is N: the all-nonsecret closure of the nonsecret initial states.
-    return [(0, obs.masks[0], table.clean & obs.masks[0])]
+def _run_verifier(nfa: Nfa, obs: Observer | None, stop_at_empty: bool, **options) -> tuple:
+    """(table, obs, nodes, hit) of the verifier walk; *options* go to :func:`_explore`.
+
+    The walk starts at the closed initial estimate, paired with the states
+    whose initial tag is N: the all-nonsecret closure of the nonsecret
+    initial states.
+    """
+    if obs is None:
+        obs = build_observer(nfa)
+    table = row_table(nfa)
+    root = [(0, obs.masks[0], table.clean & obs.masks[0])]
+    nodes, hit = _explore(obs, root, _strong_child(table, obs), None, stop_at_empty, **options)
+    return table, obs, nodes, hit
 
 
 def build_verifier(
@@ -125,14 +138,8 @@ def build_verifier(
     N-to-N filtered step.  FIFO order over declaration-ordered events makes
     the state numbering deterministic; each (state, event) is examined once.
     """
-    if obs is None:
-        obs = build_observer(nfa)
-    table = row_table(nfa)
     edges: list[tuple[int, int, int]] = []
-    nodes, _ = _explore(
-        obs, _verifier_root(table, obs), _strong_child(table, obs), None, False,
-        edges, max_states,
-    )
+    table, obs, nodes, _ = _run_verifier(nfa, obs, False, edges=edges, max_states=max_states)
     states = [VerifierState(obs.states[i], table.state_set(x2)) for i, _, x2, *_ in nodes]
     events = obs.events
     return VerifierAutomaton(
@@ -143,45 +150,26 @@ def build_verifier(
     )
 
 
-def verify_infinite_step_strong(
-    nfa: Nfa,
-    obs: Observer | None = None,
-    sipa: Sipa | None = None,
-) -> Verdict:
+def verify_infinite_step_strong(nfa: Nfa, obs: Observer | None = None, sipa: Sipa | None = None) -> Verdict:
     """Walk the verifier without building it; stop at the first empty second component.
 
     The witness is the observation reaching the offending verifier state.
     """
-    if obs is None:
-        obs = build_observer(nfa)
-    table = row_table(nfa)
-    nodes, hit = _explore(obs, _verifier_root(table, obs), _strong_child(table, obs), None, True)
-    return _verdict(table, obs, nodes, hit)
+    return _verdict(*_run_verifier(nfa, obs, True))
 
 
-def verifier_verdict(ver: VerifierAutomaton) -> Verdict:
-    """The infinite-step strong verdict read off a built verifier.
+def walk_verifier(nfa: Nfa, obs: Observer | None = None, max_states: int | None = None) -> tuple[Verdict, int]:
+    """The infinite-step strong verdict and the verifier's state count, in one walk.
 
-    Equal to :func:`verify_infinite_step_strong`: the violating state is the
-    first one, in construction (BFS) order, whose second component is
-    empty.  ``transitions`` is filled in that same order, so the first
-    transition into a state is the one that discovered it; following those
-    back from the violating state gives the witness.
+    The walk visits the states of :func:`build_verifier` in its order
+    without recording edges.  The first state whose second component is
+    empty is the one :func:`verify_infinite_step_strong` stops at, so the
+    verdict and witness are the same.  More than *max_states* states raise
+    ResourceLimitError.
     """
-    target = next((state for state in ver.states if not state.x2), None)
-    if target is None:
-        return Verdict(True)
-    parent: dict[VerifierState, tuple[VerifierState, str]] = {}
-    for (src, event), dst in ver.transitions.items():
-        parent.setdefault(dst, (src, event))
-        if dst == target:
-            break
-    path = []
-    state = target
-    while state != ver.initial:
-        state, event = parent[state]
-        path.append(event)
-    return Verdict(False, Witness((), tuple(reversed(path)), (target.x1, target.x2)))
+    table, obs, nodes, _ = _run_verifier(nfa, obs, False, max_states=max_states)
+    hit = next((n for n, node in enumerate(nodes) if not node[2]), None)
+    return _verdict(table, obs, nodes, hit), len(nodes)
 
 
 def check_verifier_observer_language_equality(

@@ -193,8 +193,10 @@ def _explore(
     child: Child,
     k: int | None,
     stop_at_empty: bool,
+    *,
     edges: list[tuple[int, int, int]] | None = None,
     max_states: int | None = None,
+    search: str = "verifier",
 ) -> tuple[list[Node], int | None]:
     """Multi-source BFS over (estimate, x1, x2) nodes with a global visited set.
 
@@ -208,9 +210,9 @@ def _explore(
     With *stop_at_empty* the walk returns the position of the first node
     whose ``x2`` is empty, which gives the shortest (then lexicographically
     least by construction) witness.  Otherwise it runs to exhaustion,
-    appending every (node, event position, node) edge to *edges*; more
-    than *max_states* nodes then raise ResourceLimitError (the verifier's
-    state cap).
+    appending every (node, event position, node) edge to *edges* when
+    given.  More than *max_states* nodes raise ResourceLimitError, whose
+    message names the *search*.
     """
     nodes: list[Node] = []
     seen: dict[tuple[int, int, int], int] = {}
@@ -235,7 +237,7 @@ def _explore(
                 if stop_at_empty and not c2:
                     return nodes, m
                 if max_states is not None and len(nodes) > max_states:
-                    raise ResourceLimitError(f"verifier exceeded {max_states} states")
+                    raise ResourceLimitError(f"{search} exceeded {max_states} states")
             if edges is not None:
                 edges.append((n, e, m))
     return nodes, None
@@ -261,37 +263,50 @@ def _verdict(table: RowTable, obs: Observer, nodes: list[Node], hit: int | None)
     return Verdict(False, Witness(tuple(reversed(prefix)), tuple(reversed(continuation)), node))
 
 
-def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None) -> Verdict:
+def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None, search: str) -> Verdict:
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
-    nodes, hit = _explore(obs, _weak_roots(table, obs), _weak_child(table), k, True)
+    nodes, hit = _explore(
+        obs, _weak_roots(table, obs), _weak_child(table), k, True,
+        max_states=max_states, search=search,
+    )
     return _verdict(table, obs, nodes, hit)
 
 
-def verify_k_step_weak(nfa: Nfa, k: int, obs: Observer | None = None) -> Verdict:
-    """Opaque iff every tree node over every secret-intersecting root keeps x2 nonempty."""
+def verify_k_step_weak(
+    nfa: Nfa, k: int, obs: Observer | None = None, max_states: int | None = None
+) -> Verdict:
+    """Opaque iff every tree node over every secret-intersecting root keeps x2 nonempty.
+
+    More than *max_states* visited pairs raise ResourceLimitError, here and
+    in the other verdict searches.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _weak_search(nfa, obs, k)
+    return _weak_search(nfa, obs, k, max_states, "k-step weak search")
 
 
-def verify_current_state_opacity(nfa: Nfa, obs: Observer | None = None) -> Verdict:
+def verify_current_state_opacity(
+    nfa: Nfa, obs: Observer | None = None, max_states: int | None = None
+) -> Verdict:
     """No reachable estimate may consist of secret states only.
 
     This is the weak check at K=0: a root's x2 is empty exactly when its
     estimate has no nonsecret state.
     """
-    return _weak_search(nfa, obs, 0)
+    return _weak_search(nfa, obs, 0, max_states, "current-state search")
 
 
-def verify_infinite_step_weak(nfa: Nfa, obs: Observer | None = None) -> Verdict:
+def verify_infinite_step_weak(
+    nfa: Nfa, obs: Observer | None = None, max_states: int | None = None
+) -> Verdict:
     """Unbounded pair-graph exploration with global deduplication.
 
     Pairs number at most 4^|X|, so the search terminates without an explicit
     depth bound; opaque iff no reachable pair has an empty second component.
     """
-    return _weak_search(nfa, obs, None)
+    return _weak_search(nfa, obs, None, max_states, "infinite-step weak search")
 
 
 def tree_dot(tree: StateTree, name: str = "state_tree") -> str:

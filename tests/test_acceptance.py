@@ -18,7 +18,6 @@ import pytest
 from opaq import (
     VerifierState,
     build_observer,
-    build_sipa,
     build_verifier,
     verifier_dot,
     verify_current_state_opacity,
@@ -61,18 +60,17 @@ def batch():
 def test_criterion_1_g2_verdict_matrix(g2):
     started = time.monotonic()
     obs = build_observer(g2)
-    sipa = build_sipa(g2)
     expectations = [
         ("current-state", verify_current_state_opacity(g2, obs).opaque, True),
         ("1-step weak", verify_k_step_weak(g2, 1, obs).opaque, True),
         ("2-step weak", verify_k_step_weak(g2, 2, obs).opaque, True),
-        ("1-step strong", verify_k_step_strong(g2, 1, obs, sipa).opaque, True),
-        ("2-step strong", verify_k_step_strong(g2, 2, obs, sipa).opaque, False),
+        ("1-step strong", verify_k_step_strong(g2, 1, obs).opaque, True),
+        ("2-step strong", verify_k_step_strong(g2, 2, obs).opaque, False),
         ("infinite-step weak", verify_infinite_step_weak(g2, obs).opaque, True),
-        ("infinite-step strong", verify_infinite_step_strong(g2, obs, sipa).opaque, False),
+        ("infinite-step strong", verify_infinite_step_strong(g2, obs).opaque, False),
     ]
     elapsed = time.monotonic() - started
-    witness = verify_infinite_step_strong(g2, obs, sipa).witness
+    witness = verify_infinite_step_strong(g2, obs).witness
     ok = (
         all(actual == wanted for _, actual, wanted in expectations)
         and witness.observation == ("a", "b", "c")

@@ -5,12 +5,17 @@ import os
 
 import pytest
 
+import opaq.cli
+import opaq.projection
+import opaq.strong
 from opaq.cli import main
 
 from conftest import g2_dict, hidden_crossing_dict
 
 G2 = os.path.join(os.path.dirname(__file__), "..", "models", "g2.json")
 G8FRAG = os.path.join(os.path.dirname(__file__), "..", "models", "g8frag.json")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+PROPERTIES = ("cs", "k-weak", "k-strong", "inf-weak", "inf-strong")
 
 
 @pytest.fixture(autouse=True)
@@ -86,6 +91,62 @@ def test_verify_state_cap_triggers_resource_exit(capsys):
     assert "exceeded" in err
 
 
+@pytest.mark.parametrize("prop, search", [
+    ("k-weak", "k-step weak search"),
+    ("k-strong", "k-step strong search"),
+    ("inf-weak", "infinite-step weak search"),
+])
+def test_state_cap_bounds_the_pair_searches(capsys, prop, search):
+    # g2's observer has 4 estimates, so only the pair walk exceeds a cap of 4.
+    assert run(capsys, "verify", "--property", "cs", "--state-cap", "4", G2)[0] == 0
+    code, _, err = run(capsys, "verify", "--property", prop, "--k", "2", "--state-cap", "4", G2)
+    assert code == 3
+    assert f"error: {search} exceeded 4 states" in err
+
+
+def test_state_cap_bounds_the_verifier_walk(tmp_path, capsys):
+    # One estimate {0,1}, looping on a; the verifier pairs it with {0}, then {}.
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({
+        "states": ["0", "1"],
+        "events": [{"name": "a", "observable": True}],
+        "initial": ["0", "1"],
+        "secret": ["1"],
+        "transitions": [["1", "a", "0"], ["1", "a", "1"]],
+    }), encoding="utf-8")
+    assert run(capsys, "verify", "--property", "inf-strong", "--state-cap", "2", str(path))[0] == 1
+    code, _, err = run(capsys, "verify", "--property", "inf-strong", "--state-cap", "1", str(path))
+    assert code == 3
+    assert "error: verifier exceeded 1 states" in err
+
+
+@pytest.mark.parametrize("model", ["g2", "nth_last6"])
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_verify_builds_nothing_it_only_counts(monkeypatch, capsys, model, prop):
+    def refuse(*args, **kwargs):
+        raise AssertionError("opaq verify built a structure only to count it")
+
+    for module in (opaq.cli, opaq.projection):
+        monkeypatch.setattr(module, "build_sipa", refuse)
+    for module in (opaq.cli, opaq.strong):
+        monkeypatch.setattr(module, "build_verifier", refuse)
+    observers = []
+    build = opaq.cli.build_observer
+
+    def recorded(*args, **kwargs):
+        observers.append(build(*args, **kwargs))
+        return observers[-1]
+
+    monkeypatch.setattr(opaq.cli, "build_observer", recorded)
+    path = G2 if model == "g2" else os.path.join(FIXTURES, "nth_last6.json")
+    code, out, _ = run(capsys, "verify", "--format", "json", "--property", prop, "--k", "2", path)
+    with open(os.path.join(FIXTURES, "golden", model, f"verify_{prop}_k2.json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    assert code == (0 if json.loads(out)["opaque"] else 1)
+    assert len(observers) == 1
+    assert not {"states", "initial", "transitions", "index"} & vars(observers[0]).keys()
+
+
 def test_export_verifier_contains_empty_pair_node(capsys):
     code, out, _ = run(capsys, "export", "--structure", "verifier", G2)
     assert code == 0
@@ -142,6 +203,27 @@ def test_export_unreachable_root(capsys):
     )
     assert code == 2
     assert "not a reachable" in err
+
+
+def test_export_root_accepts_a_json_array(tmp_path, capsys):
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps({
+        "states": ["a,b", "c", "d"],
+        "events": [{"name": "x", "observable": True}],
+        "initial": ["a,b", "c"],
+        "secret": ["c"],
+        "transitions": [["a,b", "x", "d"]],
+    }), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "export", "--structure", "weak-tree", "--root", '["a,b", "c"]', "--k", "1", str(path)
+    )
+    assert code == 0
+    assert '"({c},{a,b})"' in out and '"({},{d})"' in out
+    code, _, err = run(capsys, "export", "--structure", "sst", "--root", "a,b,c", "--k", "1", str(path))
+    assert code == 2 and "unknown state 'a'" in err
+    for bad in ('["a,b", 3]', '["a,b"'):
+        code, _, err = run(capsys, "export", "--structure", "sst", "--root", bad, "--k", "1", str(path))
+        assert code == 2 and err.startswith("error:")
 
 
 def test_export_tree_requires_root_and_k(capsys):

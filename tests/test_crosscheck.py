@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opaq.crosscheck as crosscheck
-from opaq import build_observer, build_sipa, build_sst, build_weak_state_tree, random_nfa
+from opaq import build_observer, build_sst, build_weak_state_tree, random_nfa
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
 from opaq.weak import StateTree, TreeNode, secret_intersecting_roots
 
@@ -39,7 +39,7 @@ def emptiness_absorbing(tree) -> bool:
     return True
 
 
-def per_k_failures(nfa, seed, ks, obs, sipa):
+def per_k_failures(nfa, seed, ks, obs):
     """(cap, absorbing) messages of the structural tree checks with one tree per (root, K)."""
     cap_failures, absorbing_failures = [], []
     n_eo = len(nfa.observable_events)
@@ -48,7 +48,7 @@ def per_k_failures(nfa, seed, ks, obs, sipa):
         for root in secret_intersecting_roots(nfa, obs):
             if crosscheck.build_weak_state_tree(nfa, obs, root, k).node_count > cap:
                 cap_failures.append(f"seed {seed}: weak tree exceeds node cap at k={k}")
-            sst = crosscheck.build_sst(nfa, obs, sipa, root, k)
+            sst = crosscheck.build_sst(nfa, obs, root, k)
             if sst.node_count > cap:
                 cap_failures.append(f"seed {seed}: sst exceeds node cap at k={k}")
             if not emptiness_absorbing(sst):
@@ -56,9 +56,9 @@ def per_k_failures(nfa, seed, ks, obs, sipa):
     return cap_failures, absorbing_failures
 
 
-def tree_failures(nfa, seed, ks, obs, sipa):
+def tree_failures(nfa, seed, ks, obs):
     result = BatchResult()
-    crosscheck._structural_checks(nfa, seed, ks, result, obs, sipa)
+    crosscheck._structural_checks(nfa, seed, ks, result, obs)
     return result.cap_failures, result.absorbing_failures
 
 
@@ -78,12 +78,11 @@ def shape(tree, k):
 @given(nfa=small_models(), k=st.integers(0, 3))
 def test_tree_at_k_is_the_depth_k_prefix_of_the_tree_at_3(nfa, k):
     obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
     for root in secret_intersecting_roots(nfa, obs):
         weak = build_weak_state_tree(nfa, obs, root, k)
         assert shape(build_weak_state_tree(nfa, obs, root, 3), k) == shape(weak, k)
-        sst = build_sst(nfa, obs, sipa, root, k)
-        assert shape(build_sst(nfa, obs, sipa, root, 3), k) == shape(sst, k)
+        sst = build_sst(nfa, obs, root, k)
+        assert shape(build_sst(nfa, obs, root, 3), k) == shape(sst, k)
 
 
 def broom(root_state, k, fan, refill):
@@ -124,12 +123,11 @@ def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, r
     )
     monkeypatch.setattr(
         crosscheck, "build_sst",
-        lambda nfa, obs, sipa, root, k: broom(root, k, sst_fan, refill),
+        lambda nfa, obs, root, k: broom(root, k, sst_fan, refill),
     )
     obs = build_observer(g2)
-    sipa = build_sipa(g2)
-    cap, absorbing = tree_failures(g2, 9, KS, obs, sipa)
-    assert (cap, absorbing) == per_k_failures(g2, 9, KS, obs, sipa)
+    cap, absorbing = tree_failures(g2, 9, KS, obs)
+    assert (cap, absorbing) == per_k_failures(g2, 9, KS, obs)
 
     roots = len(secret_intersecting_roots(g2, obs))
     assert roots == 3

@@ -83,10 +83,9 @@ def test_golden_set_covers_every_structure_and_property():
 @given(nfa=small_models(), k=st.integers(0, 3))
 def test_tree_node_count_equals_materialized_trees(nfa, k):
     obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
     roots = secret_intersecting_roots(nfa, obs)
     weak = sum(build_weak_state_tree(nfa, obs, root, k).node_count for root in roots)
-    sst = sum(build_sst(nfa, obs, sipa, root, k).node_count for root in roots)
+    sst = sum(build_sst(nfa, obs, root, k).node_count for root in roots)
     assert tree_node_count(nfa, obs, k) == weak == sst
 
 
@@ -152,15 +151,14 @@ def test_dot_quotes_names_with_quotes_and_backslashes():
         }
     )
     obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
     root = next(state for state in obs.states if "t\\1" in state)
     dots = [
         observer_dot(obs),
         projected_dot(build_projected_automaton(nfa)),
-        sipa_dot(sipa),
+        sipa_dot(build_sipa(nfa)),
         verifier_dot(build_verifier(nfa, obs)),
         tree_dot(build_weak_state_tree(nfa, obs, root, 2)),
-        tree_dot(build_sst(nfa, obs, sipa, root, 2), "sst"),
+        tree_dot(build_sst(nfa, obs, root, 2), "sst"),
     ]
     for dot in dots:
         strings = []

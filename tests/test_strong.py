@@ -14,16 +14,17 @@ from opaq import (
     nonsecret_unobservable_reach,
     observable_reach,
     secret_avoiding_reach,
+    sipa_state_count,
     validate_model,
     verifier_dot,
-    verifier_verdict,
     verify_infinite_step_strong,
     verify_k_step_strong,
     verify_k_step_weak,
+    walk_verifier,
 )
 from opaq.core import row_table, union
 from opaq.oracle import MaskEngine
-from opaq.projection import TAG_N, sipa_n_step
+from opaq.projection import TAG_N
 
 from test_reach import small_models, subset_of_states
 from test_weak import chain
@@ -31,8 +32,7 @@ from test_weak import chain
 
 def test_g2_sst_from_147(g2):
     obs = build_observer(g2)
-    sipa = build_sipa(g2)
-    tree = build_sst(g2, obs, sipa, ("1", "4", "7"), 2)
+    tree = build_sst(g2, obs, ("1", "4", "7"), 2)
     assert chain(tree) == [
         (("1", "4", "7"), ("4", "7")),
         (("2", "5", "8"), ("8",)),
@@ -43,8 +43,7 @@ def test_g2_sst_from_147(g2):
 def test_tagged_pattern_sst_chain(tagged_pattern):
     nfa = tagged_pattern
     obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
-    tree = build_sst(nfa, obs, sipa, ("0", "1"), 3)
+    tree = build_sst(nfa, obs, ("0", "1"), 3)
     assert chain(tree) == [
         (("0", "1"), ("0",)),
         (("2", "4"), ("2", "4")),
@@ -56,9 +55,8 @@ def test_tagged_pattern_sst_chain(tagged_pattern):
 
 def test_sst_requires_secret_root(g8frag):
     obs = build_observer(g8frag)
-    sipa = build_sipa(g8frag)
     with pytest.raises(ValueError, match="no secret"):
-        build_sst(g8frag, obs, sipa, ("0", "1"), 1)
+        build_sst(g8frag, obs, ("0", "1"), 1)
 
 
 def test_g2_strong_verdicts(g2):
@@ -71,8 +69,7 @@ def test_g2_strong_verdicts(g2):
 
 def test_g2_verifier_exact(g2):
     obs = build_observer(g2)
-    sipa = build_sipa(g2)
-    ver = build_verifier(g2, obs, sipa)
+    ver = build_verifier(g2, obs)
     s0 = VerifierState(("0",), ("0",))
     s1 = VerifierState(("1", "4", "7"), ("4", "7"))
     s2 = VerifierState(("2", "5", "8"), ("8",))
@@ -140,12 +137,11 @@ def test_verifier_dot_shows_empty_component(g2):
 @given(nfa=small_models())
 def test_sst_emptiness_is_absorbing(nfa):
     obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
     secret = set(nfa.secret)
     for root in obs.states:
         if not set(root) & secret:
             continue
-        tree = build_sst(nfa, obs, sipa, root, 3)
+        tree = build_sst(nfa, obs, root, 3)
         children = {}
         for src, _, dst in tree.edges:
             children.setdefault(id(src), []).append(dst)
@@ -166,13 +162,12 @@ def test_sst_second_components_are_avoiding_chains(nfa):
     # membership therefore witnesses a run whose projection matches the edge
     # word and whose every post-event state is nonsecret.
     obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
     eng = MaskEngine(nfa)
     secret = set(nfa.secret)
     for root in obs.states:
         if not set(root) & secret:
             continue
-        tree = build_sst(nfa, obs, sipa, root, 3)
+        tree = build_sst(nfa, obs, root, 3)
         masks = {id(tree.root): eng._mask(tree.root.x2)}
         for src, ev, dst in tree.edges:
             masks[id(dst)] = eng.avoid_reach(masks[id(src)], ev)
@@ -191,7 +186,7 @@ def test_tree_stops_at_the_horizon():
         }
     )
     obs = build_observer(nfa)
-    tree = build_sst(nfa, obs, build_sipa(nfa), ("1",), 5)
+    tree = build_sst(nfa, obs, ("1",), 5)
     assert tree.node_count == 1
 
 
@@ -253,11 +248,15 @@ def test_verifier_size_and_projection(nfa):
 @given(data=st.data())
 def test_row_steps_equal_the_set_based_steps(data):
     # Every construction steps by ORing rows of the model's row table; the
-    # set-based reach functions and the tagged automaton's N-to-N edges are
-    # the definitions those rows must reproduce on every subset.
+    # set-based reach functions and the N-to-N edges of the untrimmed tagged
+    # automaton are the definitions those rows must reproduce on every subset.
     nfa = data.draw(small_models())
     table = row_table(nfa)
-    sipa = build_sipa(nfa)
+    sipa = build_sipa(nfa, trimmed=False)
+    n_to_n = {}
+    for src, event, dst in sipa.transitions:
+        if src.tag == dst.tag == TAG_N:
+            n_to_n.setdefault((src.base, event), set()).add(dst.base)
     subset = data.draw(subset_of_states(nfa))
     nonsecret = {s for s in subset if s not in nfa.secret_set}
 
@@ -269,7 +268,7 @@ def test_row_steps_equal_the_set_based_steps(data):
         assert table.state_set(reach) == observable_reach(nfa, subset, event)
         avoid = table.state_set(union(table.avoid[e], mask(nonsecret)))
         assert avoid == secret_avoiding_reach(nfa, nonsecret, event)
-        assert set(avoid) == sipa_n_step(sipa, nonsecret, event)
+        assert set(avoid) == set().union(*(n_to_n.get((s, event), ()) for s in nonsecret))
     tagged_n = [ts.base for ts in sipa.initial if ts.tag == TAG_N]
     clean = nonsecret_unobservable_reach(nfa, [s for s in nfa.initial if s not in nfa.secret_set])
     assert tuple(tagged_n) == clean == table.state_set(table.clean)
@@ -277,5 +276,9 @@ def test_row_steps_equal_the_set_based_steps(data):
 
 @settings(max_examples=100, deadline=None)
 @given(nfa=small_models())
-def test_verdict_read_off_the_verifier_equals_the_search(nfa):
-    assert verifier_verdict(build_verifier(nfa)) == verify_infinite_step_strong(nfa)
+def test_counts_equal_the_built_structures(nfa):
+    # `opaq verify` reports these sizes without building the structures.
+    assert sipa_state_count(nfa) == len(build_sipa(nfa).states)
+    verdict, states = walk_verifier(nfa)
+    assert states == len(build_verifier(nfa).states)
+    assert verdict == verify_infinite_step_strong(nfa)

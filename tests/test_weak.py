@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from opaq import (
     build_observer,
-    build_sipa,
     build_weak_state_tree,
     observer_state_after,
     tree_dot,
@@ -246,14 +245,13 @@ def bfs_access_strings(obs):
 @given(nfa=small_models(), k=st.integers(0, 3))
 def test_witness_prefix_is_the_shortest_access_string(nfa, k):
     obs = build_observer(nfa)
-    sipa = build_sipa(nfa)
     access = bfs_access_strings(obs)
     verdicts = (
         verify_current_state_opacity(nfa, obs),
         verify_k_step_weak(nfa, k, obs),
-        verify_k_step_strong(nfa, k, obs, sipa),
+        verify_k_step_strong(nfa, k, obs),
         verify_infinite_step_weak(nfa, obs),
-        verify_infinite_step_strong(nfa, obs, sipa),
+        verify_infinite_step_strong(nfa, obs),
     )
     for verdict in verdicts:
         if not verdict.opaque:
