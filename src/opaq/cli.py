@@ -108,7 +108,7 @@ def _run_verify(args) -> int:
     if args.property in ("k-strong", "inf-strong"):
         sizes["sipa_states"] = sipa_state_count(nfa)
     if args.property == "cs":
-        verdict = verify_current_state_opacity(nfa, obs, cap)
+        verdict = verify_current_state_opacity(nfa, obs)
     elif args.property == "k-weak":
         verdict = verify_k_step_weak(nfa, args.k, obs, cap)
     elif args.property == "inf-weak":
@@ -156,11 +156,12 @@ def _run_export(args) -> int:
     if args.root is None or args.k is None:
         print("error: --root and --k are required for tree exports", file=sys.stderr)
         return 2
-    if args.root.lstrip().startswith("["):
+    # A JSON array of names, else the comma form (which keeps names like "[x").
+    try:
         names = json.loads(args.root)
-        if not all(isinstance(name, str) for name in names):
-            raise ValueError("--root: a JSON array must hold state names")
-    else:
+    except ValueError:
+        names = None
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         names = [t.strip() for t in args.root.split(",")]
     root = nfa.state_set(names)
     if root not in obs.index:

@@ -263,7 +263,7 @@ def _verdict(table: RowTable, obs: Observer, nodes: list[Node], hit: int | None)
     return Verdict(False, Witness(tuple(reversed(prefix)), tuple(reversed(continuation)), node))
 
 
-def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None, search: str) -> Verdict:
+def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None = None, search: str = "") -> Verdict:
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
@@ -287,15 +287,14 @@ def verify_k_step_weak(
     return _weak_search(nfa, obs, k, max_states, "k-step weak search")
 
 
-def verify_current_state_opacity(
-    nfa: Nfa, obs: Observer | None = None, max_states: int | None = None
-) -> Verdict:
+def verify_current_state_opacity(nfa: Nfa, obs: Observer | None = None) -> Verdict:
     """No reachable estimate may consist of secret states only.
 
     This is the weak check at K=0: a root's x2 is empty exactly when its
-    estimate has no nonsecret state.
+    estimate has no nonsecret state.  Its nodes are the roots alone, one per
+    estimate, so the observer's state cap already bounds it.
     """
-    return _weak_search(nfa, obs, 0, max_states, "current-state search")
+    return _weak_search(nfa, obs, 0)
 
 
 def verify_infinite_step_weak(

@@ -226,6 +226,26 @@ def test_export_root_accepts_a_json_array(tmp_path, capsys):
         assert code == 2 and err.startswith("error:")
 
 
+def test_export_root_falls_back_to_commas_for_bracketed_names(tmp_path, capsys):
+    # Neither root below is a JSON array of strings, so both take the comma form.
+    path = tmp_path / "brackets.json"
+    path.write_text(json.dumps({
+        "states": ["[x", "[1]", "d"],
+        "events": [{"name": "x", "observable": True}],
+        "initial": ["[x", "[1]"],
+        "secret": ["[1]"],
+        "transitions": [["[x", "x", "d"], ["d", "x", "[1]"]],
+    }), encoding="utf-8")
+    for root in ("[x,[1]", "[1],[x"):
+        code, out, err = run(capsys, "export", "--structure", "weak-tree", "--root", root, "--k", "1", str(path))
+        assert code == 0, err
+        assert '"({[1]},{[x})"' in out and '"({},{d})"' in out
+    # "[1]" parses as JSON, but not as an array of names.
+    code, out, err = run(capsys, "export", "--structure", "weak-tree", "--root", "[1]", "--k", "0", str(path))
+    assert code == 0, err
+    assert '"({[1]},{})"' in out
+
+
 def test_export_tree_requires_root_and_k(capsys):
     code, _, err = run(capsys, "export", "--structure", "weak-tree", G2)
     assert code == 2
