@@ -1,11 +1,13 @@
 """Seeded batch cross-validation of the constructions against the oracles.
 
-Each batch model is checked on all five properties; verdicts must agree.
+Each batch model is checked on all five properties; verdicts must agree,
+and one weak and one strong walk give every K's verdict (see _at_depth).
 Structural assertions (size caps, absorbing emptiness on trees, the
 verifier/observer projection, and the finite/infinite weak consistency
-bound) run on the same models.  Any disagreement, or a construction
-witness that does not replay, is serialized as a standalone model fixture
-before the batch is reported as failed.
+bound) run on the same models, the tree checks without building a tree.
+Any disagreement, or a construction witness that does not replay, is
+serialized as a standalone model fixture before the batch is reported as
+failed.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .core import Nfa, model_to_dict
+from .core import Nfa, model_to_dict, row_table
 from .observer import Observer, build_observer
 from .oracle import (
     MaskEngine,
@@ -33,17 +34,16 @@ from .oracle import (
 )
 from .projection import build_sipa
 from .strong import (
-    build_sst,
+    _strong_child,
     build_verifier,
     check_verifier_observer_language_equality,
     verify_infinite_step_strong,
     verify_k_step_strong,
 )
 from .weak import (
+    Child,
     Verdict,
-    build_weak_state_tree,
-    secret_intersecting_roots,
-    verify_current_state_opacity,
+    _explore,
     verify_infinite_step_weak,
     verify_k_step_weak,
 )
@@ -112,10 +112,23 @@ def _witness_replays(
     return replay_infinite_strong_violation(nfa, obs, eng=eng)
 
 
+def _at_depth(verdict: Verdict, k: int) -> Verdict:
+    """The verdict of the same walk capped at depth *k*.
+
+    BFS meets the first empty-x2 node at its least depth d, the length of
+    the witness's continuation, and a cap K >= d leaves the discovery order
+    up to that node unchanged: the capped walk stops there when d <= K and
+    finds no empty node otherwise.
+    """
+    return verdict if verdict.opaque or len(verdict.witness.continuation) <= k else Verdict(True)
+
+
 def _agreement_rows(nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer) -> list[dict]:
     # One oracle engine per model: the model's oracle searches and witness
     # replays share its memoized steps and estimate BFS.
     eng = MaskEngine(nfa)
+    weak = verify_infinite_step_weak(nfa, obs)
+    strong = verify_k_step_strong(nfa, max(ks), obs)
     rows = []
 
     def row(prop: str, k: int | None, verify: Verdict, oracle: OracleVerdict) -> dict:
@@ -130,17 +143,35 @@ def _agreement_rows(nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer) -> 
             "witness_replays": _witness_replays(nfa, prop, k, verify, eng),
         }
 
-    rows.append(row("cs", None, verify_current_state_opacity(nfa, obs), oracle_k_step_weak(nfa, 0, eng=eng)))
+    rows.append(row("cs", None, _at_depth(weak, 0), oracle_k_step_weak(nfa, 0, eng=eng)))
     for k in ks:
-        rows.append(row("k-weak", k, verify_k_step_weak(nfa, k, obs), oracle_k_step_weak(nfa, k, eng=eng)))
-        rows.append(row("k-strong", k, verify_k_step_strong(nfa, k, obs), oracle_k_step_strong(nfa, k, eng=eng)))
-    rows.append(
-        row("inf-weak", None, verify_infinite_step_weak(nfa, obs), oracle_infinite_step_weak(nfa, eng=eng))
-    )
+        rows.append(row("k-weak", k, _at_depth(weak, k), oracle_k_step_weak(nfa, k, eng=eng)))
+        rows.append(row("k-strong", k, _at_depth(strong, k), oracle_k_step_strong(nfa, k, eng=eng)))
+    rows.append(row("inf-weak", None, weak, oracle_infinite_step_weak(nfa, eng=eng)))
     rows.append(
         row("inf-strong", None, verify_infinite_step_strong(nfa, obs), oracle_infinite_step_strong(nfa, eng=eng))
     )
     return rows
+
+
+def _node_counts(obs: Observer, top: int) -> list[list[int]]:
+    """``[k][i]``: nodes of either depth-k tree rooted at estimate i (one per observer path)."""
+    counts = [[1] * len(obs.masks)]
+    for _ in range(top):
+        below = counts[-1]
+        counts.append([1 + sum(below[j] for _, j in out) for out in obs.moves])
+    return counts
+
+
+def _refill_depth(obs: Observer, child: Child, root: tuple[int, int, int], top: int) -> int:
+    """Least depth of a tree edge from an empty x2 to a nonempty one (top + 1: none).
+
+    BFS meets each pair at its least depth and a child depends only on its
+    parent pair, so a deduplicating walk's edges give that depth.
+    """
+    edges: list[tuple[int, int, int]] = []
+    nodes, _ = _explore(obs, [root], child, top, False, edges=edges)
+    return min((nodes[n][5] + 1 for n, _, m in edges if nodes[m][2] and not nodes[n][2]), default=top + 1)
 
 
 def _structural_checks(
@@ -166,27 +197,23 @@ def _structural_checks(
             f"seed {seed}: verifier/observer projection failed: {certificate[0]}"
         )
 
-    # One tree of each kind per root, at the largest K; the tree at k is its
-    # depth-<=k prefix (nodes are in level order).  Emptiness is not absorbing
-    # at k when an edge from an empty x2 to a nonempty one ends at depth <= k.
+    # Per secret-intersecting root and k: both trees' node count against the
+    # cap 1+|Eo|+...+|Eo|^k, and the depth at which an empty x2 refills.
     top = max(ks)
-    trees = []
-    for root in secret_intersecting_roots(nfa, obs):
-        weak = build_weak_state_tree(nfa, obs, root, top)
-        sst = build_sst(nfa, obs, root, top)
-        refill = min((d.depth for s, _, d in sst.edges if d.x2 and not s.x2), default=top + 1)
-        trees.append(([n.depth for n in weak.nodes], [n.depth for n in sst.nodes], refill))
+    counts, caps = _node_counts(obs, top), [1]
+    for _ in range(top):
+        caps.append(1 + n_eo * caps[-1])
+    table = row_table(nfa)
+    child = _strong_child(table, obs)
+    roots = [(i, m, m & table.nonsecret) for i, m in enumerate(obs.masks) if m & table.secret]
+    refills = [(root[0], _refill_depth(obs, child, root, top)) for root in roots]
     for k in ks:
-        cap = sum(n_eo**i for i in range(k + 1))
-        for weak_depths, sst_depths, refill in trees:
-            if bisect_right(weak_depths, k) > cap:
+        for i, refill in refills:
+            if counts[k][i] > caps[k]:
                 result.cap_failures.append(f"seed {seed}: weak tree exceeds node cap at k={k}")
-            if bisect_right(sst_depths, k) > cap:
                 result.cap_failures.append(f"seed {seed}: sst exceeds node cap at k={k}")
             if refill <= k:
-                result.absorbing_failures.append(
-                    f"seed {seed}: sst emptiness not absorbing at k={k}"
-                )
+                result.absorbing_failures.append(f"seed {seed}: sst emptiness not absorbing at k={k}")
 
     if n <= 4:
         bound_k = 2**n - 2

@@ -1,27 +1,87 @@
-"""The crosscheck batch's structural tree checks.
+"""The crosscheck batch's construction verdicts and structural tree checks.
 
-The batch builds one weak tree and one SST per secret-intersecting root, at
-the largest K, and reads every smaller K's node cap and absorbing-emptiness
-check off node depths.  These tests pin that derivation against the checks
-made on a separate tree per K.
+The batch runs one weak walk and one K-step strong walk per model and reads
+every K's verdict off them: the walk's verdict when its first empty node
+lies at depth <= K, opaque otherwise.  The tree checks build no tree: a
+per-root path count gives the node count of both tree kinds at every K, and
+one SST pair walk per root gives the depth at which an empty second
+component refills.  These tests pin both derivations against the per-K
+searches and against trees built one per (root, K).
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opaq.crosscheck as crosscheck
-from opaq import build_observer, build_sst, build_weak_state_tree, random_nfa
+import opaq.strong
+import opaq.weak
+from opaq import (
+    build_observer,
+    build_sst,
+    build_weak_state_tree,
+    random_nfa,
+    validate_model,
+    verify_current_state_opacity,
+    verify_infinite_step_weak,
+    verify_k_step_strong,
+    verify_k_step_weak,
+)
+from opaq.core import row_table
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
-from opaq.weak import StateTree, TreeNode, secret_intersecting_roots
+from opaq.strong import _strong_child
+from opaq.weak import StateTree, TreeNode, _grow_tree, secret_intersecting_roots
 
 from test_reach import small_models
 
 KS = (0, 1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfa=small_models())
+def test_one_walk_per_family_gives_every_k(nfa):
+    obs = build_observer(nfa)
+    weak = verify_infinite_step_weak(nfa, obs)
+    strong = verify_k_step_strong(nfa, 8, obs)
+    assert crosscheck._at_depth(weak, 0) == verify_current_state_opacity(nfa, obs)
+    for k in range(9):
+        assert crosscheck._at_depth(weak, k) == verify_k_step_weak(nfa, k, obs)
+        assert crosscheck._at_depth(strong, k) == verify_k_step_strong(nfa, k, obs)
+
+
+def secret_chain(n):
+    """A secret and a nonsecret chain of length n behind one ``a``; only the secret one ends in ``c``."""
+    s = [f"s{i}" for i in range(1, n + 1)]
+    t = [f"t{i}" for i in range(1, n + 1)]
+    transitions = [["0", "a", "s1"], ["0", "a", "t1"], [s[-1], "c", "u"]]
+    for chain in (s, t):
+        transitions += [[src, "b", dst] for src, dst in zip(chain, chain[1:])]
+    return validate_model(
+        {
+            "states": ["0", *s, *t, "u"],
+            "events": [{"name": e, "observable": True} for e in "abc"],
+            "initial": ["0"],
+            "secret": ["s1"],
+            "transitions": transitions,
+        }
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_secret_chain_first_fails_at_its_length(n):
+    nfa = secret_chain(n)
+    obs = build_observer(nfa)
+    weak = verify_infinite_step_weak(nfa, obs)
+    strong = verify_k_step_strong(nfa, n + 1, obs)
+    assert verify_current_state_opacity(nfa, obs).opaque
+    for family, search in ((weak, verify_k_step_weak), (strong, verify_k_step_strong)):
+        for k in range(n + 2):
+            assert crosscheck._at_depth(family, k) == search(nfa, k, obs)
+            assert crosscheck._at_depth(family, k).opaque == (k < n)
+        assert family.witness.prefix == ("a",)
+        assert family.witness.continuation == ("b",) * (n - 1) + ("c",)
 
 
 def emptiness_absorbing(tree) -> bool:
@@ -39,19 +99,18 @@ def emptiness_absorbing(tree) -> bool:
     return True
 
 
-def per_k_failures(nfa, seed, ks, obs):
-    """(cap, absorbing) messages of the structural tree checks with one tree per (root, K)."""
+def per_k_failures(seed, ks, n_eo, roots, weak_tree, sst):
+    """(cap, absorbing) messages of the tree checks made on one built tree per (root, K)."""
     cap_failures, absorbing_failures = [], []
-    n_eo = len(nfa.observable_events)
     for k in ks:
         cap = sum(n_eo**i for i in range(k + 1))
-        for root in secret_intersecting_roots(nfa, obs):
-            if crosscheck.build_weak_state_tree(nfa, obs, root, k).node_count > cap:
+        for root in roots:
+            if weak_tree(root, k).node_count > cap:
                 cap_failures.append(f"seed {seed}: weak tree exceeds node cap at k={k}")
-            sst = crosscheck.build_sst(nfa, obs, root, k)
-            if sst.node_count > cap:
+            tree = sst(root, k)
+            if tree.node_count > cap:
                 cap_failures.append(f"seed {seed}: sst exceeds node cap at k={k}")
-            if not emptiness_absorbing(sst):
+            if not emptiness_absorbing(tree):
                 absorbing_failures.append(f"seed {seed}: sst emptiness not absorbing at k={k}")
     return cap_failures, absorbing_failures
 
@@ -60,6 +119,54 @@ def tree_failures(nfa, seed, ks, obs):
     result = BatchResult()
     crosscheck._structural_checks(nfa, seed, ks, result, obs)
     return result.cap_failures, result.absorbing_failures
+
+
+def refill_of(tree, top):
+    """Least depth of a tree edge from an empty x2 to a nonempty one (top + 1: none)."""
+    return min((d.depth for s, _, d in tree.edges if d.x2 and not s.x2), default=top + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfa=small_models())
+def test_structural_checks_equal_the_checks_on_built_trees(nfa):
+    obs = build_observer(nfa)
+    roots = secret_intersecting_roots(nfa, obs)
+    expected = per_k_failures(
+        5, KS, len(nfa.observable_events), roots,
+        lambda root, k: build_weak_state_tree(nfa, obs, root, k),
+        lambda root, k: build_sst(nfa, obs, root, k),
+    )
+    assert tree_failures(nfa, 5, KS, obs) == expected
+
+
+def leaky(table, obs):
+    # A step function whose empty x2 refills with the target's nonsecret
+    # part, so emptiness is not absorbing.
+    strong = _strong_child(table, obs)
+
+    def child(e, j, x1, x2):
+        c1, c2 = strong(e, j, x1, x2)
+        return c1, c2 if x2 else obs.masks[j] & table.nonsecret
+
+    return child
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfa=small_models(), k=st.integers(0, 3))
+def test_counts_and_refill_equal_the_built_trees(nfa, k):
+    obs = build_observer(nfa)
+    table = row_table(nfa)
+    counts = crosscheck._node_counts(obs, 3)
+    assert len(counts) == 4
+    for root in secret_intersecting_roots(nfa, obs):
+        i = obs.index[root]
+        assert counts[k][i] == build_weak_state_tree(nfa, obs, root, k).node_count
+        assert counts[k][i] == build_sst(nfa, obs, root, k).node_count
+        m = obs.masks[i]
+        start = (i, m, m & table.nonsecret)
+        for child in (_strong_child(table, obs), leaky(table, obs)):
+            tree = _grow_tree(table, obs, start, k, child)
+            assert crosscheck._refill_depth(obs, child, start, k) == refill_of(tree, k)
 
 
 def shape(tree, k):
@@ -110,27 +217,34 @@ def broom(root_state, k, fan, refill):
     return StateTree(root_state, root, tuple(nodes), tuple(edges))
 
 
+# Both kinds of tree have the shape of the observer's paths from the root,
+# so a weak tree and an SST always share their fan.
 @pytest.mark.parametrize(
     "weak_fan, sst_fan, refill",
-    [(5, 1, 1), (1, 5, 2), (5, 5, 3), (1, 1, None), (4, 4, 1)],
+    [(5, 5, 1), (1, 1, 2), (5, 5, 3), (1, 1, None), (4, 4, 1)],
 )
 def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, refill):
     # g2 has three secret-intersecting roots and four observable events, so
     # a fan of 5 breaks the node cap at every k >= 1 and a fan of 4 meets it.
+    # The per-root count and the SST walk report the brooms' shape.
     monkeypatch.setattr(
-        crosscheck, "build_weak_state_tree",
-        lambda nfa, obs, root, k: broom(root, k, weak_fan, None),
+        crosscheck, "_node_counts",
+        lambda obs, top: [[broom((), k, weak_fan, None).node_count] * len(obs.masks) for k in range(top + 1)],
     )
     monkeypatch.setattr(
-        crosscheck, "build_sst",
-        lambda nfa, obs, root, k: broom(root, k, sst_fan, refill),
+        crosscheck, "_refill_depth",
+        lambda obs, child, root, top: refill_of(broom((), top, sst_fan, refill), top),
     )
     obs = build_observer(g2)
+    roots = secret_intersecting_roots(g2, obs)
+    assert len(roots) == 3
     cap, absorbing = tree_failures(g2, 9, KS, obs)
-    assert (cap, absorbing) == per_k_failures(g2, 9, KS, obs)
+    assert (cap, absorbing) == per_k_failures(
+        9, KS, len(g2.observable_events), roots,
+        lambda root, k: broom(root, k, weak_fan, None),
+        lambda root, k: broom(root, k, sst_fan, refill),
+    )
 
-    roots = len(secret_intersecting_roots(g2, obs))
-    assert roots == 3
     expected_cap = []
     for k in KS:
         per_root = []
@@ -138,28 +252,22 @@ def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, r
             per_root.append(f"seed 9: weak tree exceeds node cap at k={k}")
         if sst_fan > 4 and k >= 1:
             per_root.append(f"seed 9: sst exceeds node cap at k={k}")
-        expected_cap += per_root * roots
+        expected_cap += per_root * len(roots)
     assert cap == expected_cap
     assert absorbing == [
         f"seed 9: sst emptiness not absorbing at k={k}"
         for k in KS
         if refill is not None and k >= refill
-        for _ in range(roots)
+        for _ in roots
     ]
 
 
-def test_each_tree_is_built_once_per_root(monkeypatch):
-    calls = Counter()
+def test_the_batch_builds_no_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("crosscheck built a tree")
 
-    def counted(name, build):
-        def wrapper(*args):
-            calls[name, args[-1]] += 1
-            return build(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(crosscheck, "build_weak_state_tree", counted("weak", build_weak_state_tree))
-    monkeypatch.setattr(crosscheck, "build_sst", counted("sst", build_sst))
+    monkeypatch.setattr(opaq.weak, "_grow_tree", refuse)
+    monkeypatch.setattr(opaq.strong, "_grow_tree", refuse)
     result = run_crosscheck(models=100, max_states=8, ks=KS, seed=7)
     assert result.ok
     roots = sum(
@@ -167,7 +275,24 @@ def test_each_tree_is_built_once_per_root(monkeypatch):
         for nfa in (random_nfa(model_config(7, i, 8)) for i in range(100))
     )
     assert roots > 0
-    assert calls == {("weak", 3): roots, ("sst", 3): roots}
+
+
+def test_structural_checks_run_at_k_1500(g2):
+    # On g2 the node caps 1 + 4 + ... + 4^k are the large numbers; on the
+    # two-loop model the depth-1500 trees would hold 2^1501 - 1 nodes each.
+    two_loops = validate_model(
+        {
+            "states": ["0", "1"],
+            "events": [{"name": e, "observable": True} for e in "ab"],
+            "initial": ["0", "1"],
+            "secret": ["0"],
+            "transitions": [[s, e, s] for s in "01" for e in "ab"],
+        }
+    )
+    for nfa in (g2, two_loops):
+        result = BatchResult()
+        crosscheck._structural_checks(nfa, 0, tuple(range(1501)), result, build_observer(nfa))
+        assert result.structural_failures == []
 
 
 def test_an_empty_k_range_is_rejected():
