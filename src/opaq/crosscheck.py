@@ -123,11 +123,13 @@ def _at_depth(verdict: Verdict, k: int) -> Verdict:
     return verdict if verdict.opaque or len(verdict.witness.continuation) <= k else Verdict(True)
 
 
-def _agreement_rows(nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer) -> list[dict]:
-    # One oracle engine per model: the model's oracle searches and witness
-    # replays share its memoized steps and estimate BFS.
+def _agreement_rows(
+    nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer, weak: Verdict
+) -> list[dict]:
+    # *weak* is the model's inf-weak verdict.  One oracle engine per model:
+    # the model's oracle searches and witness replays share its memoized
+    # steps and estimate BFS.
     eng = MaskEngine(nfa)
-    weak = verify_infinite_step_weak(nfa, obs)
     strong = verify_k_step_strong(nfa, max(ks), obs)
     rows = []
 
@@ -175,8 +177,10 @@ def _refill_depth(obs: Observer, child: Child, root: tuple[int, int, int], top: 
 
 
 def _structural_checks(
-    nfa: Nfa, seed: int, ks: tuple[int, ...], result: BatchResult, obs: Observer
+    nfa: Nfa, seed: int, ks: tuple[int, ...], result: BatchResult, obs: Observer, infinite: Verdict
 ) -> None:
+    # *infinite* is the model's inf-weak verdict, which the weak-bound check
+    # compares with a separately bounded walk.
     sipa = build_sipa(nfa)
     ver = build_verifier(nfa, obs)
     n = len(nfa.states)
@@ -218,7 +222,6 @@ def _structural_checks(
     if n <= 4:
         bound_k = 2**n - 2
         finite = verify_k_step_weak(nfa, bound_k, obs)
-        infinite = verify_infinite_step_weak(nfa, obs)
         if finite.opaque != infinite.opaque:
             result.weak_bound_failures.append(
                 f"seed {seed}: weak verdict at k=2^|X|-2 disagrees with the infinite check"
@@ -248,7 +251,8 @@ def run_crosscheck(
         nfa = random_nfa(cfg)
         result.models += 1
         obs = build_observer(nfa)
-        rows = _agreement_rows(nfa, cfg.seed, ks, obs)
+        weak = verify_infinite_step_weak(nfa, obs)
+        rows = _agreement_rows(nfa, cfg.seed, ks, obs, weak)
         result.rows.extend(rows)
         for r in rows:
             if not r["agree"] or not r["witness_replays"]:
@@ -265,7 +269,7 @@ def run_crosscheck(
                         json.dump(record, fh, indent=2, sort_keys=True)
                     result.divergence_fixtures.append(path)
         if structural:
-            _structural_checks(nfa, cfg.seed, ks, result, obs)
+            _structural_checks(nfa, cfg.seed, ks, result, obs, weak)
     result.elapsed = time.monotonic() - started
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:

@@ -10,6 +10,16 @@ deduplication: a child pair depends only on its parent pair and the event,
 and BFS visits each pair at its shallowest depth, so reachability of an
 empty-``x2`` pair within the depth budget is decided exactly without
 materializing duplicate subtrees.
+
+The walk also drops dead pairs, those with ``x1`` a subset of ``x2``.  At
+every node ``x1 | x2`` is the node's estimate, and both steps are monotone,
+so every descendant of a dead pair is dead too; an empty ``x2`` would then
+force an empty estimate, which no observation reaches.  A dead pair and its
+subtree hold no violation, and every ancestor of a violation is live, so
+the live nodes keep their BFS discovery order and their parents: verdicts
+and witnesses are those of the full walk.  The rule is weak-only: an SST or
+verifier pair carries the full estimate as ``x1``, where ``x1`` within
+``x2`` says nothing of a later empty ``x2``.  Tree exports keep every node.
 """
 
 from __future__ import annotations
@@ -28,8 +38,9 @@ Pair = tuple[StateSet, StateSet]
 # A pair-search node over the observer: (estimate position, x1 mask, x2
 # mask, parent node position or -1, event position from the parent, depth).
 Node = tuple[int, int, int, int, int, int]
-# Child pair of (x1, x2) on event position e into estimate position j.
-Child = Callable[[int, int, int, int], tuple[int, int]]
+# Child pair of (x1, x2) on event position e into estimate position j, or
+# None for a child that no walk needs to visit.
+Child = Callable[[int, int, int, int], tuple[int, int] | None]
 
 
 @dataclass(frozen=True)
@@ -95,17 +106,25 @@ class StateTree:
 
 def _weak_roots(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:
     # Each secret-intersecting estimate, split into its secret part (x1)
-    # and its nonsecret part (x2).
+    # and its nonsecret part (x2); x1 is nonempty and disjoint from x2, so
+    # every root is live.
     secret, nonsecret = table.secret, table.nonsecret
     return [(i, m & secret, m & nonsecret) for i, m in enumerate(obs.masks) if m & secret]
 
 
-def _weak_child(table: RowTable) -> Child:
+def _weak_child(table: RowTable, live_only: bool = False) -> Child:
+    # Both parts follow the observation.  With *live_only* a dead child
+    # (x1 within x2, see the module docstring) comes back as None.
     reach, support = table.reach, table.support
-    return lambda e, j, x1, x2: (
-        union(reach[e], x1 & support[e]),
-        union(reach[e], x2 & support[e]),
-    )
+
+    def child(e: int, j: int, x1: int, x2: int) -> tuple[int, int] | None:
+        c1 = union(reach[e], x1 & support[e])
+        c2 = union(reach[e], x2 & support[e])
+        if live_only and not c1 & ~c2:
+            return None
+        return c1, c2
+
+    return child
 
 
 def _grow_tree(
@@ -213,6 +232,13 @@ def _explore(
     appending every (node, event position, node) edge to *edges* when
     given.  More than *max_states* nodes raise ResourceLimitError, whose
     message names the *search*.
+
+    A child that *child* returns as None is neither queued nor recorded and
+    does not count against *max_states*.  Only the weak searches' step does
+    so, for dead pairs (x1 within x2), whose subtrees hold no empty ``x2``;
+    every ancestor of a live node is live, so the live nodes, their order,
+    their parents and the first empty-``x2`` node are those of the full
+    walk.  The SST and verifier steps return every child.
     """
     nodes: list[Node] = []
     seen: dict[tuple[int, int, int], int] = {}
@@ -228,7 +254,10 @@ def _explore(
         if k is not None and depth >= k:
             continue
         for e, j in moves[i]:
-            c1, c2 = child(e, j, x1, x2)
+            pair = child(e, j, x1, x2)
+            if pair is None:
+                continue
+            c1, c2 = pair
             key = (j, c1, c2)
             m = seen.get(key)
             if m is None:
@@ -268,7 +297,7 @@ def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int 
         obs = build_observer(nfa)
     table = row_table(nfa)
     nodes, hit = _explore(
-        obs, _weak_roots(table, obs), _weak_child(table), k, True,
+        obs, _weak_roots(table, obs), _weak_child(table, live_only=True), k, True,
         max_states=max_states, search=search,
     )
     return _verdict(table, obs, nodes, hit)

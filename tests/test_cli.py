@@ -104,6 +104,14 @@ def test_state_cap_bounds_the_pair_searches(capsys, prop, search):
     assert f"error: {search} exceeded 4 states" in err
 
 
+def test_state_cap_counts_live_weak_pairs_only(capsys):
+    # nth_last6's observer has 64 estimates and its weak walks 32 live pairs
+    # (96 with the dead ones), so a cap of 64 bounds nothing here.
+    path = os.path.join(FIXTURES, "nth_last6.json")
+    assert run(capsys, "verify", "--property", "inf-weak", "--state-cap", "64", path)[0] == 0
+    assert run(capsys, "verify", "--property", "k-weak", "--k", "2", "--state-cap", "64", path)[0] == 0
+
+
 def test_state_cap_bounds_the_verifier_walk(tmp_path, capsys):
     # One estimate {0,1}, looping on a; the verifier pairs it with {0}, then {}.
     path = tmp_path / "loop.json"

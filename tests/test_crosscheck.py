@@ -32,7 +32,7 @@ from opaq import (
 from opaq.core import row_table
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
 from opaq.strong import _strong_child
-from opaq.weak import StateTree, TreeNode, _grow_tree, secret_intersecting_roots
+from opaq.weak import StateTree, TreeNode, Verdict, Witness, _grow_tree, secret_intersecting_roots
 
 from test_reach import small_models
 
@@ -117,7 +117,7 @@ def per_k_failures(seed, ks, n_eo, roots, weak_tree, sst):
 
 def tree_failures(nfa, seed, ks, obs):
     result = BatchResult()
-    crosscheck._structural_checks(nfa, seed, ks, result, obs)
+    crosscheck._structural_checks(nfa, seed, ks, result, obs, verify_infinite_step_weak(nfa, obs))
     return result.cap_failures, result.absorbing_failures
 
 
@@ -277,6 +277,59 @@ def test_the_batch_builds_no_tree(monkeypatch):
     assert roots > 0
 
 
+def test_the_batch_walks_inf_weak_once_per_model(monkeypatch):
+    # The weak-bound check compares the rows' inf-weak verdict with its own
+    # bounded walk rather than walking the unbounded one again.
+    calls = []
+    walk = crosscheck.verify_infinite_step_weak
+
+    def counted(nfa, obs=None, max_states=None):
+        calls.append(nfa)
+        return walk(nfa, obs, max_states)
+
+    bounded = []
+    k_walk = crosscheck.verify_k_step_weak
+
+    def counted_k(nfa, k, obs=None, max_states=None):
+        bounded.append(k)
+        return k_walk(nfa, k, obs, max_states)
+
+    monkeypatch.setattr(crosscheck, "verify_infinite_step_weak", counted)
+    monkeypatch.setattr(crosscheck, "verify_k_step_weak", counted_k)
+    result = run_crosscheck(models=100, max_states=8, ks=KS, seed=7)
+    assert result.ok
+    assert len(calls) == 100
+    assert len({id(nfa) for nfa in calls}) == 100
+    small = [random_nfa(model_config(7, i, 8)) for i in range(100)]
+    assert bounded == [2 ** len(nfa.states) - 2 for nfa in small if len(nfa.states) <= 4]
+    assert bounded
+
+
+def test_weak_bound_check_compares_the_given_verdict():
+    # Two states, so the check runs; the model is opaque at every K, and a
+    # verdict passed in that says otherwise is reported.
+    nfa = validate_model(
+        {
+            "states": ["0", "1"],
+            "events": [{"name": "a", "observable": True}],
+            "initial": ["0", "1"],
+            "secret": ["0"],
+            "transitions": [["0", "a", "0"], ["1", "a", "1"]],
+        }
+    )
+    obs = build_observer(nfa)
+    infinite = verify_infinite_step_weak(nfa, obs)
+    assert infinite.opaque
+    result = BatchResult()
+    crosscheck._structural_checks(nfa, 3, KS, result, obs, infinite)
+    assert result.weak_bound_failures == []
+    stale = Verdict(False, Witness((), (), (("0",), ())))
+    crosscheck._structural_checks(nfa, 3, KS, result, obs, stale)
+    assert result.weak_bound_failures == [
+        "seed 3: weak verdict at k=2^|X|-2 disagrees with the infinite check"
+    ]
+
+
 def test_structural_checks_run_at_k_1500(g2):
     # On g2 the node caps 1 + 4 + ... + 4^k are the large numbers; on the
     # two-loop model the depth-1500 trees would hold 2^1501 - 1 nodes each.
@@ -291,7 +344,8 @@ def test_structural_checks_run_at_k_1500(g2):
     )
     for nfa in (g2, two_loops):
         result = BatchResult()
-        crosscheck._structural_checks(nfa, 0, tuple(range(1501)), result, build_observer(nfa))
+        obs = build_observer(nfa)
+        crosscheck._structural_checks(nfa, 0, tuple(range(1501)), result, obs, verify_infinite_step_weak(nfa, obs))
         assert result.structural_failures == []
 
 

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opaq.weak
 from opaq import (
     build_observer,
     build_weak_state_tree,
+    load_model,
     observer_state_after,
     tree_dot,
     validate_model,
@@ -22,10 +24,12 @@ from opaq import (
     verify_k_step_strong,
     verify_k_step_weak,
 )
-from opaq.core import InvariantError
-from opaq.weak import Verdict, Witness
+from opaq.core import InvariantError, ResourceLimitError, row_table, union
+from opaq.weak import Verdict, Witness, _verdict
 
 from test_reach import small_models
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def chain(tree):
@@ -257,3 +261,149 @@ def test_witness_prefix_is_the_shortest_access_string(nfa, k):
         if not verdict.opaque:
             prefix = verdict.witness.prefix
             assert prefix == access[observer_state_after(obs, prefix)]
+
+
+# -- dead pairs ----------------------------------------------------------------
+#
+# The weak searches drop every child with x1 within x2.  The reference below
+# is the walk without that rule, written out from the row table for all
+# three families: a FIFO over (estimate, x1, x2) with one visited set, roots
+# in observer order, events in declaration order, stopping at the first
+# empty x2.
+
+
+def full_walk(obs, roots, step, k):
+    """Nodes and first empty-x2 position of the unpruned BFS."""
+    nodes, seen = [], set()
+    for root in roots:
+        if root not in seen:
+            seen.add(root)
+            nodes.append((*root, -1, -1, 0))
+            if not root[2]:
+                return nodes, len(nodes) - 1
+    for n, (i, x1, x2, _, _, depth) in enumerate(nodes):
+        if k is not None and depth >= k:
+            continue
+        for e, j in obs.moves[i]:
+            key = (j, *step(e, j, x1, x2))
+            if key not in seen:
+                seen.add(key)
+                nodes.append((*key, n, e, depth + 1))
+                if not key[2]:
+                    return nodes, len(nodes) - 1
+    return nodes, None
+
+
+def reference_walk(nfa, obs, family, k):
+    """The unpruned walk of a weak, SST or verifier search."""
+    table = row_table(nfa)
+    reach, avoid, support, masks = table.reach, table.avoid, table.support, obs.masks
+    if family == "weak":
+        roots = [(i, m & table.secret, m & table.nonsecret) for i, m in enumerate(masks) if m & table.secret]
+        return full_walk(obs, roots, lambda e, j, x1, x2: (
+            union(reach[e], x1 & support[e]), union(reach[e], x2 & support[e])
+        ), k)
+    if family == "sst":
+        roots = [(i, m, m & table.nonsecret) for i, m in enumerate(masks)]
+    else:
+        roots = [(0, masks[0], table.clean & masks[0])]
+    return full_walk(obs, roots, lambda e, j, x1, x2: (
+        masks[j], union(avoid[e], x2 & support[e]) & masks[j]
+    ), k)
+
+
+def reference(nfa, obs, family, k):
+    return _verdict(row_table(nfa), obs, *reference_walk(nfa, obs, family, k))
+
+
+def merging():
+    """A secret and a nonsecret branch behind ``a`` that merge on ``b`` and overlap on ``c``.
+
+    From the root ({s},{t}), ``b`` gives the dead pair ({u},{u}) and ``c``
+    the live pair ({u,v},{u}), whose ``d`` step empties x2.
+    """
+    return validate_model(
+        {
+            "states": ["0", "s", "t", "u", "v", "w"],
+            "events": [{"name": e, "observable": True} for e in "abcd"],
+            "initial": ["0"],
+            "secret": ["s"],
+            "transitions": [
+                ["0", "a", "s"], ["0", "a", "t"],
+                ["s", "b", "u"], ["t", "b", "u"],
+                ["s", "c", "u"], ["s", "c", "v"], ["t", "c", "u"],
+                ["u", "b", "u"], ["v", "d", "w"],
+            ],
+        }
+    )
+
+
+def check_against_reference(nfa):
+    obs = build_observer(nfa)
+    assert verify_current_state_opacity(nfa, obs) == reference(nfa, obs, "weak", 0)
+    for k in range(9):
+        assert verify_k_step_weak(nfa, k, obs) == reference(nfa, obs, "weak", k)
+        assert verify_k_step_strong(nfa, k, obs) == reference(nfa, obs, "sst", k)
+    assert verify_infinite_step_weak(nfa, obs) == reference(nfa, obs, "weak", None)
+    assert verify_infinite_step_strong(nfa, obs) == reference(nfa, obs, "verifier", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa=small_models())
+def test_dropping_dead_pairs_keeps_every_verdict_and_witness(nfa):
+    check_against_reference(nfa)
+
+
+def test_merging_branches_keep_their_verdicts_and_witness():
+    nfa = merging()
+    check_against_reference(nfa)
+    verdict = verify_infinite_step_weak(nfa)
+    assert verdict.witness == Witness(("a",), ("c", "d"), (("w",), ()))
+    assert verify_k_step_weak(nfa, 1).opaque
+    assert not verify_k_step_weak(nfa, 2).opaque
+
+
+def walked_pairs(search):
+    """Node count of each pair walk that *search* runs."""
+    counts = []
+    explore = opaq.weak._explore
+
+    def counted(*args, **kwargs):
+        nodes, hit = explore(*args, **kwargs)
+        counts.append(len(nodes))
+        return nodes, hit
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(opaq.weak, "_explore", counted)
+        search()
+    return counts
+
+
+def test_weak_walks_visit_live_pairs_only(g2):
+    # nth_last6's secret state is a dead end, so its 32 roots are its only
+    # live pairs (the unpruned walks visit 96); every pair of g2 is live.
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    for nfa, live, every in ((nth_last, 32, 96), (g2, 6, 6)):
+        obs = build_observer(nfa)
+        assert walked_pairs(lambda: verify_k_step_weak(nfa, 2, obs)) == [live]
+        assert walked_pairs(lambda: verify_infinite_step_weak(nfa, obs)) == [live]
+        assert len(reference_walk(nfa, obs, "weak", None)[0]) == every
+    # The merging model's root, its overlapping child and the violation;
+    # the unpruned walk also visits the dead ({u},{u}) second.
+    nfa = merging()
+    assert walked_pairs(lambda: verify_infinite_step_weak(nfa)) == [3]
+    nodes, _ = reference_walk(nfa, build_observer(nfa), "weak", None)
+    named = [(row_table(nfa).state_set(x1), row_table(nfa).state_set(x2)) for _, x1, x2, *_ in nodes]
+    assert named == [(("s",), ("t",)), (("u",), ("u",)), (("u", "v"), ("u",)), (("w",), ())]
+
+
+def test_dead_pairs_do_not_count_against_the_cap():
+    # nth_last6's 32 roots are its only live pairs; the unpruned walk has 96.
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    assert verify_infinite_step_weak(nth_last, max_states=32).opaque
+    # The merging model's walk stops at its third live pair; the dead one
+    # would have been the second.
+    nfa = merging()
+    assert not verify_infinite_step_weak(nfa, max_states=2).opaque
+    with pytest.raises(ResourceLimitError, match="infinite-step weak search exceeded 1 states"):
+        verify_infinite_step_weak(nfa, max_states=1)
