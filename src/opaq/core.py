@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # A canonical, duplicate-free tuple of state identifiers, sorted by
 # declaration order of the owning Nfa.
@@ -332,6 +332,45 @@ def union(rows: Sequence[int], mask: int) -> int:
     return out
 
 
+# Byte-table steps serve models of 9 to 64 states; the rest loop over set
+# bits.  Past 64, a table step pays for every byte of the mask, set or not:
+# on a 2,401-state model it shifts the 2,401-bit mask 301 times and ORs
+# full-width entries, which made whole `opaq verify` calls 2.2-2.7x slower
+# than the bit loop over the few members that move.  Up to 8 states a
+# model's walks are short and few masks repeat (about half the steps of a
+# random crosscheck batch missed the table), so the tables cost more than
+# they saved there.
+TABLE_STEP_STATES = range(9, 65)
+
+
+def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
+    """A step from a mask to the OR of its members' rows, ``union(rows, mask)``.
+
+    *support* holds the members whose row is nonempty.  For a row count in
+    :data:`TABLE_STEP_STATES`, each byte of the mask indexes a table of its
+    own whose entry is the OR of the rows of that byte's bits, filled on
+    first use, so a 14-state mask steps in two lookups.  A chunk's table has
+    one slot per value of its bits: 2^min(8, n - 8c) for chunk c of n rows.
+    Other models loop over the set bits of ``mask & support``.
+    """
+    n = len(rows)
+    if n not in TABLE_STEP_STATES:
+        return lambda mask: union(rows, mask & support)
+    chunks = [(shift, [None] * (1 << min(8, n - shift))) for shift in range(0, n, 8)]
+
+    def step(mask: int) -> int:
+        out = 0
+        for shift, table in chunks:
+            byte = mask >> shift & 255
+            row = table[byte]
+            if row is None:
+                row = table[byte] = union(rows, byte << shift)
+            out |= row
+        return out
+
+    return step
+
+
 def _closure(succ: Sequence[int], x: int, allowed: int) -> int:
     # {x} plus every state reached from x along succ edges whose every
     # entered state lies in *allowed*; x itself is kept as given.
@@ -351,10 +390,12 @@ class RowTable:
     {x} under event e: the projected automaton's edges.  ``avoid[e][x]`` is
     the secret-avoiding reach of {x} for nonsecret x (the tagged automaton's
     N-to-N edges) and 0 for secret x.  Both steps distribute over union, so
-    the step of a set is the OR of its members' rows (:func:`union`).
-    ``support[e]`` holds the states whose reach row under e is nonempty
-    (avoid rows are nonempty only there too): ANDing a set with it first
-    skips the members that cannot move.  ``initial`` is the unobservable
+    the step of a set is the OR of its members' rows.  ``reach_steps[e]``
+    and ``avoid_steps[e]`` take that step (:func:`set_step`); their byte
+    tables, if any, fill as masks arrive.  ``support[e]`` holds the states
+    whose reach row under e is nonempty (avoid rows are nonempty only there
+    too); only the bit loop of the steps that take no tables reads it, to
+    skip the members that cannot move.  ``initial`` is the unobservable
     closure of the initial states, ``clean`` the all-nonsecret closure of
     the nonsecret initial states.
 
@@ -383,20 +424,39 @@ class RowTable:
             clean[x] = _closure(silent, x, nonsecret)
         reach, avoid, support = [], [], []
         for row in step.values():
-            movers = {x for x in range(n) if row[x]}
-            moving = sum(1 << x for x in movers)
-            movers.update(x for x in loud if closure[x] & moving)
-            reach.append([0] * n)
-            avoid.append([0] * n)
-            for x in movers:
-                reach[-1][x] = union(closure, union(row, closure[x]))
-                if nonsecret >> x & 1:
-                    avoid[-1][x] = union(clean, union(row, clean[x]) & nonsecret)
-            support.append(sum(1 << x for x in movers))
+            # post[y] is the closure of y's direct e-successors, post_clean[y]
+            # their clean closure (for nonsecret y: a clean closure from a
+            # nonsecret state holds no other kind).  Closing distributes over
+            # union, so a row is the OR of post over the state's closure, or
+            # of post_clean over its clean closure, and a state without
+            # silent successors keeps its post rows as they are.  The rows
+            # of silent movers replace their post rows in place: a closure
+            # holds the closure of each of its members, so a member's row
+            # read in place of its post row adds nothing.
+            post, post_clean = [0] * n, [0] * n
+            moving = 0
+            for y in range(n):
+                if row[y]:
+                    moving |= 1 << y
+                    post[y] = union(closure, row[y])
+                    if nonsecret >> y & 1:
+                        post_clean[y] = union(clean, row[y] & nonsecret)
+            support_e = moving
+            for x in loud:
+                if closure[x] & moving:
+                    support_e |= 1 << x
+                    post[x] = union(post, closure[x])
+                    if nonsecret >> x & 1:
+                        post_clean[x] = union(post_clean, clean[x])
+            reach.append(post)
+            avoid.append(post_clean)
+            support.append(support_e)
         self.reach, self.avoid, self.support = reach, avoid, support
         start = sum(1 << order[s] for s in nfa.initial)
         self.initial = union(closure, start)
         self.clean = union(clean, start & nonsecret)
+        self.reach_steps = tuple(map(set_step, reach, support))
+        self.avoid_steps = tuple(map(set_step, avoid, support))
 
     def state_set(self, mask: int) -> StateSet:
         states = self.states

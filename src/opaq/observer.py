@@ -13,7 +13,6 @@ from .core import (
     dot_quote,
     format_state_set,
     row_table,
-    union,
 )
 
 
@@ -73,7 +72,7 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
     targets are never materialized.
     """
     table = row_table(nfa)
-    rows = tuple(enumerate(zip(table.reach, table.support)))
+    steps = tuple(enumerate(table.reach_steps))
     masks = [table.initial]
     position = {table.initial: 0}
     moves = []
@@ -83,8 +82,8 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
     # walk reaches position i.
     for i, current in enumerate(masks):
         out = []
-        for e, (row, support) in rows:
-            target = union(row, current & support)
+        for e, step in steps:
+            target = step(current)
             if not target:
                 continue
             j = position.get(target)

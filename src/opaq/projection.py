@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Nfa, StateSet, bits, dot_quote, row_table, union
+from .core import Nfa, StateSet, bits, dot_quote, row_table
 
 TAG_N = "N"
 TAG_Y = "Y"
@@ -155,8 +155,8 @@ def sipa_state_count(nfa: Nfa) -> int:
     reached = frontier = table.initial
     while frontier:
         step = 0
-        for rows in table.reach:
-            step |= union(rows, frontier)
+        for reach in table.reach_steps:
+            step |= reach(frontier)
         frontier = step & ~reached
         reached |= frontier
     tag_n = table.clean & table.initial

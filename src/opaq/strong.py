@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Nfa, RowTable, StateSet, dot_quote, format_pair, row_table, union
+from .core import Nfa, RowTable, StateSet, dot_quote, format_pair, row_table
 from .observer import Observer, build_observer
 from .projection import Sipa
 from .weak import (
@@ -60,8 +60,8 @@ class VerifierAutomaton:
 def _strong_child(table: RowTable, obs: Observer) -> Child:
     # x1 follows the observer; x2 takes the secret-avoiding step, kept
     # inside the new estimate.
-    avoid, support, masks = table.avoid, table.support, obs.masks
-    return lambda e, j, x1, x2: (masks[j], union(avoid[e], x2 & support[e]) & masks[j])
+    avoid, masks = table.avoid_steps, obs.masks
+    return lambda e, j, x1, x2: (masks[j], avoid[e](x2) & masks[j])
 
 
 def _sst_roots(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:

@@ -29,7 +29,7 @@ from functools import cache
 from typing import Callable
 
 from .core import (
-    InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_quote, format_pair, row_table, union,
+    InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_quote, format_pair, row_table,
 )
 from .observer import Observer, build_observer
 
@@ -115,11 +115,11 @@ def _weak_roots(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:
 def _weak_child(table: RowTable, live_only: bool = False) -> Child:
     # Both parts follow the observation.  With *live_only* a dead child
     # (x1 within x2, see the module docstring) comes back as None.
-    reach, support = table.reach, table.support
+    reach = table.reach_steps
 
     def child(e: int, j: int, x1: int, x2: int) -> tuple[int, int] | None:
-        c1 = union(reach[e], x1 & support[e])
-        c2 = union(reach[e], x2 & support[e])
+        step = reach[e]
+        c1, c2 = step(x1), step(x2)
         if live_only and not c1 & ~c2:
             return None
         return c1, c2
@@ -248,6 +248,8 @@ def _explore(
             nodes.append((*root, -1, -1, 0))
             if stop_at_empty and not root[2]:
                 return nodes, len(nodes) - 1
+            if max_states is not None and len(nodes) > max_states:
+                raise ResourceLimitError(f"{search} exceeded {max_states} states")
     moves = obs.moves
     # nodes grows while the loop walks it: the walk is the queue.
     for n, (i, x1, x2, _, _, depth) in enumerate(nodes):

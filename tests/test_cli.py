@@ -9,6 +9,7 @@ import opaq.cli
 import opaq.projection
 import opaq.strong
 from opaq.cli import main
+from opaq.core import TABLE_STEP_STATES
 
 from conftest import g2_dict, hidden_crossing_dict
 
@@ -153,6 +154,21 @@ def test_verify_builds_nothing_it_only_counts(monkeypatch, capsys, model, prop):
     assert code == (0 if json.loads(out)["opaque"] else 1)
     assert len(observers) == 1
     assert not {"states", "initial", "transitions", "index"} & vars(observers[0]).keys()
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_a_model_past_the_table_steps_verifies_like_g2(tmp_path, capsys, prop):
+    # 70 idle states declared ahead of g2's push its states to bits 70..79,
+    # past the 64 states up to which steps read byte tables.
+    raw = g2_dict()
+    raw["states"] = [f"idle{i}" for i in range(70)] + raw["states"]
+    path = tmp_path / "g2_padded.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert len(raw["states"]) > TABLE_STEP_STATES[-1]
+    code, out, _ = run(capsys, "verify", "--format", "json", "--property", prop, "--k", "2", str(path))
+    with open(os.path.join(FIXTURES, "golden", "g2", f"verify_{prop}_k2.json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    assert code == (0 if json.loads(out)["opaque"] else 1)
 
 
 def test_export_verifier_contains_empty_pair_node(capsys):

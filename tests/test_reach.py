@@ -14,6 +14,7 @@ from opaq import (
     step,
     unobservable_reach,
 )
+from opaq.core import set_step, union
 
 
 def small_models(max_states=5, max_events=4):
@@ -154,3 +155,24 @@ def test_reach_outputs_are_canonical_and_repeatable(data, nfa):
     again = unobservable_reach(nfa, sorted(sources, reverse=True))
     assert first == again
     assert list(first) == sorted(first, key=nfa.states.index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.one_of(st.sampled_from([1, 7, 8, 9, 16, 17, 63, 64, 65, 130]), st.integers(1, 130)))
+def test_set_step_equals_union(data, n):
+    full = 2**n - 1
+    rows = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, full)), min_size=n, max_size=n))
+    support = sum(1 << i for i, row in enumerate(rows) if row)
+    step = set_step(rows, support)
+    # Each mask twice: once filling table entries, once reading them back.
+    masks = [0, full] + data.draw(st.lists(st.integers(0, full), max_size=8))
+    for mask in masks + masks:
+        assert step(mask) == union(rows, mask)
+
+
+def test_table_steps_serve_9_to_64_states():
+    # Only the per-bit path reads the support, so a step that ignores an
+    # empty one took the table path.
+    for n, tables in ((8, False), (9, True), (64, True), (65, False)):
+        rows = [1 << i for i in range(n)]
+        assert (set_step(rows, 0)(2**n - 1) != 0) is tables

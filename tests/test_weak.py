@@ -407,3 +407,15 @@ def test_dead_pairs_do_not_count_against_the_cap():
     assert not verify_infinite_step_weak(nfa, max_states=2).opaque
     with pytest.raises(ResourceLimitError, match="infinite-step weak search exceeded 1 states"):
         verify_infinite_step_weak(nfa, max_states=1)
+
+
+def test_roots_count_against_the_cap():
+    # nth_last6's weak walk visits its 32 roots and nothing else, and its
+    # SST walk its 64 roots at K = 0: one fewer allowed pair stops each
+    # walk while it seeds the roots.
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    with pytest.raises(ResourceLimitError, match="infinite-step weak search exceeded 31 states"):
+        verify_infinite_step_weak(nth_last, max_states=31)
+    with pytest.raises(ResourceLimitError, match="k-step strong search exceeded 63 states"):
+        verify_k_step_strong(nth_last, 0, max_states=63)
+    assert verify_k_step_strong(nth_last, 0, max_states=64).opaque
