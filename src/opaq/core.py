@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # A canonical, duplicate-free tuple of state identifiers, sorted by
@@ -48,7 +49,11 @@ class Nfa:
 
     ``states`` and ``events`` fix the canonical iteration order used by
     every construction in this package.  ``secret`` is a subset of
-    ``states``; the nonsecret states are exactly the rest.
+    ``states``; the nonsecret states are exactly the rest.  The set-based
+    step views ``_step`` and ``_silent`` serve only the reference
+    primitives (:func:`step` and the silent closures); they are built on
+    first use, so the constructions, which read the row table, never pay
+    for them.
     """
 
     states: tuple[str, ...]
@@ -59,8 +64,6 @@ class Nfa:
 
     _order: dict[str, int] = field(init=False, repr=False, compare=False)
     _observable: dict[str, bool] = field(init=False, repr=False, compare=False)
-    _step: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
-    _silent: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _rows: RowTable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -71,9 +74,9 @@ class Nfa:
         if len(observable) != len(self.events):
             raise ModelError("duplicate event names")
         for src, ev, dst in self.transitions:
-            for endpoint in (src, dst):
-                if endpoint not in order:
-                    raise ModelError(f"transition ({src},{ev},{dst}) uses undeclared state {endpoint!r}")
+            if src not in order or dst not in order:
+                endpoint = dst if src in order else src
+                raise ModelError(f"transition ({src},{ev},{dst}) uses undeclared state {endpoint!r}")
             if ev not in observable:
                 raise ModelError(f"transition ({src},{ev},{dst}) uses undeclared event {ev!r}")
         if len(set(self.transitions)) != len(self.transitions):
@@ -86,18 +89,24 @@ class Nfa:
                     raise ModelError(f"{group} member {s!r} is not a declared state")
             if len(set(members)) != len(members):
                 raise ModelError(f"duplicate {group} states")
-
-        step: dict[tuple[str, str], list[str]] = {}
-        silent: dict[str, list[str]] = {}
-        for src, ev, dst in self.transitions:
-            step.setdefault((src, ev), []).append(dst)
-            if not observable[ev]:
-                silent.setdefault(src, []).append(dst)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_observable", observable)
-        object.__setattr__(self, "_step", {k: tuple(v) for k, v in step.items()})
-        object.__setattr__(self, "_silent", {k: tuple(v) for k, v in silent.items()})
         object.__setattr__(self, "_rows", None)
+
+    @cached_property
+    def _step(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        step: dict[tuple[str, str], list[str]] = {}
+        for src, ev, dst in self.transitions:
+            step.setdefault((src, ev), []).append(dst)
+        return {k: tuple(v) for k, v in step.items()}
+
+    @cached_property
+    def _silent(self) -> dict[str, tuple[str, ...]]:
+        silent: dict[str, list[str]] = {}
+        for src, ev, dst in self.transitions:
+            if not self._observable[ev]:
+                silent.setdefault(src, []).append(dst)
+        return {k: tuple(v) for k, v in silent.items()}
 
     # -- canonical views -------------------------------------------------
 
@@ -176,9 +185,12 @@ def validate_model(raw: Mapping) -> Nfa:
     if not isinstance(raw["transitions"], (list, tuple)):
         raise ModelError("field 'transitions' must be an array")
     for i, entry in enumerate(raw["transitions"]):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3 or not all(isinstance(v, str) for v in entry):
-            raise ModelError(f"transitions[{i}] must be a [src, event, dst] triple of strings")
-        transitions.append(tuple(entry))
+        if isinstance(entry, (list, tuple)) and len(entry) == 3:
+            src, ev, dst = entry
+            if isinstance(src, str) and isinstance(ev, str) and isinstance(dst, str):
+                transitions.append((src, ev, dst))
+                continue
+        raise ModelError(f"transitions[{i}] must be a [src, event, dst] triple of strings")
     return Nfa(
         states=states,
         events=tuple(events),
@@ -355,7 +367,17 @@ def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
     """
     n = len(rows)
     if n not in TABLE_STEP_STATES:
-        return lambda mask: union(rows, mask & support)
+
+        def step(mask: int) -> int:
+            mask &= support
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= rows[low.bit_length() - 1]
+                mask ^= low
+            return out
+
+        return step
     chunks = [(shift, [None] * (1 << min(8, n - shift))) for shift in range(0, n, 8)]
 
     def step(mask: int) -> int:
@@ -394,8 +416,9 @@ class RowTable:
     and ``avoid_steps[e]`` take that step (:func:`set_step`); their byte
     tables, if any, fill as masks arrive.  ``support[e]`` holds the states
     whose reach row under e is nonempty (avoid rows are nonempty only there
-    too); only the bit loop of the steps that take no tables reads it, to
-    skip the members that cannot move.  ``initial`` is the unobservable
+    too); the bit loop of the steps that take no tables and
+    :func:`~opaq.projection.sipa_state_count` read it, to skip the members
+    that cannot move.  ``initial`` is the unobservable
     closure of the initial states, ``clean`` the all-nonsecret closure of
     the nonsecret initial states.
 
@@ -407,23 +430,40 @@ class RowTable:
         n = len(nfa.states)
         self.states = nfa.states
         self.events = nfa.observable_events
+        # step[e] maps each direct e-mover to its direct e-successors.
         silent = [0] * n
-        step = {e: [0] * n for e in self.events}
+        step: dict[str, dict[int, int]] = {e: {} for e in self.events}
         for src, ev, dst in nfa.transitions:
-            (step[ev] if nfa._observable[ev] else silent)[order[src]] |= 1 << order[dst]
+            x = order[src]
+            if ev in step:
+                rows = step[ev]
+                rows[x] = rows.get(x, 0) | 1 << order[dst]
+            else:
+                silent[x] |= 1 << order[dst]
+        is_nonsecret = [True] * n
+        for s in nfa.secret:
+            is_nonsecret[order[s]] = False
         self.secret = sum(1 << order[s] for s in nfa.secret)
         self.nonsecret = nonsecret = (1 << n) - 1 & ~self.secret
         # A state without silent successors is its own closure, and one
         # without an e-successor in its closure has an empty e row: the
-        # loops below skip such states, which keeps wide models cheap.
+        # loops below skip such states, which keeps wide models cheap.  A
+        # closure distributes over union, so a state whose silent successors
+        # have none of their own closes in one step, and a set holding no
+        # state with silent successors is its own closure.
         loud = [x for x in range(n) if silent[x]]
+        loud_mask = sum(1 << x for x in loud)
         closure = [1 << x for x in range(n)]
         clean = closure[:]
         for x in loud:
-            closure[x] = _closure(silent, x, -1)
-            clean[x] = _closure(silent, x, nonsecret)
+            if silent[x] & loud_mask:
+                closure[x] = _closure(silent, x, -1)
+                clean[x] = _closure(silent, x, nonsecret)
+            else:
+                closure[x] |= silent[x]
+                clean[x] |= silent[x] & nonsecret
         reach, avoid, support = [], [], []
-        for row in step.values():
+        for direct in step.values():
             # post[y] is the closure of y's direct e-successors, post_clean[y]
             # their clean closure (for nonsecret y: a clean closure from a
             # nonsecret state holds no other kind).  Closing distributes over
@@ -435,18 +475,18 @@ class RowTable:
             # read in place of its post row adds nothing.
             post, post_clean = [0] * n, [0] * n
             moving = 0
-            for y in range(n):
-                if row[y]:
-                    moving |= 1 << y
-                    post[y] = union(closure, row[y])
-                    if nonsecret >> y & 1:
-                        post_clean[y] = union(clean, row[y] & nonsecret)
+            for y, row in direct.items():
+                moving |= 1 << y
+                post[y] = union(closure, row) if row & loud_mask else row
+                if is_nonsecret[y]:
+                    row &= nonsecret
+                    post_clean[y] = union(clean, row) if row & loud_mask else row
             support_e = moving
             for x in loud:
                 if closure[x] & moving:
                     support_e |= 1 << x
                     post[x] = union(post, closure[x])
-                    if nonsecret >> x & 1:
+                    if is_nonsecret[x]:
                         post_clean[x] = union(post_clean, clean[x])
             reach.append(post)
             avoid.append(post_clean)

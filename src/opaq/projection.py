@@ -150,6 +150,8 @@ def sipa_state_count(nfa: Nfa) -> int:
     reachable bases are the projected automaton's.  A reachable tagged state
     is then an initial one or the target of an edge from a reachable base:
     N-tagged along an avoid row, Y-tagged along the rest of the reach row.
+    Both rows are empty outside the event's support, so only the reached
+    bases that move under it are read.
     """
     table = row_table(nfa)
     reached = frontier = table.initial
@@ -161,8 +163,8 @@ def sipa_state_count(nfa: Nfa) -> int:
         reached |= frontier
     tag_n = table.clean & table.initial
     tag_y = table.initial & ~table.clean
-    for rows, avoid in zip(table.reach, table.avoid):
-        for x in bits(reached):
+    for rows, avoid, movers in zip(table.reach, table.avoid, table.support):
+        for x in bits(reached & movers):
             tag_n |= avoid[x]
             tag_y |= rows[x] & ~avoid[x]
     return tag_n.bit_count() + tag_y.bit_count()

@@ -152,3 +152,35 @@ def hidden_crossing_dict() -> dict:
             ["0", "a", "1"], ["1", "e", "2"], ["2", "u", "3"],
         ],
     }
+
+
+def wide_chain_dict(m: int = 20, length: int = 12) -> dict:
+    """m parallel chains behind one ``a`` step, as perfbench's wide-chain.
+
+    Chain i steps from level j to j+1 on ``b`` when (i + j) % 4 == 0 and on
+    ``c`` otherwise, and is secret at level i mod length.  Silent ``u``
+    edges join chain i to chain i+1 at levels j with j % 3 == i % 3, which
+    never cascade, and at every chain of level 5, which cascade into one
+    silent run through the secrets c5_5 and c17_5.  With m = 20 the model
+    has 241 states, past the byte-table steps, and its row table takes both
+    the one-step closures and the full ones.
+    """
+
+    def node(i: int, j: int) -> str:
+        return f"c{i}_{j}"
+
+    transitions = [["i", "a", node(i, 0)] for i in range(m)]
+    for i in range(m):
+        for j in range(length - 1):
+            transitions.append([node(i, j), "b" if (i + j) % 4 == 0 else "c", node(i, j + 1)])
+        if i + 1 < m:
+            transitions += [
+                [node(i, j), "u", node(i + 1, j)] for j in range(length) if j % 3 == i % 3 or j == 5
+            ]
+    return {
+        "states": ["i"] + [node(i, j) for i in range(m) for j in range(length)],
+        "events": [{"name": e, "observable": True} for e in "abc"] + [{"name": "u", "observable": False}],
+        "initial": ["i"],
+        "secret": [node(i, i % length) for i in range(m)],
+        "transitions": transitions,
+    }

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import opaq
 import opaq.cli
 import opaq.projection
 import opaq.strong
@@ -154,6 +155,28 @@ def test_verify_builds_nothing_it_only_counts(monkeypatch, capsys, model, prop):
     assert code == (0 if json.loads(out)["opaque"] else 1)
     assert len(observers) == 1
     assert not {"states", "initial", "transitions", "index"} & vars(observers[0]).keys()
+
+
+@pytest.mark.parametrize("model", ["g2", "nth_last6"])
+def test_verify_builds_no_set_based_step_views(model):
+    # The constructions read the row table; the set-based views serve only
+    # the reference primitives and are built on their first call.
+    path = G2 if model == "g2" else os.path.join(FIXTURES, "nth_last6.json")
+    nfa = opaq.load_model(path)
+    opaq.verify_current_state_opacity(nfa)
+    opaq.verify_k_step_weak(nfa, 2)
+    opaq.verify_k_step_strong(nfa, 2)
+    opaq.verify_infinite_step_weak(nfa)
+    opaq.verify_infinite_step_strong(nfa)
+    opaq.walk_verifier(nfa)
+    assert not {"_step", "_silent"} & vars(nfa).keys()
+    table = opaq.core.row_table(nfa)
+    for e, event in enumerate(table.events):
+        for i, x in enumerate(nfa.states):
+            direct = {dst for src, ev, dst in nfa.transitions if src == x and ev == event}
+            assert opaq.core.step(nfa, [x], event) == nfa.state_set(direct)
+            assert opaq.observable_reach(nfa, [x], event) == table.state_set(table.reach[e][i])
+    assert {"_step", "_silent"} <= vars(nfa).keys()
 
 
 @pytest.mark.parametrize("prop", PROPERTIES)

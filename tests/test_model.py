@@ -93,3 +93,32 @@ def test_project_empty_string(g2, g8frag):
 def test_project_rejects_undeclared_event(g2):
     with pytest.raises(ModelError, match="'x'"):
         project(g2, ("a", "x"))
+
+
+TRIPLE_MESSAGE = "transitions\\[12\\] must be a \\[src, event, dst\\] triple of strings"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"src": "0", "event": "a", "dst": "1"},
+        "0a1",
+        ["0", "a"],
+        ["0", "a", "1", "2"],
+        [0, "a", "1"],
+        ["0", None, "1"],
+        ["0", "a", ["1"]],
+    ],
+    ids=["dict", "string", "length-2", "length-4", "int-src", "null-event", "list-dst"],
+)
+def test_malformed_transitions_name_their_index(entry):
+    raw = g2_dict()
+    raw["transitions"].append(entry)
+    with pytest.raises(ModelError, match=TRIPLE_MESSAGE):
+        validate_model(raw)
+
+
+def test_tuple_transitions_are_accepted(g2):
+    raw = g2_dict()
+    raw["transitions"] = [tuple(t) for t in raw["transitions"]]
+    assert validate_model(raw) == g2

@@ -20,14 +20,21 @@ from opaq import (
     secret_avoiding_reach,
     unobservable_reach,
     validate_model,
+    verify_current_state_opacity,
+    verify_infinite_step_strong,
+    verify_infinite_step_weak,
+    verify_k_step_strong,
+    verify_k_step_weak,
 )
 from opaq.crosscheck import model_config
 from opaq.oracle import (
     MaskEngine,
+    replay_infinite_strong_violation,
     replay_strong_violation,
     replay_weak_violation,
 )
 
+from conftest import wide_chain_dict
 from test_reach import small_models
 
 
@@ -246,3 +253,28 @@ def test_oracle_batch_matches_golden(shared):
 def test_engine_of_another_model_is_rejected(g2, g8frag):
     with pytest.raises(ValueError):
         oracle_k_step_weak(g2, 1, eng=MaskEngine(g8frag))
+
+
+def test_wide_chain_verdicts_and_witnesses_match_the_oracle():
+    # 241 states with silent runs: the constructions step by the bit loop
+    # over rows built with both kinds of closure.
+    nfa = validate_model(wide_chain_dict())
+    eng = MaskEngine(nfa)
+    k = 3
+    checks = [
+        (verify_current_state_opacity(nfa), oracle_current_state(nfa),
+         lambda w: replay_weak_violation(nfa, w.prefix + w.continuation, len(w.prefix), 0, eng=eng)),
+        (verify_k_step_weak(nfa, k), oracle_k_step_weak(nfa, k),
+         lambda w: replay_weak_violation(nfa, w.prefix + w.continuation, len(w.prefix), k, eng=eng)),
+        (verify_k_step_strong(nfa, k), oracle_k_step_strong(nfa, k),
+         lambda w: replay_strong_violation(nfa, w.prefix + w.continuation, k, eng=eng)),
+        (verify_infinite_step_weak(nfa), oracle_infinite_step_weak(nfa),
+         lambda w: replay_weak_violation(nfa, w.prefix + w.continuation, len(w.prefix), None, eng=eng)),
+        (verify_infinite_step_strong(nfa), oracle_infinite_step_strong(nfa),
+         lambda w: replay_infinite_strong_violation(nfa, w.prefix + w.continuation, eng=eng)),
+    ]
+    assert [verdict.opaque for verdict, _, _ in checks] == [True, False, False, False, False]
+    for verdict, oracle, replays in checks:
+        assert oracle.exact
+        assert verdict.opaque == oracle.opaque
+        assert verdict.opaque or replays(verdict.witness)

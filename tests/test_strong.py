@@ -15,6 +15,7 @@ from opaq import (
     observable_reach,
     secret_avoiding_reach,
     sipa_state_count,
+    unobservable_reach,
     validate_model,
     verifier_dot,
     verify_infinite_step_strong,
@@ -22,10 +23,11 @@ from opaq import (
     verify_k_step_weak,
     walk_verifier,
 )
-from opaq.core import row_table, union
+from opaq.core import TABLE_STEP_STATES, row_table, union
 from opaq.oracle import MaskEngine
 from opaq.projection import TAG_N
 
+from conftest import wide_chain_dict
 from test_reach import small_models, subset_of_states
 from test_weak import chain
 
@@ -272,6 +274,63 @@ def test_row_steps_equal_the_set_based_steps(data):
     tagged_n = [ts.base for ts in sipa.initial if ts.tag == TAG_N]
     clean = nonsecret_unobservable_reach(nfa, [s for s in nfa.initial if s not in nfa.secret_set])
     assert tuple(tagged_n) == clean == table.state_set(table.clean)
+
+
+@st.composite
+def silent_heavy_models(draw, max_states=16):
+    # Silent runs of 2 to 6 states, some closed into cycles, over up to 16
+    # states, with secrets drawn inside the runs: the row table's full
+    # closures and its one-step ones both get work, and rows both hold and
+    # lack members with silent successors.
+    n = draw(st.integers(2, max_states))
+    states = [str(i) for i in range(n)]
+    index = st.integers(0, n - 1)
+    edges = set()
+    secret = set(draw(st.sets(index, max_size=n // 3)))
+    for _ in range(draw(st.integers(1, 4))):
+        run = draw(st.lists(index, min_size=2, max_size=6, unique=True))
+        event = draw(st.sampled_from("uv"))
+        edges.update((p, event, q) for p, q in zip(run, run[1:]))
+        if draw(st.booleans()):
+            edges.add((run[-1], event, run[0]))
+        if draw(st.booleans()):
+            secret.add(draw(st.sampled_from(run)))
+    edges.update(draw(st.lists(st.tuples(index, st.sampled_from("abuv"), index), max_size=3 * n)))
+    return validate_model({
+        "states": states,
+        "events": [{"name": e, "observable": e in "ab"} for e in "abuv"],
+        "initial": [states[i] for i in sorted(draw(st.sets(index, min_size=1, max_size=2)))],
+        "secret": [states[i] for i in sorted(secret)],
+        "transitions": [[states[p], e, states[q]] for p, e, q in sorted(edges)],
+    })
+
+
+def assert_rows_match_the_set_based_steps(nfa, sources):
+    table = row_table(nfa)
+    for e, event in enumerate(table.events):
+        for x in sources:
+            i = nfa.states.index(x)
+            assert table.state_set(table.reach[e][i]) == observable_reach(nfa, [x], event)
+            assert bool(table.reach[e][i]) == bool(table.support[e] >> i & 1)
+            expected = secret_avoiding_reach(nfa, [x], event) if x not in nfa.secret_set else ()
+            assert table.state_set(table.avoid[e][i]) == expected
+    assert table.state_set(table.initial) == unobservable_reach(nfa, nfa.initial)
+    clean = nonsecret_unobservable_reach(nfa, [s for s in nfa.initial if s not in nfa.secret_set])
+    assert table.state_set(table.clean) == clean
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfa=silent_heavy_models())
+def test_rows_through_silent_runs_equal_the_set_based_steps(nfa):
+    assert_rows_match_the_set_based_steps(nfa, nfa.states)
+    assert sipa_state_count(nfa) == len(build_sipa(nfa).states)
+
+
+def test_wide_chain_rows_equal_the_set_based_steps():
+    nfa = validate_model(wide_chain_dict())
+    assert len(nfa.states) > TABLE_STEP_STATES[-1]
+    assert_rows_match_the_set_based_steps(nfa, nfa.states)
+    assert sipa_state_count(nfa) == len(build_sipa(nfa).states)
 
 
 @settings(max_examples=100, deadline=None)
