@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--root", default=None,
                         help='root estimate for trees: comma-separated, or a JSON array such as \'["a,b","c"]\'')
     export.add_argument("--k", type=int, default=None)
-    export.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    export.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                        help="cap on the observer and the exported structure (exit 3 when exceeded)")
     export.add_argument("model")
 
     cross = sub.add_parser("crosscheck", help="seeded random-model agreement batch")
@@ -168,9 +169,9 @@ def _run_export(args) -> int:
         print(f"error: root {args.root!r} is not a reachable observer state", file=sys.stderr)
         return 2
     if args.structure == "weak-tree":
-        print(tree_dot(build_weak_state_tree(nfa, obs, root, args.k), "weak_tree"), end="")
+        print(tree_dot(build_weak_state_tree(nfa, obs, root, args.k, args.state_cap), "weak_tree"), end="")
     else:
-        print(tree_dot(build_sst(nfa, obs, root, args.k), "sst"), end="")
+        print(tree_dot(build_sst(nfa, obs, root, args.k, args.state_cap), "sst"), end="")
     return 0
 
 

@@ -360,10 +360,12 @@ def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
 
     *support* holds the members whose row is nonempty.  For a row count in
     :data:`TABLE_STEP_STATES`, each byte of the mask indexes a table of its
-    own whose entry is the OR of the rows of that byte's bits, filled on
-    first use, so a 14-state mask steps in two lookups.  A chunk's table has
-    one slot per value of its bits: 2^min(8, n - 8c) for chunk c of n rows.
-    Other models loop over the set bits of ``mask & support``.
+    own whose entry is the OR of the rows of that byte's bits.  The tables
+    are filled up front, each entry from the one without its lowest bit, so
+    a model of 9 to 16 states steps in two lookups and a wider one in one
+    lookup per byte.  A chunk's table has one slot per value of its bits:
+    2^min(8, n - 8c) for chunk c of n rows.  Other models loop over the set
+    bits of ``mask & support``.
     """
     n = len(rows)
     if n not in TABLE_STEP_STATES:
@@ -378,16 +380,21 @@ def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
             return out
 
         return step
-    chunks = [(shift, [None] * (1 << min(8, n - shift))) for shift in range(0, n, 8)]
+    chunks = []
+    for shift in range(0, n, 8):
+        table = [0] * (1 << min(8, n - shift))
+        for byte in range(1, len(table)):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] | rows[shift + low.bit_length() - 1]
+        chunks.append((shift, table))
+    if len(chunks) == 2:
+        lo, hi = chunks[0][1], chunks[1][1]
+        return lambda mask: lo[mask & 255] | hi[mask >> 8]
 
     def step(mask: int) -> int:
         out = 0
         for shift, table in chunks:
-            byte = mask >> shift & 255
-            row = table[byte]
-            if row is None:
-                row = table[byte] = union(rows, byte << shift)
-            out |= row
+            out |= table[mask >> shift & 255]
         return out
 
     return step
@@ -413,8 +420,8 @@ class RowTable:
     the secret-avoiding reach of {x} for nonsecret x (the tagged automaton's
     N-to-N edges) and 0 for secret x.  Both steps distribute over union, so
     the step of a set is the OR of its members' rows.  ``reach_steps[e]``
-    and ``avoid_steps[e]`` take that step (:func:`set_step`); their byte
-    tables, if any, fill as masks arrive.  ``support[e]`` holds the states
+    and ``avoid_steps[e]`` take that step (:func:`set_step`), through byte
+    tables for models of 9 to 64 states.  ``support[e]`` holds the states
     whose reach row under e is nonempty (avoid rows are nonempty only there
     too); the bit loop of the steps that take no tables and
     :func:`~opaq.projection.sipa_state_count` read it, to skip the members

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .core import Nfa, model_to_dict, row_table
@@ -32,23 +33,14 @@ from .oracle import (
     replay_strong_violation,
     replay_weak_violation,
 )
-from .projection import build_sipa
+from .projection import sipa_size
 from .strong import (
-    _strong_child,
     build_verifier,
     check_verifier_observer_language_equality,
     verify_infinite_step_strong,
     verify_k_step_strong,
 )
-from .weak import (
-    Child,
-    Verdict,
-    _explore,
-    verify_infinite_step_weak,
-    verify_k_step_weak,
-)
-
-PROPERTIES = ("cs", "k-weak", "k-strong", "inf-weak", "inf-strong")
+from .weak import Steps, Verdict, _explore, verify_infinite_step_weak, verify_k_step_weak
 
 
 @dataclass
@@ -165,15 +157,18 @@ def _node_counts(obs: Observer, top: int) -> list[list[int]]:
     return counts
 
 
-def _refill_depth(obs: Observer, child: Child, root: tuple[int, int, int], top: int) -> int:
+def _refill_depth(obs: Observer, steps: Steps, root: tuple[int, int], top: int) -> int:
     """Least depth of a tree edge from an empty x2 to a nonempty one (top + 1: none).
 
     BFS meets each pair at its least depth and a child depends only on its
-    parent pair, so a deduplicating walk's edges give that depth.
+    parent pair, so a deduplicating walk's edges give that depth: an edge
+    from node n ends one level below n's, whose number is n's position
+    among the level boundaries.
     """
     edges: list[tuple[int, int, int]] = []
-    nodes, _ = _explore(obs, [root], child, top, False, edges=edges)
-    return min((nodes[n][5] + 1 for n, _, m in edges if nodes[m][2] and not nodes[n][2]), default=top + 1)
+    walk, _ = _explore(obs, [root], steps, top, False, edges=edges)
+    x2 = walk.x2
+    return min((bisect_right(walk.levels, n) for n, _, m in edges if x2[m] and not x2[n]), default=top + 1)
 
 
 def _structural_checks(
@@ -181,16 +176,16 @@ def _structural_checks(
 ) -> None:
     # *infinite* is the model's inf-weak verdict, which the weak-bound check
     # compares with a separately bounded walk.
-    sipa = build_sipa(nfa)
+    sipa_states, sipa_transitions = sipa_size(nfa)
     ver = build_verifier(nfa, obs)
     n = len(nfa.states)
     n_eo = len(nfa.observable_events)
 
     if len(obs.masks) > 2**n:
         result.cap_failures.append(f"seed {seed}: observer exceeds 2^|X| states")
-    if len(sipa.states) > 2 * n:
+    if sipa_states > 2 * n:
         result.cap_failures.append(f"seed {seed}: tagged automaton exceeds 2|X| states")
-    if len(sipa.transitions) > 4 * n * n * n_eo:
+    if sipa_transitions > 4 * n * n * n_eo:
         result.cap_failures.append(f"seed {seed}: tagged automaton exceeds 4|X|^2|Eo| transitions")
     if len(ver.states) > 4**n:
         result.cap_failures.append(f"seed {seed}: verifier exceeds 4^|X| states")
@@ -208,9 +203,8 @@ def _structural_checks(
     for _ in range(top):
         caps.append(1 + n_eo * caps[-1])
     table = row_table(nfa)
-    child = _strong_child(table, obs)
-    roots = [(i, m, m & table.nonsecret) for i, m in enumerate(obs.masks) if m & table.secret]
-    refills = [(root[0], _refill_depth(obs, child, root, top)) for root in roots]
+    roots = [(i, m & table.nonsecret) for i, m in enumerate(obs.masks) if m & table.secret]
+    refills = [(root[0], _refill_depth(obs, table.avoid_steps, root, top)) for root in roots]
     for k in ks:
         for i, refill in refills:
             if counts[k][i] > caps[k]:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Nfa, StateSet, bits, dot_quote, row_table
+from .core import Nfa, RowTable, StateSet, bits, dot_quote, row_table
 
 TAG_N = "N"
 TAG_Y = "Y"
@@ -142,18 +142,8 @@ def build_sipa(nfa: Nfa, trimmed: bool = True) -> Sipa:
     )
 
 
-def sipa_state_count(nfa: Nfa) -> int:
-    """Number of states of the trimmed :func:`build_sipa`, counted without building it.
-
-    Every tagged state over a base reached by the projected automaton has
-    that base's outgoing edges (a secret base has only its Y tag), so the
-    reachable bases are the projected automaton's.  A reachable tagged state
-    is then an initial one or the target of an edge from a reachable base:
-    N-tagged along an avoid row, Y-tagged along the rest of the reach row.
-    Both rows are empty outside the event's support, so only the reached
-    bases that move under it are read.
-    """
-    table = row_table(nfa)
+def _sipa_tags(table: RowTable) -> tuple[int, int]:
+    # The bases of the trimmed SIPA's N-tagged and Y-tagged states, as masks.
     reached = frontier = table.initial
     while frontier:
         step = 0
@@ -167,7 +157,35 @@ def sipa_state_count(nfa: Nfa) -> int:
         for x in bits(reached & movers):
             tag_n |= avoid[x]
             tag_y |= rows[x] & ~avoid[x]
-    return tag_n.bit_count() + tag_y.bit_count()
+    return tag_n, tag_y
+
+
+def sipa_state_count(nfa: Nfa) -> int:
+    """Number of states of the trimmed :func:`build_sipa`, counted without building it.
+
+    Every tagged state over a base reached by the projected automaton has
+    that base's outgoing edges (a secret base has only its Y tag), so the
+    reachable bases are the projected automaton's.  A reachable tagged state
+    is then an initial one or the target of an edge from a reachable base:
+    N-tagged along an avoid row, Y-tagged along the rest of the reach row.
+    Both rows are empty outside the event's support, so only the reached
+    bases that move under it are read.
+    """
+    return sum(tags.bit_count() for tags in _sipa_tags(row_table(nfa)))
+
+
+def sipa_size(nfa: Nfa) -> tuple[int, int]:
+    """States and transitions of the trimmed :func:`build_sipa`, counted without building it.
+
+    A tagged state has one edge per member of its base's reach row, so the
+    transitions sum those members over the states :func:`sipa_state_count` counts.
+    """
+    table = row_table(nfa)
+    tags = _sipa_tags(table)
+    transitions = sum(
+        rows[x].bit_count() for rows, movers in zip(table.reach, table.support) for t in tags for x in bits(t & movers)
+    )
+    return sum(t.bit_count() for t in tags), transitions
 
 
 def projected_dot(pa: ProjectedAutomaton) -> str:

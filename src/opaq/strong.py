@@ -15,18 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Nfa, RowTable, StateSet, dot_quote, format_pair, row_table
-from .observer import Observer, build_observer
+from .core import Nfa, StateSet, dot_quote, format_pair, row_table
+from .observer import Observer
 from .projection import Sipa
-from .weak import (
-    Child,
-    StateTree,
-    Verdict,
-    _explore,
-    _grow_tree,
-    _tree_root,
-    _verdict,
-)
+from .weak import StateTree, Verdict, _grow_tree, _tree_root, _verdict, _walk
 
 
 class VerifierState(NamedTuple):
@@ -51,33 +43,22 @@ class VerifierAutomaton:
         )
 
 
-# Second components step through the model's avoid rows, which are the
-# tagged automaton's N-to-N edges, so no ``sipa`` argument below is read.
-# The three entry points keep the parameter because perfbench/tests call
-# them with a SIPA in that position.
+# Second components step through the model's avoid rows, the tagged
+# automaton's N-to-N edges, so no ``sipa`` argument below is read; the
+# parameter stays because perfbench/tests pass a SIPA in that position.
 
 
-def _strong_child(table: RowTable, obs: Observer) -> Child:
-    # x1 follows the observer; x2 takes the secret-avoiding step, kept
-    # inside the new estimate.
-    avoid, masks = table.avoid_steps, obs.masks
-    return lambda e, j, x1, x2: (masks[j], avoid[e](x2) & masks[j])
+def build_sst(
+    nfa: Nfa, obs: Observer, root_state: StateSet, k: int, max_states: int | None = None
+) -> StateTree:
+    """Materialize the depth-K secret-unvisited state tree for one root.
 
-
-def _sst_roots(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:
-    # Every reachable estimate anchors a window, secret-free ones too (see
-    # verify_k_step_strong): x1 is the full estimate, x2 its nonsecret part
-    # (secret visits before the window do not disqualify a state).
-    nonsecret = table.nonsecret
-    return [(i, m, m & nonsecret) for i, m in enumerate(obs.masks)]
-
-
-def build_sst(nfa: Nfa, obs: Observer, root_state: StateSet, k: int) -> StateTree:
-    """Materialize the depth-K secret-unvisited state tree for one root."""
+    More than *max_states* nodes raise ResourceLimitError.
+    """
     i = _tree_root(nfa, obs, root_state, k)
     table = row_table(nfa)
     m = obs.masks[i]
-    return _grow_tree(table, obs, (i, m, m & table.nonsecret), k, _strong_child(table, obs))
+    return _grow_tree(table, obs, (i, m, m & table.nonsecret), k, table.avoid_steps, max_states)
 
 
 def verify_k_step_strong(
@@ -100,29 +81,7 @@ def verify_k_step_strong(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if obs is None:
-        obs = build_observer(nfa)
-    table = row_table(nfa)
-    nodes, hit = _explore(
-        obs, _sst_roots(table, obs), _strong_child(table, obs), k, True,
-        max_states=max_states, search="k-step strong search",
-    )
-    return _verdict(table, obs, nodes, hit)
-
-
-def _run_verifier(nfa: Nfa, obs: Observer | None, stop_at_empty: bool, **options) -> tuple:
-    """(table, obs, nodes, hit) of the verifier walk; *options* go to :func:`_explore`.
-
-    The walk starts at the closed initial estimate, paired with the states
-    whose initial tag is N: the all-nonsecret closure of the nonsecret
-    initial states.
-    """
-    if obs is None:
-        obs = build_observer(nfa)
-    table = row_table(nfa)
-    root = [(0, obs.masks[0], table.clean & obs.masks[0])]
-    nodes, hit = _explore(obs, root, _strong_child(table, obs), None, stop_at_empty, **options)
-    return table, obs, nodes, hit
+    return _verdict(*_walk(nfa, obs, "sst", k, True, max_states=max_states, search="k-step strong search"))
 
 
 def build_verifier(
@@ -139,8 +98,8 @@ def build_verifier(
     the state numbering deterministic; each (state, event) is examined once.
     """
     edges: list[tuple[int, int, int]] = []
-    table, obs, nodes, _ = _run_verifier(nfa, obs, False, edges=edges, max_states=max_states)
-    states = [VerifierState(obs.states[i], table.state_set(x2)) for i, _, x2, *_ in nodes]
+    table, obs, walk, _ = _walk(nfa, obs, "verifier", None, False, edges=edges, max_states=max_states)
+    states = [VerifierState(obs.states[i], table.state_set(x2)) for i, x2 in zip(walk.estimate, walk.x2)]
     events = obs.events
     return VerifierAutomaton(
         states=tuple(states),
@@ -155,7 +114,7 @@ def verify_infinite_step_strong(nfa: Nfa, obs: Observer | None = None, sipa: Sip
 
     The witness is the observation reaching the offending verifier state.
     """
-    return _verdict(*_run_verifier(nfa, obs, True))
+    return _verdict(*_walk(nfa, obs, "verifier", None, True))
 
 
 def walk_verifier(nfa: Nfa, obs: Observer | None = None, max_states: int | None = None) -> tuple[Verdict, int]:
@@ -167,9 +126,9 @@ def walk_verifier(nfa: Nfa, obs: Observer | None = None, max_states: int | None 
     verdict and witness are the same.  More than *max_states* states raise
     ResourceLimitError.
     """
-    table, obs, nodes, _ = _run_verifier(nfa, obs, False, max_states=max_states)
-    hit = next((n for n, node in enumerate(nodes) if not node[2]), None)
-    return _verdict(table, obs, nodes, hit), len(nodes)
+    table, obs, walk, _ = _walk(nfa, obs, "verifier", None, False, max_states=max_states)
+    hit = walk.x2.index(0) if 0 in walk.x2 else None
+    return _verdict(table, obs, walk, hit), len(walk.x2)
 
 
 def check_verifier_observer_language_equality(

@@ -11,22 +11,25 @@ and BFS visits each pair at its shallowest depth, so reachability of an
 empty-``x2`` pair within the depth budget is decided exactly without
 materializing duplicate subtrees.
 
-The walk also drops dead pairs, those with ``x1`` a subset of ``x2``.  At
-every node ``x1 | x2`` is the node's estimate, and both steps are monotone,
-so every descendant of a dead pair is dead too; an empty ``x2`` would then
-force an empty estimate, which no observation reaches.  A dead pair and its
-subtree hold no violation, and every ancestor of a violation is live, so
-the live nodes keep their BFS discovery order and their parents: verdicts
-and witnesses are those of the full walk.  The rule is weak-only: an SST or
-verifier pair carries the full estimate as ``x1``, where ``x1`` within
-``x2`` says nothing of a later empty ``x2``.  Tree exports keep every node.
+The walk does not store ``x1``.  ``x1 | x2`` is always the node's
+estimate, and neither the step of ``x2`` nor the violation test (an empty
+``x2``) reads ``x1``, so a node is (estimate, ``x2``), as in SST and
+verifier walks, and pairs that differ only in ``x1`` share one subtree.
+The walk also drops dead pairs, those with ``x2 == estimate`` (``x1``
+within ``x2``).  Both steps are monotone, so every descendant of a dead
+pair is dead too; an empty ``x2`` would then force an empty estimate, which
+no observation reaches.  Every ancestor of a violation is live, so the live
+nodes keep their BFS discovery order and their parents: verdicts and
+witnesses are those of the full walk.  The rule is weak-only: an SST or
+verifier pair whose ``x2`` is its whole estimate can still lose every state
+to a secret later.  Tree exports keep every node, ``x1`` included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_quote, format_pair, row_table,
@@ -34,13 +37,24 @@ from .core import (
 from .observer import Observer, build_observer
 
 Pair = tuple[StateSet, StateSet]
+# A row table's ``reach_steps`` or ``avoid_steps``: one mask step per event.
+Steps = Sequence[Callable[[int], int]]
 
-# A pair-search node over the observer: (estimate position, x1 mask, x2
-# mask, parent node position or -1, event position from the parent, depth).
-Node = tuple[int, int, int, int, int, int]
-# Child pair of (x1, x2) on event position e into estimate position j, or
-# None for a child that no walk needs to visit.
-Child = Callable[[int, int, int, int], tuple[int, int] | None]
+
+class Walk(NamedTuple):
+    """A pair walk's nodes in discovery order, as parallel lists.
+
+    Node n is (observer position ``estimate[n]``, mask ``x2[n]``), found from
+    node ``parent[n]`` on event position ``event[n]`` (both -1 at a root).
+    Depth d holds the positions from ``levels[d]`` to ``levels[d + 1]`` (or
+    to the end).
+    """
+
+    estimate: list[int]
+    x2: list[int]
+    parent: list[int]
+    event: list[int]
+    levels: list[int]
 
 
 @dataclass(frozen=True)
@@ -72,15 +86,13 @@ class Verdict:
 
 def verdict_to_dict(property_name: str, k: int | None, verdict: Verdict) -> dict:
     """Serialize a verdict as {property, k, opaque, witness{prefix, continuation}}."""
-    out: dict = {"property": property_name, "k": k, "opaque": verdict.opaque}
-    if verdict.witness is None:
-        out["witness"] = None
-    else:
-        out["witness"] = {
-            "prefix": list(verdict.witness.prefix),
-            "continuation": list(verdict.witness.continuation),
-        }
-    return out
+    w = verdict.witness
+    return {
+        "property": property_name,
+        "k": k,
+        "opaque": verdict.opaque,
+        "witness": None if w is None else {"prefix": list(w.prefix), "continuation": list(w.continuation)},
+    }
 
 
 @dataclass(eq=False)
@@ -104,52 +116,36 @@ class StateTree:
         return len(self.nodes)
 
 
-def _weak_roots(table: RowTable, obs: Observer) -> list[tuple[int, int, int]]:
-    # Each secret-intersecting estimate, split into its secret part (x1)
-    # and its nonsecret part (x2); x1 is nonempty and disjoint from x2, so
-    # every root is live.
-    secret, nonsecret = table.secret, table.nonsecret
-    return [(i, m & secret, m & nonsecret) for i, m in enumerate(obs.masks) if m & secret]
-
-
-def _weak_child(table: RowTable, live_only: bool = False) -> Child:
-    # Both parts follow the observation.  With *live_only* a dead child
-    # (x1 within x2, see the module docstring) comes back as None.
-    reach = table.reach_steps
-
-    def child(e: int, j: int, x1: int, x2: int) -> tuple[int, int] | None:
-        step = reach[e]
-        c1, c2 = step(x1), step(x2)
-        if live_only and not c1 & ~c2:
-            return None
-        return c1, c2
-
-    return child
-
-
 def _grow_tree(
     table: RowTable,
     obs: Observer,
     root: tuple[int, int, int],
     k: int,
-    child: Child,
+    steps: Steps,
+    max_states: int | None = None,
 ) -> StateTree:
     # Duplicate pairs within one tree are deliberately not merged; the node
     # count stays within the structural cap 1+|Eo|+...+|Eo|^K.  Each mask
     # is named once per tree; nodes share the immutable StateSet tuples.
+    # x1 follows the observation, x2 takes *steps* inside the new estimate.
     name = cache(table.state_set)
+    reach, masks = table.reach_steps, obs.masks
     i, x1, x2 = root
     root_node = TreeNode(name(x1), name(x2), 0)
     nodes = [root_node]
     edges = []
     frontier = [(root_node, i, x1, x2)]
     for depth in range(1, k + 1):
+        if not frontier:
+            break
         nxt = []
         for node, i, x1, x2 in frontier:
             for e, j in obs.moves[i]:
-                c1, c2 = child(e, j, x1, x2)
+                c1, c2 = reach[e](x1), steps[e](x2) & masks[j]
                 new = TreeNode(name(c1), name(c2), depth)
                 nodes.append(new)
+                if max_states is not None and len(nodes) > max_states:
+                    raise ResourceLimitError(f"state tree exceeded {max_states} nodes")
                 edges.append((node, obs.events[e], new))
                 nxt.append((new, j, c1, c2))
         frontier = nxt
@@ -168,12 +164,17 @@ def _tree_root(nfa: Nfa, obs: Observer, root_state: StateSet, k: int) -> int:
     return i
 
 
-def build_weak_state_tree(nfa: Nfa, obs: Observer, root_state: StateSet, k: int) -> StateTree:
-    """Materialize the depth-K tree rooted at a secret-intersecting estimate."""
+def build_weak_state_tree(
+    nfa: Nfa, obs: Observer, root_state: StateSet, k: int, max_states: int | None = None
+) -> StateTree:
+    """Materialize the depth-K tree rooted at a secret-intersecting estimate.
+
+    More than *max_states* nodes raise ResourceLimitError.
+    """
     i = _tree_root(nfa, obs, root_state, k)
     table = row_table(nfa)
     m = obs.masks[i]
-    return _grow_tree(table, obs, (i, m & table.secret, m & table.nonsecret), k, _weak_child(table))
+    return _grow_tree(table, obs, (i, m & table.secret, m & table.nonsecret), k, table.reach_steps, max_states)
 
 
 def secret_intersecting_roots(nfa: Nfa, obs: Observer) -> tuple[StateSet, ...]:
@@ -208,101 +209,119 @@ def tree_node_count(nfa: Nfa, obs: Observer, k: int) -> int:
 
 def _explore(
     obs: Observer,
-    roots: list[tuple[int, int, int]],
-    child: Child,
+    roots: list[tuple[int, int]],
+    steps: Steps,
     k: int | None,
     stop_at_empty: bool,
     *,
+    weak: bool = False,
     edges: list[tuple[int, int, int]] | None = None,
     max_states: int | None = None,
     search: str = "verifier",
-) -> tuple[list[Node], int | None]:
-    """Multi-source BFS over (estimate, x1, x2) nodes with a global visited set.
+) -> tuple[Walk, int | None]:
+    """Multi-source BFS over (estimate, x2) nodes with a global visited set.
 
-    This one walk is behind every verdict and the verifier.  Roots seed the
-    queue in observer construction order and events expand in declaration
-    order; the discovery list is the FIFO queue.  A child pair depends only
-    on its parent pair and the event, and BFS meets each pair at its
-    shallowest depth, so reachability of an empty-``x2`` node within depth
-    *k* (None: unbounded) is decided exactly.
+    This one walk is behind every verdict, the verifier and the batch's
+    refill check.  *roots* (estimate position, x2) seed the queue in order;
+    events expand in declaration order.  On move (e, j) a node's child is
+    (j, ``steps[e](x2) & masks[j]``), keyed by the int ``x2 << w | j``.  BFS
+    meets each node at its shallowest depth, so reachability of an
+    empty-``x2`` node within depth *k* (None: unbounded) is decided exactly.
 
     With *stop_at_empty* the walk returns the position of the first node
     whose ``x2`` is empty, which gives the shortest (then lexicographically
     least by construction) witness.  Otherwise it runs to exhaustion,
     appending every (node, event position, node) edge to *edges* when
     given.  More than *max_states* nodes raise ResourceLimitError, whose
-    message names the *search*.
-
-    A child that *child* returns as None is neither queued nor recorded and
-    does not count against *max_states*.  Only the weak searches' step does
-    so, for dead pairs (x1 within x2), whose subtrees hold no empty ``x2``;
-    every ancestor of a live node is live, so the live nodes, their order,
-    their parents and the first empty-``x2`` node are those of the full
-    walk.  The SST and verifier steps return every child.
+    message names the *search*.  With *weak*, dead children (``x2`` equal
+    to the estimate, see the module docstring) are neither queued, recorded
+    nor counted.
     """
-    nodes: list[Node] = []
-    seen: dict[tuple[int, int, int], int] = {}
-    for root in roots:
-        if root not in seen:
-            seen[root] = len(nodes)
-            nodes.append((*root, -1, -1, 0))
-            if stop_at_empty and not root[2]:
-                return nodes, len(nodes) - 1
-            if max_states is not None and len(nodes) > max_states:
-                raise ResourceLimitError(f"{search} exceeded {max_states} states")
-    moves = obs.moves
-    # nodes grows while the loop walks it: the walk is the queue.
-    for n, (i, x1, x2, _, _, depth) in enumerate(nodes):
-        if k is not None and depth >= k:
-            continue
-        for e, j in moves[i]:
-            pair = child(e, j, x1, x2)
-            if pair is None:
-                continue
-            c1, c2 = pair
-            key = (j, c1, c2)
-            m = seen.get(key)
-            if m is None:
-                m = seen[key] = len(nodes)
-                nodes.append((j, c1, c2, n, e, depth + 1))
-                if stop_at_empty and not c2:
-                    return nodes, m
-                if max_states is not None and len(nodes) > max_states:
-                    raise ResourceLimitError(f"{search} exceeded {max_states} states")
-            if edges is not None:
-                edges.append((n, e, m))
-    return nodes, None
+    masks, moves = obs.masks, obs.moves
+    w = len(masks).bit_length()
+    walk = Walk([], [], [], [], [0])
+    estimate, x2s, parent, event, levels = walk
+    limit = float("inf") if max_states is None else max_states
+    seen: dict[int, int] = {}
+    for j, x2 in roots:
+        seen[x2 << w | j] = len(x2s)
+        estimate.append(j)
+        x2s.append(x2)
+        parent.append(-1)
+        event.append(-1)
+        if stop_at_empty and not x2:
+            return walk, len(x2s) - 1
+        if len(x2s) > limit:
+            raise ResourceLimitError(f"{search} exceeded {max_states} states")
+    start = 0
+    # Each pass expands one level and appends the next behind it.
+    while start < len(x2s) and (k is None or len(levels) <= k):
+        end = len(x2s)
+        levels.append(end)
+        for n in range(start, end):
+            x2 = x2s[n]
+            for e, j in moves[estimate[n]]:
+                c2 = steps[e](x2) & masks[j]
+                if weak and c2 == masks[j]:
+                    continue
+                key = c2 << w | j
+                m = seen.get(key)
+                if m is None:
+                    m = seen[key] = len(x2s)
+                    estimate.append(j)
+                    x2s.append(c2)
+                    parent.append(n)
+                    event.append(e)
+                    if stop_at_empty and not c2:
+                        return walk, m
+                    if m >= limit:
+                        raise ResourceLimitError(f"{search} exceeded {max_states} states")
+                if edges is not None:
+                    edges.append((n, e, m))
+        start = end
+    return walk, None
 
 
-def _verdict(table: RowTable, obs: Observer, nodes: list[Node], hit: int | None) -> Verdict:
+def _verdict(table: RowTable, obs: Observer, walk: Walk, hit: int | None) -> Verdict:
     """Verdict of a stopped walk; the witness follows *hit*'s parents, then the observer's."""
     if hit is None:
         return Verdict(True)
     continuation = []
     n = hit
-    while nodes[n][3] >= 0:
-        continuation.append(obs.events[nodes[n][4]])
-        n = nodes[n][3]
+    while walk.parent[n] >= 0:
+        continuation.append(obs.events[walk.event[n]])
+        n = walk.parent[n]
     prefix = []
-    j = nodes[n][0]
+    j = walk.estimate[n]
     while j:
         i = obs.parents[j]
         prefix.append(obs.events[next(e for e, t in obs.moves[i] if t == j)])
         j = i
-    _, x1, x2 = nodes[hit][:3]
-    node = (table.state_set(x1), table.state_set(x2))
+    node = (table.state_set(obs.masks[walk.estimate[hit]]), table.state_set(walk.x2[hit]))
     return Verdict(False, Witness(tuple(reversed(prefix)), tuple(reversed(continuation)), node))
 
 
-def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None = None, search: str = "") -> Verdict:
+def _walk(nfa: Nfa, obs: Observer | None, family: str, k: int | None, stop_at_empty: bool, **options) -> tuple:
+    """(table, obs, walk, hit) of a ``weak``, ``sst`` or ``verifier`` walk; *options* go to :func:`_explore`.
+
+    Weak walks step through the reach rows from each secret-intersecting
+    estimate paired with its nonsecret part (a live root).  SST walks step
+    through the avoid rows from every estimate so paired (see
+    :func:`~opaq.strong.verify_k_step_strong`); the verifier from the closed
+    initial estimate paired with its N-tagged states, the all-nonsecret
+    closure of the nonsecret initial states.
+    """
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
-    nodes, hit = _explore(
-        obs, _weak_roots(table, obs), _weak_child(table, live_only=True), k, True,
-        max_states=max_states, search=search,
-    )
-    return _verdict(table, obs, nodes, hit)
+    if family == "verifier":
+        roots = [(0, table.clean & obs.masks[0])]
+    else:
+        roots = [(i, m & table.nonsecret) for i, m in enumerate(obs.masks) if family == "sst" or m & table.secret]
+    weak = family == "weak"
+    steps = table.reach_steps if weak else table.avoid_steps
+    walk, hit = _explore(obs, roots, steps, k, stop_at_empty, weak=weak, **options)
+    return table, obs, walk, hit
 
 
 def verify_k_step_weak(
@@ -315,7 +334,7 @@ def verify_k_step_weak(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _weak_search(nfa, obs, k, max_states, "k-step weak search")
+    return _verdict(*_walk(nfa, obs, "weak", k, True, max_states=max_states, search="k-step weak search"))
 
 
 def verify_current_state_opacity(nfa: Nfa, obs: Observer | None = None) -> Verdict:
@@ -325,7 +344,7 @@ def verify_current_state_opacity(nfa: Nfa, obs: Observer | None = None) -> Verdi
     estimate has no nonsecret state.  Its nodes are the roots alone, one per
     estimate, so the observer's state cap already bounds it.
     """
-    return _weak_search(nfa, obs, 0)
+    return _verdict(*_walk(nfa, obs, "weak", 0, True))
 
 
 def verify_infinite_step_weak(
@@ -336,7 +355,7 @@ def verify_infinite_step_weak(
     Pairs number at most 4^|X|, so the search terminates without an explicit
     depth bound; opaque iff no reachable pair has an empty second component.
     """
-    return _weak_search(nfa, obs, None, max_states, "infinite-step weak search")
+    return _verdict(*_walk(nfa, obs, "weak", None, True, max_states=max_states, search="infinite-step weak search"))
 
 
 def tree_dot(tree: StateTree, name: str = "state_tree") -> str:

@@ -194,6 +194,29 @@ def test_a_model_past_the_table_steps_verifies_like_g2(tmp_path, capsys, prop):
     assert code == (0 if json.loads(out)["opaque"] else 1)
 
 
+@pytest.mark.parametrize("structure", ["weak-tree", "sst"])
+def test_state_cap_bounds_tree_exports(tmp_path, capsys, structure):
+    # g2's trees from {1,4,7} are chains of K + 1 nodes: K = 3 fits a cap of
+    # 4 and K = 4 does not.  A tree at K = 10^9 stops at the cap too.
+    tree = ("export", "--structure", structure, "--root", "1,4,7", "--state-cap", "4")
+    assert run(capsys, *tree, "--k", "3", G2)[0] == 0
+    for k in ("4", str(10**9)):
+        code, out, err = run(capsys, *tree, "--k", k, G2)
+        assert (code, out) == (3, "")
+        assert err == "error: state tree exceeded 4 nodes\n"
+    # A tree that ends before K stops growing there, whatever K is.
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "states": ["s", "t"],
+        "events": [{"name": "x", "observable": True}],
+        "initial": ["s"],
+        "secret": ["s"],
+        "transitions": [["s", "x", "t"]],
+    }), encoding="utf-8")
+    code, out, _ = run(capsys, "export", "--structure", structure, "--root", "s", "--k", str(10**9), str(path))
+    assert code == 0 and out.count("shape=box") == 2
+
+
 def test_export_verifier_contains_empty_pair_node(capsys):
     code, out, _ = run(capsys, "export", "--structure", "verifier", G2)
     assert code == 0

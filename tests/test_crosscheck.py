@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opaq.crosscheck as crosscheck
+import opaq.projection
 import opaq.strong
 import opaq.weak
 from opaq import (
@@ -31,7 +32,6 @@ from opaq import (
 )
 from opaq.core import row_table
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
-from opaq.strong import _strong_child
 from opaq.weak import StateTree, TreeNode, Verdict, Witness, _grow_tree, secret_intersecting_roots
 
 from test_reach import small_models
@@ -139,16 +139,10 @@ def test_structural_checks_equal_the_checks_on_built_trees(nfa):
     assert tree_failures(nfa, 5, KS, obs) == expected
 
 
-def leaky(table, obs):
-    # A step function whose empty x2 refills with the target's nonsecret
-    # part, so emptiness is not absorbing.
-    strong = _strong_child(table, obs)
-
-    def child(e, j, x1, x2):
-        c1, c2 = strong(e, j, x1, x2)
-        return c1, c2 if x2 else obs.masks[j] & table.nonsecret
-
-    return child
+def leaky(table):
+    # A step table whose empty x2 refills with the target's nonsecret part
+    # (the walk masks it by the estimate), so emptiness is not absorbing.
+    return [lambda x2, step=step: step(x2) if x2 else table.nonsecret for step in table.avoid_steps]
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,10 +157,23 @@ def test_counts_and_refill_equal_the_built_trees(nfa, k):
         assert counts[k][i] == build_weak_state_tree(nfa, obs, root, k).node_count
         assert counts[k][i] == build_sst(nfa, obs, root, k).node_count
         m = obs.masks[i]
-        start = (i, m, m & table.nonsecret)
-        for child in (_strong_child(table, obs), leaky(table, obs)):
-            tree = _grow_tree(table, obs, start, k, child)
-            assert crosscheck._refill_depth(obs, child, start, k) == refill_of(tree, k)
+        for steps in (table.avoid_steps, leaky(table)):
+            tree = _grow_tree(table, obs, (i, m, m & table.nonsecret), k, steps)
+            assert crosscheck._refill_depth(obs, steps, (i, m & table.nonsecret), k) == refill_of(tree, k)
+
+
+def test_a_leaky_step_table_refills_an_empty_x2(g2):
+    # From {1,4,7}, ``b c`` empties x2 at depth 2; the leaky table refills
+    # it on the ``d`` at depth 3, which the SST steps never do.
+    obs = build_observer(g2)
+    table = row_table(g2)
+    i = obs.index[("1", "4", "7")]
+    m = obs.masks[i]
+    root = (i, m & table.nonsecret)
+    assert crosscheck._refill_depth(obs, table.avoid_steps, root, 3) == 4
+    assert crosscheck._refill_depth(obs, leaky(table), root, 3) == 3
+    tree = _grow_tree(table, obs, (i, m, m & table.nonsecret), 3, leaky(table))
+    assert refill_of(tree, 3) == 3
 
 
 def shape(tree, k):
@@ -233,7 +240,7 @@ def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, r
     )
     monkeypatch.setattr(
         crosscheck, "_refill_depth",
-        lambda obs, child, root, top: refill_of(broom((), top, sst_fan, refill), top),
+        lambda obs, steps, root, top: refill_of(broom((), top, sst_fan, refill), top),
     )
     obs = build_observer(g2)
     roots = secret_intersecting_roots(g2, obs)
@@ -275,6 +282,17 @@ def test_the_batch_builds_no_tree(monkeypatch):
         for nfa in (random_nfa(model_config(7, i, 8)) for i in range(100))
     )
     assert roots > 0
+
+
+def test_the_batch_builds_no_sipa(monkeypatch):
+    # The size caps read the tagged automaton's counts off the row table.
+    def refuse(*args, **kwargs):
+        raise AssertionError("crosscheck built a SIPA")
+
+    monkeypatch.setattr(opaq.projection, "build_sipa", refuse)
+    result = run_crosscheck(models=100, max_states=8, ks=KS, seed=7)
+    assert result.ok
+    assert len(result.rows) == 100 * 11
 
 
 def test_the_batch_walks_inf_weak_once_per_model(monkeypatch):

@@ -13,7 +13,7 @@ from opaq import (
     validate_model,
 )
 from opaq.core import Nfa
-from opaq.projection import TAG_N, TAG_Y
+from opaq.projection import TAG_N, TAG_Y, sipa_size
 
 from test_reach import small_models
 
@@ -108,6 +108,13 @@ def test_sipa_size_caps(nfa):
     n = len(nfa.states)
     assert len(sipa.states) <= 2 * n
     assert len(sipa.transitions) <= 4 * n * n * len(nfa.observable_events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa=small_models(max_states=8))
+def test_sipa_size_counts_the_built_automaton(nfa):
+    sipa = build_sipa(nfa)
+    assert sipa_size(nfa) == (len(sipa.states), len(sipa.transitions))
 
 
 @settings(max_examples=120, deadline=None)

@@ -164,10 +164,13 @@ def test_set_step_equals_union(data, n):
     rows = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, full)), min_size=n, max_size=n))
     support = sum(1 << i for i, row in enumerate(rows) if row)
     step = set_step(rows, support)
-    # Each mask twice: once filling table entries, once reading them back.
-    masks = [0, full] + data.draw(st.lists(st.integers(0, full), max_size=8))
-    for mask in masks + masks:
-        assert step(mask) == union(rows, mask)
+    # Empty and full masks, and masks within the top chunk (the high lookup
+    # of a 9-16-row step).
+    top = full & ~(2 ** (n - 1 & ~7) - 1)
+    masks = [0, full, top, 1 << n - 1] + data.draw(st.lists(st.integers(0, full), max_size=8))
+    masks += [data.draw(st.integers(0, full)) & top for _ in range(3)]
+    for mask in masks:
+        assert step(mask) == union(rows, mask & support)
 
 
 def test_table_steps_serve_9_to_64_states():

@@ -25,7 +25,7 @@ from opaq import (
 )
 from opaq.core import TABLE_STEP_STATES, row_table, union
 from opaq.oracle import MaskEngine
-from opaq.projection import TAG_N
+from opaq.projection import TAG_N, sipa_size
 
 from conftest import wide_chain_dict
 from test_reach import small_models, subset_of_states
@@ -323,14 +323,18 @@ def assert_rows_match_the_set_based_steps(nfa, sources):
 @given(nfa=silent_heavy_models())
 def test_rows_through_silent_runs_equal_the_set_based_steps(nfa):
     assert_rows_match_the_set_based_steps(nfa, nfa.states)
-    assert sipa_state_count(nfa) == len(build_sipa(nfa).states)
+    sipa = build_sipa(nfa)
+    assert sipa_state_count(nfa) == len(sipa.states)
+    assert sipa_size(nfa) == (len(sipa.states), len(sipa.transitions))
 
 
 def test_wide_chain_rows_equal_the_set_based_steps():
     nfa = validate_model(wide_chain_dict())
     assert len(nfa.states) > TABLE_STEP_STATES[-1]
     assert_rows_match_the_set_based_steps(nfa, nfa.states)
-    assert sipa_state_count(nfa) == len(build_sipa(nfa).states)
+    sipa = build_sipa(nfa)
+    assert sipa_state_count(nfa) == len(sipa.states)
+    assert sipa_size(nfa) == (len(sipa.states), len(sipa.transitions))
 
 
 @settings(max_examples=100, deadline=None)

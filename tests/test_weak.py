@@ -25,7 +25,7 @@ from opaq import (
     verify_k_step_weak,
 )
 from opaq.core import InvariantError, ResourceLimitError, row_table, union
-from opaq.weak import Verdict, Witness, _verdict
+from opaq.weak import Verdict, Witness
 
 from test_reach import small_models
 
@@ -313,7 +313,20 @@ def reference_walk(nfa, obs, family, k):
 
 
 def reference(nfa, obs, family, k):
-    return _verdict(row_table(nfa), obs, *reference_walk(nfa, obs, family, k))
+    """The unpruned walk's verdict: its continuation follows its own parents
+    back to a root, whose prefix is the root's BFS access string."""
+    nodes, hit = reference_walk(nfa, obs, family, k)
+    if hit is None:
+        return Verdict(True)
+    continuation = []
+    n = hit
+    while nodes[n][3] >= 0:
+        continuation.append(obs.events[nodes[n][4]])
+        n = nodes[n][3]
+    prefix = bfs_access_strings(obs)[obs.states[nodes[n][0]]]
+    _, x1, x2 = nodes[hit][:3]
+    state_set = row_table(nfa).state_set
+    return Verdict(False, Witness(prefix, tuple(reversed(continuation)), (state_set(x1), state_set(x2))))
 
 
 def merging():
@@ -369,9 +382,9 @@ def walked_pairs(search):
     explore = opaq.weak._explore
 
     def counted(*args, **kwargs):
-        nodes, hit = explore(*args, **kwargs)
-        counts.append(len(nodes))
-        return nodes, hit
+        walk, hit = explore(*args, **kwargs)
+        counts.append(len(walk.x2))
+        return walk, hit
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(opaq.weak, "_explore", counted)
