@@ -360,12 +360,12 @@ def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
 
     *support* holds the members whose row is nonempty.  For a row count in
     :data:`TABLE_STEP_STATES`, each byte of the mask indexes a table of its
-    own whose entry is the OR of the rows of that byte's bits.  The tables
-    are filled up front, each entry from the one without its lowest bit, so
-    a model of 9 to 16 states steps in two lookups and a wider one in one
-    lookup per byte.  A chunk's table has one slot per value of its bits:
-    2^min(8, n - 8c) for chunk c of n rows.  Other models loop over the set
-    bits of ``mask & support``.
+    own whose entry is the OR of the rows of that byte's bits.  With 9 to 16
+    rows both tables are filled up front, each entry from the one without
+    its lowest bit, and a mask steps in two lookups.  With 17 to 64 rows a
+    table entry is filled on first use.  A chunk's table has one slot per
+    value of its bits: 2^min(8, n - 8c) for chunk c of n rows.  Other models
+    loop over the set bits of ``mask & support``.
     """
     n = len(rows)
     if n not in TABLE_STEP_STATES:
@@ -380,21 +380,23 @@ def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
             return out
 
         return step
-    chunks = []
-    for shift in range(0, n, 8):
-        table = [0] * (1 << min(8, n - shift))
-        for byte in range(1, len(table)):
-            low = byte & -byte
-            table[byte] = table[byte ^ low] | rows[shift + low.bit_length() - 1]
-        chunks.append((shift, table))
-    if len(chunks) == 2:
-        lo, hi = chunks[0][1], chunks[1][1]
+    if n <= 16:
+        lo, hi = [0] * 256, [0] * (1 << n - 8)
+        for shift, table in ((0, lo), (8, hi)):
+            for byte in range(1, len(table)):
+                low = byte & -byte
+                table[byte] = table[byte ^ low] | rows[shift + low.bit_length() - 1]
         return lambda mask: lo[mask & 255] | hi[mask >> 8]
+    chunks = [(shift, [None] * (1 << min(8, n - shift))) for shift in range(0, n, 8)]
 
     def step(mask: int) -> int:
         out = 0
         for shift, table in chunks:
-            out |= table[mask >> shift & 255]
+            byte = mask >> shift & 255
+            row = table[byte]
+            if row is None:
+                row = table[byte] = union(rows, byte << shift)
+            out |= row
         return out
 
     return step

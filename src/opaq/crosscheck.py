@@ -40,7 +40,14 @@ from .strong import (
     verify_infinite_step_strong,
     verify_k_step_strong,
 )
-from .weak import Steps, Verdict, _explore, verify_infinite_step_weak, verify_k_step_weak
+from .weak import (
+    Steps,
+    Verdict,
+    _explore,
+    _secret_roots,
+    verify_infinite_step_weak,
+    verify_k_step_weak,
+)
 
 
 @dataclass
@@ -203,8 +210,7 @@ def _structural_checks(
     for _ in range(top):
         caps.append(1 + n_eo * caps[-1])
     table = row_table(nfa)
-    roots = [(i, m & table.nonsecret) for i, m in enumerate(obs.masks) if m & table.secret]
-    refills = [(root[0], _refill_depth(obs, table.avoid_steps, root, top)) for root in roots]
+    refills = [(root[0], _refill_depth(obs, table.avoid_steps, root, top)) for root in _secret_roots(table, obs)]
     for k in ks:
         for i, refill in refills:
             if counts[k][i] > caps[k]:

@@ -16,9 +16,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Nfa, StateSet, dot_quote, format_pair, row_table
-from .observer import Observer
+from .observer import Observer, build_observer
 from .projection import Sipa
-from .weak import StateTree, Verdict, _grow_tree, _tree_root, _verdict, _walk
+from .weak import (
+    StateTree,
+    Verdict,
+    _explore,
+    _grow_tree,
+    _tree_root,
+    _verdict,
+)
 
 
 class VerifierState(NamedTuple):
@@ -43,9 +50,10 @@ class VerifierAutomaton:
         )
 
 
-# Second components step through the model's avoid rows, the tagged
-# automaton's N-to-N edges, so no ``sipa`` argument below is read; the
-# parameter stays because perfbench/tests pass a SIPA in that position.
+# Second components step through the model's avoid rows, which are the
+# tagged automaton's N-to-N edges, so no ``sipa`` argument below is read.
+# The three entry points keep the parameter because perfbench/tests call
+# them with a SIPA in that position.
 
 
 def build_sst(
@@ -81,7 +89,33 @@ def verify_k_step_strong(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _verdict(*_walk(nfa, obs, "sst", k, True, max_states=max_states, search="k-step strong search"))
+    if obs is None:
+        obs = build_observer(nfa)
+    table = row_table(nfa)
+    # Every estimate anchors a window, secret-free ones too: x2 is its
+    # nonsecret part (secret visits before the window do not disqualify a
+    # state).
+    roots = [(i, m & table.nonsecret) for i, m in enumerate(obs.masks)]
+    walk, hit = _explore(
+        obs, roots, table.avoid_steps, k, True,
+        max_states=max_states, search="k-step strong search",
+    )
+    return _verdict(table, obs, walk, hit)
+
+
+def _run_verifier(nfa: Nfa, obs: Observer | None, stop_at_empty: bool, **options) -> tuple:
+    """(table, obs, walk, hit) of the verifier walk; *options* go to :func:`_explore`.
+
+    The walk starts at the closed initial estimate, paired with the states
+    whose initial tag is N: the all-nonsecret closure of the nonsecret
+    initial states.
+    """
+    if obs is None:
+        obs = build_observer(nfa)
+    table = row_table(nfa)
+    root = [(0, table.clean & obs.masks[0])]
+    walk, hit = _explore(obs, root, table.avoid_steps, None, stop_at_empty, **options)
+    return table, obs, walk, hit
 
 
 def build_verifier(
@@ -98,7 +132,7 @@ def build_verifier(
     the state numbering deterministic; each (state, event) is examined once.
     """
     edges: list[tuple[int, int, int]] = []
-    table, obs, walk, _ = _walk(nfa, obs, "verifier", None, False, edges=edges, max_states=max_states)
+    table, obs, walk, _ = _run_verifier(nfa, obs, False, edges=edges, max_states=max_states)
     states = [VerifierState(obs.states[i], table.state_set(x2)) for i, x2 in zip(walk.estimate, walk.x2)]
     events = obs.events
     return VerifierAutomaton(
@@ -114,7 +148,7 @@ def verify_infinite_step_strong(nfa: Nfa, obs: Observer | None = None, sipa: Sip
 
     The witness is the observation reaching the offending verifier state.
     """
-    return _verdict(*_walk(nfa, obs, "verifier", None, True))
+    return _verdict(*_run_verifier(nfa, obs, True))
 
 
 def walk_verifier(nfa: Nfa, obs: Observer | None = None, max_states: int | None = None) -> tuple[Verdict, int]:
@@ -126,7 +160,7 @@ def walk_verifier(nfa: Nfa, obs: Observer | None = None, max_states: int | None 
     verdict and witness are the same.  More than *max_states* states raise
     ResourceLimitError.
     """
-    table, obs, walk, _ = _walk(nfa, obs, "verifier", None, False, max_states=max_states)
+    table, obs, walk, _ = _run_verifier(nfa, obs, False, max_states=max_states)
     hit = walk.x2.index(0) if 0 in walk.x2 else None
     return _verdict(table, obs, walk, hit), len(walk.x2)
 

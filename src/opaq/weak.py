@@ -86,13 +86,15 @@ class Verdict:
 
 def verdict_to_dict(property_name: str, k: int | None, verdict: Verdict) -> dict:
     """Serialize a verdict as {property, k, opaque, witness{prefix, continuation}}."""
-    w = verdict.witness
-    return {
-        "property": property_name,
-        "k": k,
-        "opaque": verdict.opaque,
-        "witness": None if w is None else {"prefix": list(w.prefix), "continuation": list(w.continuation)},
-    }
+    out: dict = {"property": property_name, "k": k, "opaque": verdict.opaque}
+    if verdict.witness is None:
+        out["witness"] = None
+    else:
+        out["witness"] = {
+            "prefix": list(verdict.witness.prefix),
+            "continuation": list(verdict.witness.continuation),
+        }
+    return out
 
 
 @dataclass(eq=False)
@@ -301,27 +303,23 @@ def _verdict(table: RowTable, obs: Observer, walk: Walk, hit: int | None) -> Ver
     return Verdict(False, Witness(tuple(reversed(prefix)), tuple(reversed(continuation)), node))
 
 
-def _walk(nfa: Nfa, obs: Observer | None, family: str, k: int | None, stop_at_empty: bool, **options) -> tuple:
-    """(table, obs, walk, hit) of a ``weak``, ``sst`` or ``verifier`` walk; *options* go to :func:`_explore`.
+def _secret_roots(table: RowTable, obs: Observer) -> list[tuple[int, int]]:
+    # Each secret-intersecting estimate paired with its nonsecret part: the
+    # roots of the weak walks and of the batch's refill check.  The secret
+    # part is nonempty and outside x2, so every weak root is live.
+    secret, nonsecret = table.secret, table.nonsecret
+    return [(i, m & nonsecret) for i, m in enumerate(obs.masks) if m & secret]
 
-    Weak walks step through the reach rows from each secret-intersecting
-    estimate paired with its nonsecret part (a live root).  SST walks step
-    through the avoid rows from every estimate so paired (see
-    :func:`~opaq.strong.verify_k_step_strong`); the verifier from the closed
-    initial estimate paired with its N-tagged states, the all-nonsecret
-    closure of the nonsecret initial states.
-    """
+
+def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None = None, search: str = "") -> Verdict:
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
-    if family == "verifier":
-        roots = [(0, table.clean & obs.masks[0])]
-    else:
-        roots = [(i, m & table.nonsecret) for i, m in enumerate(obs.masks) if family == "sst" or m & table.secret]
-    weak = family == "weak"
-    steps = table.reach_steps if weak else table.avoid_steps
-    walk, hit = _explore(obs, roots, steps, k, stop_at_empty, weak=weak, **options)
-    return table, obs, walk, hit
+    walk, hit = _explore(
+        obs, _secret_roots(table, obs), table.reach_steps, k, True, weak=True,
+        max_states=max_states, search=search,
+    )
+    return _verdict(table, obs, walk, hit)
 
 
 def verify_k_step_weak(
@@ -334,7 +332,7 @@ def verify_k_step_weak(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _verdict(*_walk(nfa, obs, "weak", k, True, max_states=max_states, search="k-step weak search"))
+    return _weak_search(nfa, obs, k, max_states, "k-step weak search")
 
 
 def verify_current_state_opacity(nfa: Nfa, obs: Observer | None = None) -> Verdict:
@@ -344,7 +342,7 @@ def verify_current_state_opacity(nfa: Nfa, obs: Observer | None = None) -> Verdi
     estimate has no nonsecret state.  Its nodes are the roots alone, one per
     estimate, so the observer's state cap already bounds it.
     """
-    return _verdict(*_walk(nfa, obs, "weak", 0, True))
+    return _weak_search(nfa, obs, 0)
 
 
 def verify_infinite_step_weak(
@@ -355,7 +353,7 @@ def verify_infinite_step_weak(
     Pairs number at most 4^|X|, so the search terminates without an explicit
     depth bound; opaque iff no reachable pair has an empty second component.
     """
-    return _verdict(*_walk(nfa, obs, "weak", None, True, max_states=max_states, search="infinite-step weak search"))
+    return _weak_search(nfa, obs, None, max_states, "infinite-step weak search")
 
 
 def tree_dot(tree: StateTree, name: str = "state_tree") -> str:

@@ -165,11 +165,12 @@ def test_set_step_equals_union(data, n):
     support = sum(1 << i for i, row in enumerate(rows) if row)
     step = set_step(rows, support)
     # Empty and full masks, and masks within the top chunk (the high lookup
-    # of a 9-16-row step).
+    # of a 9-16-row step).  Each mask twice: a 17-64-row step fills table
+    # entries on the first pass and reads them back on the second.
     top = full & ~(2 ** (n - 1 & ~7) - 1)
     masks = [0, full, top, 1 << n - 1] + data.draw(st.lists(st.integers(0, full), max_size=8))
     masks += [data.draw(st.integers(0, full)) & top for _ in range(3)]
-    for mask in masks:
+    for mask in masks + masks:
         assert step(mask) == union(rows, mask & support)
 
 
