@@ -190,6 +190,7 @@ def _run_crosscheck(args) -> int:
         report_path=args.report,
         fixtures_dir=args.fixtures_dir,
         structural=not args.no_structural,
+        state_cap=DEFAULT_STATE_CAP,
     )
     checks = len(result.rows)
     bad = len(result.disagreements)

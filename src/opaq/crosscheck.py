@@ -2,6 +2,8 @@
 
 Each batch model is checked on all five properties; verdicts must agree,
 and one weak and one strong walk give every K's verdict (see _at_depth).
+The oracle's K-step searches run at the two K per family that decide
+agreement, and at every K only when they disagree there (see _oracle_at).
 Structural assertions (size caps, absorbing emptiness on trees, the
 verifier/observer projection, and the finite/infinite weak consistency
 bound) run on the same models, the tree checks without building a tree.
@@ -17,6 +19,7 @@ import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import Nfa, model_to_dict, row_table
 from .observer import Observer, build_observer
@@ -122,14 +125,53 @@ def _at_depth(verdict: Verdict, k: int) -> Verdict:
     return verdict if verdict.opaque or len(verdict.witness.continuation) <= k else Verdict(True)
 
 
+def _oracle_at(verdicts: dict[int, Verdict], search: Callable[[int], OracleVerdict]) -> dict[int, OracleVerdict]:
+    """The oracle's verdict at every K of *verdicts*, the construction's.
+
+    ``search(k)`` runs only at ``lo``, the largest K the construction finds
+    opaque, and ``hi``, the smallest it does not.  When both agree there,
+    the verdict at ``lo`` stands for every K <= lo and the one at ``hi`` for
+    every K >= hi.  This is exact because the oracle's K-step verdicts are
+    monotone in K (a violation within K is one within K + 1):
+
+    - Weak: a continuation of at most K events is also one of at most K + 1.
+    - Strong: let a violation's K-event window open at estimate a, past the
+      initial one.  Prefixed with the last event e of a's BFS access, it is
+      a violation whose (K+1)-event window opens at a's BFS parent b: since
+      ``avoid_reach(b & N, e)`` lies within ``reach(b, e) & N = a & N`` and
+      both steps are monotone, the longer window is empty wherever the
+      shorter one is, and the secret it continues is still carried.  A
+      window at the initial estimate may be shorter than K, so it also
+      counts at K + 1.
+
+    So agreement at ``lo`` and ``hi`` means agreement at every K.  The
+    other K reuse the probe's OracleVerdict; rows read only its ``opaque``
+    and ``exact``, and ``exact`` is true on every batch search, which passes
+    no OracleConfig (bound = depth + K).  When either probe disagrees, every
+    other K is asked too, so a failing batch's rows are those of a search
+    per K.
+    """
+    lo = max((k for k, v in verdicts.items() if v.opaque), default=None)
+    hi = min((k for k, v in verdicts.items() if not v.opaque), default=None)
+    probes = {k: search(k) for k in (lo, hi) if k is not None}
+    if all(probe.opaque == verdicts[k].opaque for k, probe in probes.items()):
+        return {k: probes[lo if v.opaque else hi] for k, v in verdicts.items()}
+    return {k: probes[k] if k in probes else search(k) for k in verdicts}
+
+
 def _agreement_rows(
-    nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer, weak: Verdict
+    nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer, weak: Verdict, state_cap: int | None
 ) -> list[dict]:
     # *weak* is the model's inf-weak verdict.  One oracle engine per model:
     # the model's oracle searches and witness replays share its memoized
-    # steps and estimate BFS.
+    # steps and estimate BFS.  The oracle's K-step searches are called
+    # through this module's names, which the benchmark's tracer rebinds.
     eng = MaskEngine(nfa)
     strong = verify_k_step_strong(nfa, max(ks), obs)
+    weak_at = {k: _at_depth(weak, k) for k in (0, *ks)}
+    strong_at = {k: _at_depth(strong, k) for k in ks}
+    weak_oracle = _oracle_at(weak_at, lambda k: oracle_k_step_weak(nfa, k, eng=eng, max_states=state_cap))
+    strong_oracle = _oracle_at(strong_at, lambda k: oracle_k_step_strong(nfa, k, eng=eng, max_states=state_cap))
     rows = []
 
     def row(prop: str, k: int | None, verify: Verdict, oracle: OracleVerdict) -> dict:
@@ -144,10 +186,10 @@ def _agreement_rows(
             "witness_replays": _witness_replays(nfa, prop, k, verify, eng),
         }
 
-    rows.append(row("cs", None, _at_depth(weak, 0), oracle_k_step_weak(nfa, 0, eng=eng)))
+    rows.append(row("cs", None, weak_at[0], weak_oracle[0]))
     for k in ks:
-        rows.append(row("k-weak", k, _at_depth(weak, k), oracle_k_step_weak(nfa, k, eng=eng)))
-        rows.append(row("k-strong", k, _at_depth(strong, k), oracle_k_step_strong(nfa, k, eng=eng)))
+        rows.append(row("k-weak", k, weak_at[k], weak_oracle[k]))
+        rows.append(row("k-strong", k, strong_at[k], strong_oracle[k]))
     rows.append(row("inf-weak", None, weak, oracle_infinite_step_weak(nfa, eng=eng)))
     rows.append(
         row("inf-strong", None, verify_infinite_step_strong(nfa, obs), oracle_infinite_step_strong(nfa, eng=eng))
@@ -219,13 +261,10 @@ def _structural_checks(
             if refill <= k:
                 result.absorbing_failures.append(f"seed {seed}: sst emptiness not absorbing at k={k}")
 
-    if n <= 4:
-        bound_k = 2**n - 2
-        finite = verify_k_step_weak(nfa, bound_k, obs)
-        if finite.opaque != infinite.opaque:
-            result.weak_bound_failures.append(
-                f"seed {seed}: weak verdict at k=2^|X|-2 disagrees with the infinite check"
-            )
+    if verify_k_step_weak(nfa, 2**n - 2, obs).opaque != infinite.opaque:
+        result.weak_bound_failures.append(
+            f"seed {seed}: weak verdict at k=2^|X|-2 disagrees with the infinite check"
+        )
 
 
 def run_crosscheck(
@@ -236,11 +275,14 @@ def run_crosscheck(
     report_path: str | None = None,
     fixtures_dir: str | None = None,
     structural: bool = True,
+    state_cap: int | None = None,
 ) -> BatchResult:
     """Run the seeded agreement batch; write a JSONL report when asked.
 
     One record per (seed, property, k) with both verdicts and an agreement
-    flag.  Records are emitted in seed order regardless of scheduling.
+    flag.  Records are emitted in seed order regardless of scheduling.  An
+    oracle K-step search that examines more than *state_cap* strings raises
+    ResourceLimitError (None: unbounded).
     """
     if not ks:
         raise ValueError("the K range is empty")
@@ -252,7 +294,7 @@ def run_crosscheck(
         result.models += 1
         obs = build_observer(nfa)
         weak = verify_infinite_step_weak(nfa, obs)
-        rows = _agreement_rows(nfa, cfg.seed, ks, obs, weak)
+        rows = _agreement_rows(nfa, cfg.seed, ks, obs, weak, state_cap)
         result.rows.extend(rows)
         for r in rows:
             if not r["agree"] or not r["witness_replays"]:

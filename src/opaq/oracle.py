@@ -20,6 +20,10 @@ A :class:`MaskEngine` caches, for its one model, the whole-set steps
 so the K-step and infinite-step searches and the replays accept an ``eng``
 built once per model (a fresh one when omitted).  The self-check always replays on a fresh engine, so a
 wrong cached step cannot confirm its own violation.
+
+The K-step searches enumerate up to |Eo|^K observation strings.  Given
+``max_states`` they count the strings they examine, over all anchors, and
+raise ResourceLimitError, naming the search, once the count passes it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import ModelError, Nfa, validate_model
+from .core import ModelError, Nfa, ResourceLimitError, validate_model
 
 
 @dataclass(frozen=True)
@@ -272,6 +276,10 @@ def replay_infinite_strong_violation(
     return bool(dirty) and not avoid
 
 
+def _limit(max_states: int | None) -> float:
+    return float("inf") if max_states is None else max_states
+
+
 def _checked(nfa: Nfa, verdict: OracleVerdict, kind: str, k: int | None) -> OracleVerdict:
     # Replays on a fresh engine, independent of the search's memo.
     if verdict.violation is not None:
@@ -292,7 +300,12 @@ def _checked(nfa: Nfa, verdict: OracleVerdict, kind: str, k: int | None) -> Orac
 
 
 def oracle_k_step_weak(
-    nfa: Nfa, k: int, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
+    nfa: Nfa,
+    k: int,
+    cfg: OracleConfig | None = None,
+    *,
+    eng: MaskEngine | None = None,
+    max_states: int | None = None,
 ) -> OracleVerdict:
     """Quantifier evaluation of the K-step weak definition.
 
@@ -300,7 +313,8 @@ def oracle_k_step_weak(
     continuation of at most K observable events; the violation condition is
     evaluated per split.  Grouping observations by the estimate at the split
     makes the search exact at bound D+K, where D is the largest shortest
-    access over reachable estimates.
+    access over reachable estimates.  Examining more than *max_states*
+    strings, over all splits, raises ResourceLimitError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -309,6 +323,7 @@ def oracle_k_step_weak(
     order, access, depth = eng.reach_bfs()
     bound = depth + k if cfg.max_len is None else cfg.max_len
     exact = bound >= depth + k
+    left = _limit(max_states)
     for a in order:
         if not a & eng.secret:
             continue
@@ -318,7 +333,9 @@ def oracle_k_step_weak(
             continue
         if budget < k:
             exact = False
-        hit = _weak_dfs(eng, a & eng.secret, a & eng.nonsecret, budget)
+        hit, left = _weak_dfs(eng, a & eng.secret, a & eng.nonsecret, budget, left)
+        if left < 0:
+            raise ResourceLimitError(f"oracle k-step weak search exceeded {max_states} strings")
         if hit is not None:
             w = access[a] + hit
             return _checked(
@@ -329,14 +346,21 @@ def oracle_k_step_weak(
     return OracleVerdict(True, None, None, bound, exact)
 
 
-def _weak_dfs(eng: MaskEngine, fs: int, fns: int, budget: int) -> tuple[str, ...] | None:
+def _weak_dfs(
+    eng: MaskEngine, fs: int, fns: int, budget: int, left: float
+) -> tuple[tuple[str, ...] | None, float]:
     # Preorder walk on an explicit stack (events in declaration order, first
     # hit wins), so a large K cannot exhaust the interpreter's recursion.
+    # Returns the hit and how many more strings the cap allows (below 0:
+    # the walk stopped at the cap).
     stack = [(fs, fns, ())]
     while stack:
         fs, fns, path = stack.pop()
+        left -= 1
+        if left < 0:
+            return None, left
         if fs and not fns:
-            return path
+            return path, left
         if len(path) == budget or not fs:
             continue
         children = []
@@ -345,14 +369,19 @@ def _weak_dfs(eng: MaskEngine, fs: int, fns: int, budget: int) -> tuple[str, ...
             if ns | nns:
                 children.append((ns, nns, path + (event,)))
         stack.extend(reversed(children))
-    return None
+    return None, left
 
 
 # -- K-step strong -----------------------------------------------------------
 
 
 def oracle_k_step_strong(
-    nfa: Nfa, k: int, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
+    nfa: Nfa,
+    k: int,
+    cfg: OracleConfig | None = None,
+    *,
+    eng: MaskEngine | None = None,
+    max_states: int | None = None,
 ) -> OracleVerdict:
     """Quantifier evaluation of the K-step strong definition.
 
@@ -361,6 +390,8 @@ def oracle_k_step_strong(
     anchor, intersects with the nonsecret states, then iterates the
     secret-avoiding reach; a violation needs a secret inside the window that
     continues to the end of the observation and an empty final set.
+    Examining more than *max_states* strings, over all anchors, raises
+    ResourceLimitError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -369,6 +400,7 @@ def oracle_k_step_strong(
     order, access, depth = eng.reach_bfs()
     bound = depth + k if cfg.max_len is None else cfg.max_len
     exact = bound >= depth + k
+    left = _limit(max_states)
     start = order[0]
     for a in order:
         at_initial = a == start
@@ -377,7 +409,9 @@ def oracle_k_step_strong(
             exact = False
         if budget < 0:
             continue
-        hit = _strong_dfs(eng, a, budget, k, check_short=at_initial)
+        hit, left = _strong_dfs(eng, a, budget, k, at_initial, left)
+        if left < 0:
+            raise ResourceLimitError(f"oracle k-step strong search exceeded {max_states} strings")
         if hit is not None:
             w = access[a] + hit
             return _checked(
@@ -389,18 +423,22 @@ def oracle_k_step_strong(
 
 
 def _strong_dfs(
-    eng: MaskEngine, anchor: int, budget: int, k: int, check_short: bool
-) -> tuple[str, ...] | None:
-    # Preorder walk from the window anchor on an explicit stack, as in
-    # _weak_dfs.  Nodes are (estimate, secret continuation, window, path).
+    eng: MaskEngine, anchor: int, budget: int, k: int, check_short: bool, left: float
+) -> tuple[tuple[str, ...] | None, float]:
+    # Preorder walk from the window anchor on an explicit stack, counted
+    # and returned as in _weak_dfs.  Nodes are (estimate, secret
+    # continuation, window, path).
     stack = [(anchor, anchor & eng.secret, anchor & eng.nonsecret, ())]
     while stack:
         estimate, sec_cont, window, path = stack.pop()
+        left -= 1
+        if left < 0:
+            return None, left
         depth = len(path)
         # Windows anchored at the initial estimate may be shorter than K; all
         # others are checked at full window length only.
         if (depth == k or (check_short and depth < k)) and sec_cont and not window:
-            return path
+            return path, left
         if depth >= budget:
             continue
         children = []
@@ -414,7 +452,7 @@ def _strong_dfs(
                     path + (event,),
                 ))
         stack.extend(reversed(children))
-    return None
+    return None, left
 
 
 # -- infinite-step weak -------------------------------------------------------

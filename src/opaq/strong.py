@@ -61,12 +61,13 @@ def build_sst(
 ) -> StateTree:
     """Materialize the depth-K secret-unvisited state tree for one root.
 
-    More than *max_states* nodes raise ResourceLimitError.
+    More than *max_states* nodes raise ResourceLimitError before anything
+    is built.
     """
-    i = _tree_root(nfa, obs, root_state, k)
+    i = _tree_root(nfa, obs, root_state, k, max_states)
     table = row_table(nfa)
     m = obs.masks[i]
-    return _grow_tree(table, obs, (i, m, m & table.nonsecret), k, table.avoid_steps, max_states)
+    return _grow_tree(table, obs, (i, m, m & table.nonsecret), k, table.avoid_steps)
 
 
 def verify_k_step_strong(

@@ -124,7 +124,6 @@ def _grow_tree(
     root: tuple[int, int, int],
     k: int,
     steps: Steps,
-    max_states: int | None = None,
 ) -> StateTree:
     # Duplicate pairs within one tree are deliberately not merged; the node
     # count stays within the structural cap 1+|Eo|+...+|Eo|^K.  Each mask
@@ -146,16 +145,18 @@ def _grow_tree(
                 c1, c2 = reach[e](x1), steps[e](x2) & masks[j]
                 new = TreeNode(name(c1), name(c2), depth)
                 nodes.append(new)
-                if max_states is not None and len(nodes) > max_states:
-                    raise ResourceLimitError(f"state tree exceeded {max_states} nodes")
                 edges.append((node, obs.events[e], new))
                 nxt.append((new, j, c1, c2))
         frontier = nxt
     return StateTree(obs.states[root[0]], root_node, tuple(nodes), tuple(edges))
 
 
-def _tree_root(nfa: Nfa, obs: Observer, root_state: StateSet, k: int) -> int:
-    """Position of a valid tree root in ``obs.states``; ValueError otherwise."""
+def _tree_root(nfa: Nfa, obs: Observer, root_state: StateSet, k: int, max_states: int | None) -> int:
+    """Position of a valid tree root in ``obs.states``; ValueError otherwise.
+
+    A depth-K tree of more than *max_states* nodes raises ResourceLimitError
+    before anything is built: ``_path_count`` counts its nodes.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     i = obs.index.get(root_state)
@@ -163,6 +164,11 @@ def _tree_root(nfa: Nfa, obs: Observer, root_state: StateSet, k: int) -> int:
         raise ValueError(f"root {format_pair(root_state, ())} is not a reachable observer state")
     if not obs.masks[i] & row_table(nfa).secret:
         raise ValueError("root estimate contains no secret state")
+    if max_states is not None:
+        paths = [0] * len(obs.masks)
+        paths[i] = 1
+        if _path_count(obs, paths, k, max_states) > max_states:
+            raise ResourceLimitError(f"state tree exceeded {max_states} nodes")
     return i
 
 
@@ -171,12 +177,13 @@ def build_weak_state_tree(
 ) -> StateTree:
     """Materialize the depth-K tree rooted at a secret-intersecting estimate.
 
-    More than *max_states* nodes raise ResourceLimitError.
+    More than *max_states* nodes raise ResourceLimitError before anything
+    is built.
     """
-    i = _tree_root(nfa, obs, root_state, k)
+    i = _tree_root(nfa, obs, root_state, k, max_states)
     table = row_table(nfa)
     m = obs.masks[i]
-    return _grow_tree(table, obs, (i, m & table.secret, m & table.nonsecret), k, table.reach_steps, max_states)
+    return _grow_tree(table, obs, (i, m & table.secret, m & table.nonsecret), k, table.reach_steps)
 
 
 def secret_intersecting_roots(nfa: Nfa, obs: Observer) -> tuple[StateSet, ...]:
@@ -187,16 +194,26 @@ def secret_intersecting_roots(nfa: Nfa, obs: Observer) -> tuple[StateSet, ...]:
 def tree_node_count(nfa: Nfa, obs: Observer, k: int) -> int:
     """Summed node count of the depth-K trees over every secret-intersecting root.
 
-    A tree node stands for an observation string of length at most K that
-    the observer accepts from the root, for weak trees and SSTs alike, so a
-    per-depth count of observer paths gives the total without building a
-    tree: the cost grows with K times the observer's transitions, not
-    with |Eo|^K.
+    See ``_path_count``.
     """
     secret = row_table(nfa).secret
-    paths = [1 if m & secret else 0 for m in obs.masks]
+    return _path_count(obs, [1 if m & secret else 0 for m in obs.masks], k)
+
+
+def _path_count(obs: Observer, paths: list[int], k: int, cap: float = float("inf")) -> int:
+    """Observer paths of length at most K from *paths* of length 0 per estimate.
+
+    A tree node stands for an observation string of length at most K that
+    the observer accepts from the root, for weak trees and SSTs alike, so a
+    per-depth count of observer paths gives a tree's node count without
+    building it: the cost grows with K times the observer's transitions,
+    not with |Eo|^K.  The count stops early once a level adds nothing or
+    the total passes *cap*.
+    """
     total = sum(paths)
     for _ in range(k):
+        if total > cap:
+            break
         nxt = [0] * len(paths)
         for count, out in zip(paths, obs.moves):
             for _, j in out:

@@ -9,6 +9,7 @@ import opaq
 import opaq.cli
 import opaq.projection
 import opaq.strong
+import opaq.weak
 from opaq.cli import main
 from opaq.core import TABLE_STEP_STATES
 
@@ -217,6 +218,21 @@ def test_state_cap_bounds_tree_exports(tmp_path, capsys, structure):
     assert code == 0 and out.count("shape=box") == 2
 
 
+@pytest.mark.parametrize("structure", ["weak-tree", "sst"])
+def test_an_oversized_tree_export_is_refused_before_it_is_built(monkeypatch, capsys, structure):
+    # nth_last6 has two events, so its depth-40 trees hold about 2^41 nodes;
+    # the path count passes the default cap near depth 20 and nothing is built.
+    def refuse(*args):
+        raise AssertionError("export built a tree")
+
+    monkeypatch.setattr(opaq.weak, "_grow_tree", refuse)
+    monkeypatch.setattr(opaq.strong, "_grow_tree", refuse)
+    path = os.path.join(FIXTURES, "nth_last6.json")
+    code, out, err = run(capsys, "export", "--structure", structure, "--root", "0,1,2,3,4,5,6,s", "--k", "40", path)
+    assert (code, out) == (3, "")
+    assert err == f"error: state tree exceeded {2**20} nodes\n"
+
+
 def test_export_verifier_contains_empty_pair_node(capsys):
     code, out, _ = run(capsys, "export", "--structure", "verifier", G2)
     assert code == 0
@@ -364,6 +380,22 @@ def test_crosscheck_rejects_an_empty_k_range(tmp_path, capsys):
     assert "K range is empty" in err
     assert "agreement" not in out
     assert not report.exists()
+
+
+def test_crosscheck_oracle_searches_stop_at_the_cap(tmp_path, monkeypatch, capsys):
+    # At K = 1500 an oracle K-step search would enumerate |Eo|^1500 strings;
+    # the batch passes the CLI's state cap to it and exits 3.
+    monkeypatch.setattr(opaq.cli, "DEFAULT_STATE_CAP", 5000)
+    code, out, err = run(
+        capsys, "crosscheck", "--no-structural", "--k", "1500", "--models", "20",
+        "--report", str(tmp_path / "r.jsonl"), "--fixtures-dir", str(tmp_path / "div"),
+    )
+    assert code == 3
+    assert out == ""
+    assert err in (
+        "error: oracle k-step weak search exceeded 5000 strings\n",
+        "error: oracle k-step strong search exceeded 5000 strings\n",
+    )
 
 
 def test_crosscheck_divergence_writes_fixture_and_fails(tmp_path, monkeypatch, capsys):

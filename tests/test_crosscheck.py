@@ -34,6 +34,7 @@ from opaq.core import row_table
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
 from opaq.weak import StateTree, TreeNode, Verdict, Witness, _grow_tree, secret_intersecting_roots
 
+from conftest import hidden_crossing_dict
 from test_reach import small_models
 
 KS = (0, 1, 2, 3)
@@ -318,14 +319,15 @@ def test_the_batch_walks_inf_weak_once_per_model(monkeypatch):
     assert result.ok
     assert len(calls) == 100
     assert len({id(nfa) for nfa in calls}) == 100
-    small = [random_nfa(model_config(7, i, 8)) for i in range(100)]
-    assert bounded == [2 ** len(nfa.states) - 2 for nfa in small if len(nfa.states) <= 4]
-    assert bounded
+    # The bounded walk runs on every model, at K = 2^|X| - 2.
+    models = [random_nfa(model_config(7, i, 8)) for i in range(100)]
+    assert bounded == [2 ** len(nfa.states) - 2 for nfa in models]
+    assert max(len(nfa.states) for nfa in models) > 4
 
 
 def test_weak_bound_check_compares_the_given_verdict():
-    # Two states, so the check runs; the model is opaque at every K, and a
-    # verdict passed in that says otherwise is reported.
+    # The model is opaque at every K, and a verdict passed in that says
+    # otherwise is reported.
     nfa = validate_model(
         {
             "states": ["0", "1"],
@@ -365,6 +367,63 @@ def test_structural_checks_run_at_k_1500(g2):
         obs = build_observer(nfa)
         crosscheck._structural_checks(nfa, 0, tuple(range(1501)), result, obs, verify_infinite_step_weak(nfa, obs))
         assert result.structural_failures == []
+
+
+def sweep(verdicts, search):
+    # The oracle asked at every K, as the batch did before it probed.
+    return {k: search(k) for k in verdicts}
+
+
+def count_oracle_calls(monkeypatch):
+    """Wrap the batch's K-step oracle searches; the list gets (family, model, K) per call.
+
+    Holding each model keeps its id from being reused within the batch.
+    """
+    calls = []
+    for family, name in (("weak", "oracle_k_step_weak"), ("strong", "oracle_k_step_strong")):
+        search = getattr(crosscheck, name)
+
+        def counted(nfa, k, *args, family=family, search=search, **kwargs):
+            calls.append((family, nfa, k))
+            return search(nfa, k, *args, **kwargs)
+
+        monkeypatch.setattr(crosscheck, name, counted)
+    return calls
+
+
+def test_the_batch_asks_the_oracle_at_two_k_per_family(monkeypatch):
+    calls = count_oracle_calls(monkeypatch)
+    probed = run_crosscheck(models=100, max_states=8, ks=KS, seed=7)
+    assert probed.ok
+    per_family = {}
+    for family, nfa, _ in calls:
+        per_family[family, id(nfa)] = per_family.get((family, id(nfa)), 0) + 1
+    assert len(per_family) == 200
+    assert max(per_family.values()) == 2
+    assert len(calls) < 300
+    monkeypatch.setattr(crosscheck, "_oracle_at", sweep)
+    assert run_crosscheck(models=100, max_states=8, ks=KS, seed=7).rows == probed.rows
+
+
+def test_a_disagreement_asks_every_k(tmp_path, monkeypatch):
+    # The hidden-crossing model violates k-strong at K >= 1; the strong walk
+    # made to say opaque disagrees with the probe at K = 3, so the batch
+    # asks the oracle at every other K and reports as a per-K sweep does.
+    monkeypatch.setattr(crosscheck, "random_nfa", lambda cfg: validate_model(hidden_crossing_dict()))
+    monkeypatch.setattr(crosscheck, "verify_k_step_strong", lambda *args: Verdict(True))
+    calls = count_oracle_calls(monkeypatch)
+    probed = run_crosscheck(models=1, max_states=4, ks=KS, seed=0, fixtures_dir=str(tmp_path / "probed"))
+    assert [k for family, _, k in calls if family == "strong"] == [3, 0, 1, 2]
+    assert [k for family, _, k in calls if family == "weak"] == [3]
+    monkeypatch.setattr(crosscheck, "_oracle_at", sweep)
+    swept = run_crosscheck(models=1, max_states=4, ks=KS, seed=0, fixtures_dir=str(tmp_path / "swept"))
+    assert [(r["k"], r["oracle_opaque"]) for r in probed.disagreements] == [(1, False), (2, False), (3, False)]
+    assert probed.rows == swept.rows
+    assert probed.disagreements == swept.disagreements
+    names = sorted(p.name for p in (tmp_path / "probed").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "swept").iterdir())
+    for name in names:
+        assert (tmp_path / "probed" / name).read_text() == (tmp_path / "swept" / name).read_text()
 
 
 def test_an_empty_k_range_is_rejected():

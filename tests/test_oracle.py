@@ -26,6 +26,7 @@ from opaq import (
     verify_k_step_strong,
     verify_k_step_weak,
 )
+from opaq.core import ResourceLimitError
 from opaq.crosscheck import model_config
 from opaq.oracle import (
     MaskEngine,
@@ -211,6 +212,64 @@ def test_k_searches_run_iteratively_at_large_k():
         assert verdict.opaque and verdict.exact and verdict.bound == 1500
 
 
+@settings(max_examples=150, deadline=None)
+@given(nfa=small_models())
+def test_k_step_oracles_are_monotone_in_k(nfa):
+    # The batch asks the oracle at two K per family and fills in the rest,
+    # which holds only if a violation within K is one within K + 1.
+    for search in (oracle_k_step_weak, oracle_k_step_strong):
+        eng = MaskEngine(nfa)
+        opaque = [search(nfa, k, eng=eng).opaque for k in range(7)]
+        assert opaque == sorted(opaque, reverse=True), search.__name__
+
+
+def two_loops():
+    # Two events looping on a nonsecret and a secret initial state: opaque
+    # at every K, with 2^(K+1) - 1 strings per anchor.
+    return validate_model(
+        {
+            "states": ["n", "s"],
+            "events": [{"name": e, "observable": True} for e in "ab"],
+            "initial": ["n", "s"],
+            "secret": ["s"],
+            "transitions": [[q, e, q] for q in "ns" for e in "ab"],
+        }
+    )
+
+
+@pytest.mark.parametrize("search, name", [
+    (oracle_k_step_weak, "oracle k-step weak search"),
+    (oracle_k_step_strong, "oracle k-step strong search"),
+])
+def test_k_searches_stop_at_the_cap(search, name):
+    nfa = two_loops()
+    # At K = 3 the one anchor's walk examines 15 strings.
+    assert search(nfa, 3, max_states=15).opaque
+    with pytest.raises(ResourceLimitError, match=f"^{name} exceeded 14 strings$"):
+        search(nfa, 3, max_states=14)
+    with pytest.raises(ResourceLimitError, match=f"^{name} exceeded 1000 strings$"):
+        search(nfa, 30, max_states=1000)
+
+
+@pytest.mark.parametrize("search", [oracle_k_step_weak, oracle_k_step_strong])
+def test_the_cap_counts_the_strings_of_every_anchor(search):
+    # Two estimates, {n,s} and {m,t}, each hold a secret; one event, so
+    # each anchor's walk examines K + 1 strings and the search 2(K + 1).
+    nfa = validate_model(
+        {
+            "states": ["n", "s", "m", "t"],
+            "events": [{"name": "a", "observable": True}],
+            "initial": ["n", "s"],
+            "secret": ["s", "t"],
+            "transitions": [["n", "a", "m"], ["s", "a", "t"], ["m", "a", "m"], ["t", "a", "t"]],
+        }
+    )
+    assert len(MaskEngine(nfa).reach_bfs()[0]) == 2
+    assert search(nfa, 3, max_states=8).opaque
+    with pytest.raises(ResourceLimitError, match="exceeded 7 strings"):
+        search(nfa, 3, max_states=7)
+
+
 GOLDEN_BATCH = os.path.join(os.path.dirname(__file__), "fixtures", "golden", "oracle_batch.json")
 
 
@@ -228,9 +287,10 @@ def _oracle_search(nfa, prop, k, eng):
 def test_oracle_batch_matches_golden(shared):
     """Every oracle verdict on a 60-model batch, pinned before the engine memo existed.
 
-    With ``shared`` one engine per model serves the searches in the order
-    ``crosscheck._agreement_rows`` calls them: cs (k-weak at 0), then k-weak
-    and k-strong per K, then inf-weak and inf-strong.
+    With ``shared`` one engine per model serves every search, in the order
+    of a per-K sweep: cs (k-weak at 0), then k-weak and k-strong per K, then
+    inf-weak and inf-strong.  The batch asks fewer K, in another order, and
+    the memo makes no verdict depend on the order.
     """
     with open(GOLDEN_BATCH, encoding="utf-8") as fh:
         golden = json.load(fh)
