@@ -202,7 +202,7 @@ def _node_counts(obs: Observer, top: int) -> list[list[int]]:
     counts = [[1] * len(obs.masks)]
     for _ in range(top):
         below = counts[-1]
-        counts.append([1 + sum(below[j] for _, j in out) for out in obs.moves])
+        counts.append([1 + sum(below[j] for j in row if j >= 0) for row in obs.moves])
     return counts
 
 
@@ -314,7 +314,9 @@ def run_crosscheck(
             _structural_checks(nfa, cfg.seed, ks, result, obs, weak)
     result.elapsed = time.monotonic() - started
     if report_path is not None:
+        # One encoder for every row: json.dumps would build one per call.
+        encode = json.JSONEncoder(sort_keys=True).encode
         with open(report_path, "w", encoding="utf-8") as fh:
             for r in result.rows:
-                fh.write(json.dumps(r, sort_keys=True) + "\n")
+                fh.write(encode(r) + "\n")
     return result

@@ -22,11 +22,12 @@ class Observer:
 
     ``masks`` holds each estimate as a bitmask over declaration order, in
     construction (BFS) order with the initial estimate first.  ``moves[i]``
-    lists the (event position, target position) pairs of estimate i in event
-    order; only moves whose reach is nonempty are kept, so the automaton is
-    deterministic and partial.  ``parents[i]`` is the position of the
-    estimate whose first move into i discovered i (-1 for the initial one):
-    followed back, those moves spell the BFS-shortest observation reaching i.
+    is estimate i's dense row: one target position per event, in event
+    order, with -1 where the reach is empty.  No estimate is empty, so the
+    automaton is deterministic and partial.  ``parents[i]`` is the position
+    of the estimate whose first move into i discovered i (-1 for the
+    initial one): followed back, those moves spell the BFS-shortest
+    observation reaching i.
 
     The named views (``states``, ``initial``, ``transitions`` keyed by
     estimate and event name, and ``index``, an estimate's position) are
@@ -35,7 +36,7 @@ class Observer:
 
     events: tuple[str, ...]
     masks: tuple[int, ...] = field(repr=False)
-    moves: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    moves: tuple[tuple[int, ...], ...] = field(repr=False)
     parents: tuple[int, ...] = field(repr=False)
     table: RowTable = field(repr=False)
 
@@ -50,17 +51,23 @@ class Observer:
     @cached_property
     def transitions(self) -> dict[tuple[StateSet, str], StateSet]:
         states, events = self.states, self.events
-        return {(states[i], events[e]): states[j] for i, out in enumerate(self.moves) for e, j in out}
+        return {
+            (states[i], events[e]): states[j]
+            for i, row in enumerate(self.moves)
+            for e, j in enumerate(row)
+            if j >= 0
+        }
 
     @cached_property
     def index(self) -> dict[StateSet, int]:
         return {state: i for i, state in enumerate(self.states)}
 
     def successors(self, state: StateSet) -> tuple[tuple[str, StateSet], ...]:
+        states = self.states
         return tuple(
-            (e, self.transitions[(state, e)])
-            for e in self.events
-            if (state, e) in self.transitions
+            (event, states[j])
+            for event, j in zip(self.events, self.moves[self.index[state]])
+            if j >= 0
         )
 
 
@@ -72,20 +79,20 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
     targets are never materialized.
     """
     table = row_table(nfa)
-    steps = tuple(enumerate(table.reach_steps))
+    steps = table.reach_steps
     masks = [table.initial]
-    position = {table.initial: 0}
+    # The empty mask maps to -1, so an empty reach needs no test of its own;
+    # the initial estimate is never empty.
+    position = {0: -1, table.initial: 0}
     moves = []
     # Plain ints, not tuples, so that recording them adds no GC-tracked objects.
     parents = [-1]
     # The discovery list is the FIFO queue: estimate i is expanded when the
     # walk reaches position i.
     for i, current in enumerate(masks):
-        out = []
-        for e, step in steps:
+        row = []
+        for step in steps:
             target = step(current)
-            if not target:
-                continue
             j = position.get(target)
             if j is None:
                 j = position[target] = len(masks)
@@ -95,8 +102,8 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
                     raise ResourceLimitError(
                         f"observer exceeded {max_states} states"
                     )
-            out.append((e, j))
-        moves.append(tuple(out))
+            row.append(j)
+        moves.append(tuple(row))
     return Observer(
         events=table.events,
         masks=tuple(masks),
@@ -108,13 +115,16 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
 
 def observer_state_after(obs: Observer, w: tuple[str, ...]) -> StateSet | None:
     """Unique estimate reached by observation *w*, or None if undefined."""
-    current = obs.initial
+    position = {event: e for e, event in enumerate(obs.events)}
+    i = 0
     for event in w:
-        nxt = obs.transitions.get((current, event))
-        if nxt is None:
+        e = position.get(event)
+        if e is None:
             return None
-        current = nxt
-    return current
+        i = obs.moves[i][e]
+        if i < 0:
+            return None
+    return obs.states[i]
 
 
 def observer_dot(obs: Observer) -> str:

@@ -352,22 +352,28 @@ def _weak_dfs(
     # Preorder walk on an explicit stack (events in declaration order, first
     # hit wins), so a large K cannot exhaust the interpreter's recursion.
     # Returns the hit and how many more strings the cap allows (below 0:
-    # the walk stopped at the cap).
-    stack = [(fs, fns, ())]
+    # the walk stopped at the cap).  A node carries its depth d and the
+    # event into it.  In preorder, ``path[1:d]`` still spells the parent's
+    # string when the node is popped, so one shared list, cut back to d and
+    # extended by the event, spells each string in O(1); the tuple is built
+    # for a hit only.
+    stack = [(fs, fns, 0, None)]
+    path: list[str | None] = []
     while stack:
-        fs, fns, path = stack.pop()
+        fs, fns, depth, event = stack.pop()
+        path[depth:] = (event,)
         left -= 1
         if left < 0:
             return None, left
         if fs and not fns:
-            return path, left
-        if len(path) == budget or not fs:
+            return tuple(path[1:]), left
+        if depth == budget or not fs:
             continue
         children = []
         for event in eng.events:
             ns, nns = eng.reach(fs, event), eng.reach(fns, event)
             if ns | nns:
-                children.append((ns, nns, path + (event,)))
+                children.append((ns, nns, depth + 1, event))
         stack.extend(reversed(children))
     return None, left
 
@@ -425,20 +431,21 @@ def oracle_k_step_strong(
 def _strong_dfs(
     eng: MaskEngine, anchor: int, budget: int, k: int, check_short: bool, left: float
 ) -> tuple[tuple[str, ...] | None, float]:
-    # Preorder walk from the window anchor on an explicit stack, counted
-    # and returned as in _weak_dfs.  Nodes are (estimate, secret
-    # continuation, window, path).
-    stack = [(anchor, anchor & eng.secret, anchor & eng.nonsecret, ())]
+    # Preorder walk from the window anchor on an explicit stack, counted,
+    # spelled and returned as in _weak_dfs.  Nodes are (estimate, secret
+    # continuation, window, depth, event).
+    stack = [(anchor, anchor & eng.secret, anchor & eng.nonsecret, 0, None)]
+    path: list[str | None] = []
     while stack:
-        estimate, sec_cont, window, path = stack.pop()
+        estimate, sec_cont, window, depth, event = stack.pop()
+        path[depth:] = (event,)
         left -= 1
         if left < 0:
             return None, left
-        depth = len(path)
         # Windows anchored at the initial estimate may be shorter than K; all
         # others are checked at full window length only.
         if (depth == k or (check_short and depth < k)) and sec_cont and not window:
-            return path, left
+            return tuple(path[1:]), left
         if depth >= budget:
             continue
         children = []
@@ -449,7 +456,8 @@ def _strong_dfs(
                     nxt,
                     eng.reach(sec_cont, event) | (nxt & eng.secret),
                     eng.avoid_reach(window, event),
-                    path + (event,),
+                    depth + 1,
+                    event,
                 ))
         stack.extend(reversed(children))
     return None, left

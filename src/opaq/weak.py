@@ -141,7 +141,9 @@ def _grow_tree(
             break
         nxt = []
         for node, i, x1, x2 in frontier:
-            for e, j in obs.moves[i]:
+            for e, j in enumerate(obs.moves[i]):
+                if j < 0:
+                    continue
                 c1, c2 = reach[e](x1), steps[e](x2) & masks[j]
                 new = TreeNode(name(c1), name(c2), depth)
                 nodes.append(new)
@@ -207,22 +209,32 @@ def _path_count(obs: Observer, paths: list[int], k: int, cap: float = float("inf
     the observer accepts from the root, for weak trees and SSTs alike, so a
     per-depth count of observer paths gives a tree's node count without
     building it: the cost grows with K times the observer's transitions,
-    not with |Eo|^K.  The count stops early once a level adds nothing or
-    the total passes *cap*.
+    not with |Eo|^K.  Only estimates with a nonzero count propagate, and
+    the last level is the sum of each count times its estimate's moves, so
+    depth K needs K - 1 propagations.  The count stops early once a level
+    adds nothing or the total passes *cap*.
     """
     total = sum(paths)
-    for _ in range(k):
+    moves = obs.moves
+    for depth in range(1, k + 1):
         if total > cap:
             break
-        nxt = [0] * len(paths)
-        for count, out in zip(paths, obs.moves):
-            for _, j in out:
-                nxt[j] += count
-        paths = nxt
-        level = sum(paths)
+        if depth == k:
+            return total + sum(
+                count * (len(row) - row.count(-1)) for count, row in zip(paths, moves) if count
+            )
+        # One slot past the end, index -1, takes the missing moves.
+        nxt = [0] * (len(paths) + 1)
+        for count, row in zip(paths, moves):
+            if count:
+                for j in row:
+                    nxt[j] += count
+        nxt.pop()
+        level = sum(nxt)
         if not level:
             break
         total += level
+        paths = nxt
     return total
 
 
@@ -258,20 +270,23 @@ def _explore(
     """
     masks, moves = obs.masks, obs.moves
     w = len(masks).bit_length()
-    walk = Walk([], [], [], [], [0])
-    estimate, x2s, parent, event, levels = walk
     limit = float("inf") if max_states is None else max_states
-    seen: dict[int, int] = {}
-    for j, x2 in roots:
-        seen[x2 << w | j] = len(x2s)
-        estimate.append(j)
-        x2s.append(x2)
-        parent.append(-1)
-        event.append(-1)
-        if stop_at_empty and not x2:
-            return walk, len(x2s) - 1
-        if len(x2s) > limit:
-            raise ResourceLimitError(f"{search} exceeded {max_states} states")
+    # The roots go in as a block, checked as if one at a time: an empty
+    # root at position p is the hit when the p roots before it fit under
+    # the cap, and the cap is passed otherwise.
+    x2s = [x2 for _, x2 in roots]
+    hit = x2s.index(0) if stop_at_empty and 0 in x2s else None
+    if hit is not None and hit <= limit:
+        roots, x2s = roots[:hit + 1], x2s[:hit + 1]
+    elif len(x2s) > limit:
+        raise ResourceLimitError(f"{search} exceeded {max_states} states")
+    estimate = [j for j, _ in roots]
+    walk = Walk(estimate, x2s, [-1] * len(x2s), [-1] * len(x2s), [0])
+    if hit is not None:
+        return walk, hit
+    _, _, parent, event, levels = walk
+    # A K = 0 walk only seeds its roots, so it needs no visited set.
+    seen = {} if k == 0 else {x2 << w | j: n for n, (j, x2) in enumerate(roots)}
     start = 0
     # Each pass expands one level and appends the next behind it.
     while start < len(x2s) and (k is None or len(levels) <= k):
@@ -279,7 +294,9 @@ def _explore(
         levels.append(end)
         for n in range(start, end):
             x2 = x2s[n]
-            for e, j in moves[estimate[n]]:
+            for e, j in enumerate(moves[estimate[n]]):
+                if j < 0:
+                    continue
                 c2 = steps[e](x2) & masks[j]
                 if weak and c2 == masks[j]:
                     continue
@@ -314,7 +331,7 @@ def _verdict(table: RowTable, obs: Observer, walk: Walk, hit: int | None) -> Ver
     j = walk.estimate[n]
     while j:
         i = obs.parents[j]
-        prefix.append(obs.events[next(e for e, t in obs.moves[i] if t == j)])
+        prefix.append(obs.events[obs.moves[i].index(j)])
         j = i
     node = (table.state_set(obs.masks[walk.estimate[hit]]), table.state_set(walk.x2[hit]))
     return Verdict(False, Witness(tuple(reversed(prefix)), tuple(reversed(continuation)), node))

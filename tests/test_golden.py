@@ -14,7 +14,7 @@ import os
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opaq import (
@@ -79,8 +79,24 @@ def test_golden_set_covers_every_structure_and_property():
     assert {c["model"] for c in CASES} == set(MODELS)
 
 
+def dead_end_chain():
+    """Every observation ends within two events, so depth 3 adds no node."""
+    return validate_model(
+        {
+            "states": ["0", "1", "2", "3"],
+            "events": [{"name": e, "observable": True} for e in "ab"],
+            "initial": ["0"],
+            "secret": ["0", "1"],
+            "transitions": [["0", "a", "1"], ["0", "a", "2"], ["1", "b", "3"], ["2", "a", "3"]],
+        }
+    )
+
+
+# K reaches 5 so that the last level, which the count takes in closed form,
+# comes after one or more propagated levels.
 @settings(max_examples=100, deadline=None)
-@given(nfa=small_models(), k=st.integers(0, 3))
+@given(nfa=small_models(), k=st.integers(0, 5))
+@example(nfa=dead_end_chain(), k=5)
 def test_tree_node_count_equals_materialized_trees(nfa, k):
     obs = build_observer(nfa)
     roots = secret_intersecting_roots(nfa, obs)

@@ -11,6 +11,7 @@ from opaq import (
     observer_state_after,
     validate_model,
 )
+from opaq.core import row_table
 
 from test_reach import small_models
 
@@ -51,6 +52,8 @@ def test_g2_observer_chain(g2):
         (("2", "5", "8"), "c"): ("3", "6", "9"),
         (("3", "6", "9"), "d"): ("3", "6", "9"),
     }
+    # One row per estimate, one target per event a..d, -1 for no move.
+    assert obs.moves == ((1, -1, -1, -1), (-1, 2, -1, -1), (-1, -1, 3, -1), (-1, -1, -1, 3))
 
 
 def test_observer_without_observable_events():
@@ -66,6 +69,11 @@ def test_observer_without_observable_events():
     obs = build_observer(nfa)
     assert obs.states == (("0", "1"),)
     assert obs.transitions == {}
+    assert obs.moves == ((),)
+    # An unobservable or undeclared event moves no estimate.
+    assert observer_state_after(obs, ("u",)) is None
+    assert observer_state_after(obs, ("x",)) is None
+    assert observer_state_after(obs, ()) == ("0", "1")
 
 
 def test_g8frag_observer(g8frag):
@@ -86,6 +94,25 @@ def test_observer_dot_names_estimates(g2):
     assert '"{2,5,8}"' in dot
     assert '"{1,4,7}" -> "{2,5,8}" [label="b"];' in dot
     assert dot == observer_dot(build_observer(g2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfa=small_models())
+def test_each_estimate_has_one_dense_row(nfa):
+    # moves[i][e] is the target position of estimate i under event e, or -1
+    # exactly when that reach is empty.
+    obs = build_observer(nfa)
+    steps = row_table(nfa).reach_steps
+    assert len(obs.moves) == len(obs.masks)
+    for i, row in enumerate(obs.moves):
+        assert len(row) == len(obs.events)
+        for e, j in enumerate(row):
+            if not steps[e](obs.masks[i]):
+                assert j == -1
+                assert (obs.states[i], obs.events[e]) not in obs.transitions
+            else:
+                assert j == obs.index[obs.transitions[(obs.states[i], obs.events[e])]]
+    assert sum(j >= 0 for row in obs.moves for j in row) == len(obs.transitions)
 
 
 @settings(max_examples=100, deadline=None)

@@ -284,7 +284,9 @@ def full_walk(obs, roots, step, k):
     for n, (i, x1, x2, _, _, depth) in enumerate(nodes):
         if k is not None and depth >= k:
             continue
-        for e, j in obs.moves[i]:
+        for e, j in enumerate(obs.moves[i]):
+            if j < 0:
+                continue
             key = (j, *step(e, j, x1, x2))
             if key not in seen:
                 seen.add(key)
@@ -432,3 +434,63 @@ def test_roots_count_against_the_cap():
     with pytest.raises(ResourceLimitError, match="k-step strong search exceeded 63 states"):
         verify_k_step_strong(nth_last, 0, max_states=63)
     assert verify_k_step_strong(nth_last, 0, max_states=64).opaque
+
+
+# -- root seeding ---------------------------------------------------------------
+#
+# ``_explore`` seeds its roots as one block.  The reference is the loop it
+# replaced, one root at a time: append the root, stop at it when its x2 is
+# empty, then raise once more than *max_states* roots are in.
+
+
+def per_root(roots, stop_at_empty, max_states):
+    """The hit position, "cap" when the cap is passed first, or None."""
+    for p, (_, x2) in enumerate(roots):
+        if stop_at_empty and not x2:
+            return p
+        if p + 1 > max_states:
+            return "cap"
+    return None
+
+
+@pytest.mark.parametrize("k", [0, 2, None])
+@pytest.mark.parametrize("stop_at_empty", [True, False])
+def test_roots_keep_the_per_root_hit_and_cap_order(k, stop_at_empty):
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    obs = build_observer(nth_last)
+    steps = row_table(nth_last).avoid_steps
+    n = 6
+    # An empty root before, at and past each cap, or none at all.
+    for empty in (None, *range(n)):
+        roots = [(i, 0 if i == empty else obs.masks[i]) for i in range(n)]
+        for cap in range(n + 2):
+            expected = per_root(roots, stop_at_empty, cap)
+            if expected == "cap":
+                with pytest.raises(ResourceLimitError, match=f"search exceeded {cap} states"):
+                    opaq.weak._explore(obs, roots, steps, k, stop_at_empty, max_states=cap, search="search")
+            elif expected is not None:
+                walk, hit = opaq.weak._explore(obs, roots, steps, k, stop_at_empty, max_states=cap)
+                assert hit == expected
+                assert walk.estimate == list(range(hit + 1))
+                assert walk.x2 == [x2 for _, x2 in roots[:hit + 1]]
+                assert walk.parent == walk.event == [-1] * (hit + 1)
+            elif k == 0:
+                walk, hit = opaq.weak._explore(obs, roots, steps, k, stop_at_empty, max_states=cap)
+                assert hit is None
+                assert walk == (list(range(n)), [x2 for _, x2 in roots], [-1] * n, [-1] * n, [0])
+
+
+def test_a_k0_walk_returns_its_roots_only():
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    obs = build_observer(nth_last)
+    table = row_table(nth_last)
+    roots = [(i, m & table.nonsecret) for i, m in enumerate(obs.masks)]
+    edges = []
+    walk, hit = opaq.weak._explore(obs, roots, table.avoid_steps, 0, False, edges=edges)
+    assert hit is None and edges == []
+    assert walk.estimate == list(range(len(obs.masks)))
+    assert walk.x2 == [x2 for _, x2 in roots]
+    assert walk.levels == [0]
+    # The same roots at K = 1 are expanded.
+    opaq.weak._explore(obs, roots, table.avoid_steps, 1, False, edges=edges)
+    assert len(edges) == 2 * len(roots)
