@@ -1,7 +1,8 @@
 """Command-line front end: verify, export, crosscheck.
 
-Exit codes: 0 opaque / zero disagreements, 1 not opaque / disagreements,
-2 input error, 3 resource limit exceeded.
+Exit codes: 0 opaque / zero disagreements, 1 not opaque / disagreements
+or stdout closed before the output was written, 2 input error, 3 resource
+limit exceeded.
 """
 
 from __future__ import annotations
@@ -209,11 +210,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "export":
-            return _run_export(args)
-        return _run_crosscheck(args)
+        if args.command != "crosscheck" and args.state_cap < 1:
+            print("error: --state-cap must be positive", file=sys.stderr)
+            code = 2
+        elif args.command == "verify":
+            code = _run_verify(args)
+        elif args.command == "export":
+            code = _run_export(args)
+        else:
+            code = _run_crosscheck(args)
+        # Flushed here, so that a closed pipe is caught below rather than
+        # at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``opaq ... | head``).  Output still buffered
+        # goes to devnull, so the exit-time flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -206,8 +206,11 @@ def _node_counts(obs: Observer, top: int) -> list[list[int]]:
     return counts
 
 
-def _refill_depth(obs: Observer, steps: Steps, root: tuple[int, int], top: int) -> int:
+def _refill_depth(obs: Observer, steps: Steps, roots: list[int], top: int) -> int:
     """Least depth of a tree edge from an empty x2 to a nonempty one (top + 1: none).
+
+    *roots* holds one tree's root x2 at its estimate's position and -1
+    everywhere else, as :func:`opaq.weak._explore` takes them.
 
     BFS meets each pair at its least depth and a child depends only on its
     parent pair, so a deduplicating walk's edges give that depth: an edge
@@ -215,7 +218,7 @@ def _refill_depth(obs: Observer, steps: Steps, root: tuple[int, int], top: int) 
     among the level boundaries.
     """
     edges: list[tuple[int, int, int]] = []
-    walk, _ = _explore(obs, [root], steps, top, False, edges=edges)
+    walk, _ = _explore(obs, roots, steps, top, False, edges=edges)
     x2 = walk.x2
     return min((bisect_right(walk.levels, n) for n, _, m in edges if x2[m] and not x2[n]), default=top + 1)
 
@@ -252,7 +255,12 @@ def _structural_checks(
     for _ in range(top):
         caps.append(1 + n_eo * caps[-1])
     table = row_table(nfa)
-    refills = [(root[0], _refill_depth(obs, table.avoid_steps, root, top)) for root in _secret_roots(table, obs)]
+    refills = []
+    for i, x2 in enumerate(_secret_roots(table, obs)):
+        if x2 >= 0:
+            roots = [-1] * len(obs.masks)
+            roots[i] = x2
+            refills.append((i, _refill_depth(obs, table.avoid_steps, roots, top)))
     for k in ks:
         for i, refill in refills:
             if counts[k][i] > caps[k]:

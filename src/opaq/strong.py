@@ -96,9 +96,9 @@ def verify_k_step_strong(
     # Every estimate anchors a window, secret-free ones too: x2 is its
     # nonsecret part (secret visits before the window do not disqualify a
     # state).
-    roots = [(i, m & table.nonsecret) for i, m in enumerate(obs.masks)]
+    nonsecret = table.nonsecret
     walk, hit = _explore(
-        obs, roots, table.avoid_steps, k, True,
+        obs, [m & nonsecret for m in obs.masks], table.avoid_steps, k, True,
         max_states=max_states, search="k-step strong search",
     )
     return _verdict(table, obs, walk, hit)
@@ -114,8 +114,9 @@ def _run_verifier(nfa: Nfa, obs: Observer | None, stop_at_empty: bool, **options
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
-    root = [(0, table.clean & obs.masks[0])]
-    walk, hit = _explore(obs, root, table.avoid_steps, None, stop_at_empty, **options)
+    roots = [-1] * len(obs.masks)
+    roots[0] = table.clean & obs.masks[0]
+    walk, hit = _explore(obs, roots, table.avoid_steps, None, stop_at_empty, **options)
     return table, obs, walk, hit
 
 

@@ -23,6 +23,13 @@ nodes keep their BFS discovery order and their parents: verdicts and
 witnesses are those of the full walk.  The rule is weak-only: an SST or
 verifier pair whose ``x2`` is its whole estimate can still lose every state
 to a secret later.  Tree exports keep every node, ``x1`` included.
+
+Every walk takes its roots as one x2 per observer position, -1 where an
+estimate has no root, so each estimate roots at most one node.  A child
+whose x2 is the root x2 at its estimate is that root, found by position;
+only the other nodes are hashed into the walk's visited dict.  An SST walk
+roots every estimate, so a child that repeats a window's start costs one
+list read.
 """
 
 from __future__ import annotations
@@ -46,8 +53,9 @@ class Walk(NamedTuple):
 
     Node n is (observer position ``estimate[n]``, mask ``x2[n]``), found from
     node ``parent[n]`` on event position ``event[n]`` (both -1 at a root).
-    Depth d holds the positions from ``levels[d]`` to ``levels[d + 1]`` (or
-    to the end).
+    The roots come first, in observer position order, at most one per
+    estimate.  Depth d holds the positions from ``levels[d]`` to
+    ``levels[d + 1]`` (or to the end).
     """
 
     estimate: list[int]
@@ -240,7 +248,7 @@ def _path_count(obs: Observer, paths: list[int], k: int, cap: float = float("inf
 
 def _explore(
     obs: Observer,
-    roots: list[tuple[int, int]],
+    roots: list[int],
     steps: Steps,
     k: int | None,
     stop_at_empty: bool,
@@ -250,14 +258,17 @@ def _explore(
     max_states: int | None = None,
     search: str = "verifier",
 ) -> tuple[Walk, int | None]:
-    """Multi-source BFS over (estimate, x2) nodes with a global visited set.
+    """Multi-source BFS over (estimate, x2) nodes, each visited once.
 
     This one walk is behind every verdict, the verifier and the batch's
-    refill check.  *roots* (estimate position, x2) seed the queue in order;
+    refill check.  *roots* holds one x2 per observer position, -1 where that
+    estimate has no root; the roots seed the queue in position order, and
     events expand in declaration order.  On move (e, j) a node's child is
-    (j, ``steps[e](x2) & masks[j]``), keyed by the int ``x2 << w | j``.  BFS
-    meets each node at its shallowest depth, so reachability of an
-    empty-``x2`` node within depth *k* (None: unbounded) is decided exactly.
+    (j, ``steps[e](x2) & masks[j]``).  A child whose x2 is the root x2 at
+    position j is that root, found by one list read; any other child is
+    keyed by the int ``x2 << w | j`` in the walk's visited dict.  BFS meets
+    each node at its shallowest depth, so reachability of an empty-``x2``
+    node within depth *k* (None: unbounded) is decided exactly.
 
     With *stop_at_empty* the walk returns the position of the first node
     whose ``x2`` is empty, which gives the shortest (then lexicographically
@@ -266,38 +277,49 @@ def _explore(
     given.  More than *max_states* nodes raise ResourceLimitError, whose
     message names the *search*.  With *weak*, dead children (``x2`` equal
     to the estimate, see the module docstring) are neither queued, recorded
-    nor counted.
+    nor counted; weak roots must be live.
     """
     masks, moves = obs.masks, obs.moves
-    w = len(masks).bit_length()
     limit = float("inf") if max_states is None else max_states
+    if -1 in roots:
+        estimate = [j for j, x2 in enumerate(roots) if x2 >= 0]
+        x2s = [x2 for x2 in roots if x2 >= 0]
+    else:
+        estimate, x2s = list(range(len(roots))), roots[:]
     # The roots go in as a block, checked as if one at a time: an empty
     # root at position p is the hit when the p roots before it fit under
     # the cap, and the cap is passed otherwise.
-    x2s = [x2 for _, x2 in roots]
     hit = x2s.index(0) if stop_at_empty and 0 in x2s else None
     if hit is not None and hit <= limit:
-        roots, x2s = roots[:hit + 1], x2s[:hit + 1]
+        del estimate[hit + 1:], x2s[hit + 1:]
     elif len(x2s) > limit:
         raise ResourceLimitError(f"{search} exceeded {max_states} states")
-    estimate = [j for j, _ in roots]
     walk = Walk(estimate, x2s, [-1] * len(x2s), [-1] * len(x2s), [0])
-    if hit is not None:
+    # A K = 0 walk only seeds its roots.
+    if hit is not None or k == 0:
         return walk, hit
     _, _, parent, event, levels = walk
-    # A K = 0 walk only seeds its roots, so it needs no visited set.
-    seen = {} if k == 0 else {x2 << w | j: n for n, (j, x2) in enumerate(roots)}
+    w = len(masks).bit_length()
+    seen: dict[int, int] = {}
+    event_steps = tuple(enumerate(steps))
+    # Edges end at roots too, so an edge walk looks up each root's node.
+    root_node = {j: n for n, j in enumerate(estimate)} if edges is not None else {}
     start = 0
     # Each pass expands one level and appends the next behind it.
     while start < len(x2s) and (k is None or len(levels) <= k):
         end = len(x2s)
         levels.append(end)
         for n in range(start, end):
-            x2 = x2s[n]
-            for e, j in enumerate(moves[estimate[n]]):
+            x2, row = x2s[n], moves[estimate[n]]
+            for e, step in event_steps:
+                j = row[e]
                 if j < 0:
                     continue
-                c2 = steps[e](x2) & masks[j]
+                c2 = step(x2) & masks[j]
+                if c2 == roots[j]:
+                    if edges is not None:
+                        edges.append((n, e, root_node[j]))
+                    continue
                 if weak and c2 == masks[j]:
                     continue
                 key = c2 << w | j
@@ -337,12 +359,15 @@ def _verdict(table: RowTable, obs: Observer, walk: Walk, hit: int | None) -> Ver
     return Verdict(False, Witness(tuple(reversed(prefix)), tuple(reversed(continuation)), node))
 
 
-def _secret_roots(table: RowTable, obs: Observer) -> list[tuple[int, int]]:
-    # Each secret-intersecting estimate paired with its nonsecret part: the
-    # roots of the weak walks and of the batch's refill check.  The secret
-    # part is nonempty and outside x2, so every weak root is live.
+def _secret_roots(table: RowTable, obs: Observer) -> list[int]:
+    """Per observer position, the estimate's nonsecret part, or -1 without a secret.
+
+    These are the roots of the weak walks and of the batch's refill check.
+    A root's secret part is nonempty and outside x2, so every weak root is
+    live.
+    """
     secret, nonsecret = table.secret, table.nonsecret
-    return [(i, m & nonsecret) for i, m in enumerate(obs.masks) if m & secret]
+    return [m & nonsecret if m & secret else -1 for m in obs.masks]
 
 
 def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None = None, search: str = "") -> Verdict:

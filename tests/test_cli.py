@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +20,7 @@ from conftest import g2_dict, hidden_crossing_dict
 G2 = os.path.join(os.path.dirname(__file__), "..", "models", "g2.json")
 G8FRAG = os.path.join(os.path.dirname(__file__), "..", "models", "g8frag.json")
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 PROPERTIES = ("cs", "k-weak", "k-strong", "inf-weak", "inf-strong")
 
 
@@ -92,6 +95,17 @@ def test_verify_state_cap_triggers_resource_exit(capsys):
     )
     assert code == 3
     assert "exceeded" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--property", "cs"),
+    ("verify", "--property", "k-strong", "--k", "2"),
+    ("export", "--structure", "observer"),
+    ("export", "--structure", "sipa"),
+])
+def test_a_state_cap_below_1_is_an_input_error(capsys, argv, cap):
+    assert run(capsys, *argv, "--state-cap", cap, G2) == (2, "", "error: --state-cap must be positive\n")
 
 
 @pytest.mark.parametrize("prop, search", [
@@ -425,3 +439,29 @@ def test_crosscheck_divergence_writes_fixture_and_fails(tmp_path, monkeypatch, c
     record = json.loads(written[0].read_text())
     assert record["property"] == "k-strong"
     assert record["verify_opaque"] is True and record["oracle_opaque"] is False
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--property", "cs", G2],
+    ["crosscheck", "--models", "5", "--max-states", "3"],
+])
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path, argv, buffered):
+    # The read end is closed before the command starts, so its first write
+    # to stdout fails, as under ``opaq ... | head -0``.
+    path = [SRC, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "opaq.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+            cwd=tmp_path, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

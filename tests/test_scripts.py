@@ -1,0 +1,46 @@
+"""Smoke tests for the scripts under scripts/: each runs as a subprocess."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SCRIPTS = os.path.join(ROOT, "scripts")
+G2 = os.path.join(ROOT, "models", "g2.json")
+
+
+def run_script(name, *args, cwd):
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_run_crosscheck_writes_its_report(tmp_path):
+    proc = run_script("run_crosscheck.py", "20", "7", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in (tmp_path / "crosscheck_report.jsonl").read_text().splitlines()]
+    # cs, k-weak and k-strong at K 0..3, inf-weak and inf-strong per model.
+    assert len(rows) == 20 * 11
+    assert all(row["agree"] for row in rows)
+    for prop in ("cs", "k-weak", "k-strong", "inf-weak", "inf-strong"):
+        assert any(line.startswith(prop + " ") for line in proc.stdout.splitlines())
+
+
+def test_export_structures_writes_every_structure(tmp_path):
+    out = tmp_path / "out"
+    proc = run_script("export_structures.py", G2, str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # g2 has three secret-intersecting estimates, each the root of one
+    # weak tree and one SST.
+    names = ["observer.dot", "projected.dot", "sipa.dot", "verifier.dot"]
+    names += [f"{kind}_{i}.dot" for i in range(3) for kind in ("weak_tree", "sst")]
+    assert sorted(os.listdir(out)) == sorted(names)
+    assert proc.stdout.splitlines() == [str(out / name) for name in names]
+    for name in names:
+        assert (out / name).read_text().startswith("digraph ")

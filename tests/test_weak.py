@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opaq.crosscheck
+import opaq.strong
 import opaq.weak
 from opaq import (
     build_observer,
@@ -269,55 +271,67 @@ def test_witness_prefix_is_the_shortest_access_string(nfa, k):
 # is the walk without that rule, written out from the row table for all
 # three families: a FIFO over (estimate, x1, x2) with one visited set, roots
 # in observer order, events in declaration order, stopping at the first
-# empty x2.
+# empty x2.  With *pruned* it is instead the walk the library takes: nodes
+# keyed on (estimate, x2) alone, and a weak walk drops its dead children.
 
 
-def full_walk(obs, roots, step, k):
-    """Nodes and first empty-x2 position of the unpruned BFS."""
-    nodes, seen = [], set()
+def full_walk(obs, roots, step, k, stop=True, weak=False, pruned=False):
+    """Nodes, first empty-x2 position, level starts and edges of the BFS."""
+
+    def key(node):
+        return node[::2] if pruned else node
+
+    nodes, seen, levels, edges = [], {}, [0], []
     for root in roots:
-        if root not in seen:
-            seen.add(root)
+        if key(root) not in seen:
+            seen[key(root)] = len(nodes)
             nodes.append((*root, -1, -1, 0))
-            if not root[2]:
-                return nodes, len(nodes) - 1
+            if stop and not root[2]:
+                return nodes, len(nodes) - 1, levels, edges
     for n, (i, x1, x2, _, _, depth) in enumerate(nodes):
         if k is not None and depth >= k:
             continue
+        if depth == len(levels) - 1:
+            levels.append(len(nodes))
         for e, j in enumerate(obs.moves[i]):
             if j < 0:
                 continue
-            key = (j, *step(e, j, x1, x2))
-            if key not in seen:
-                seen.add(key)
-                nodes.append((*key, n, e, depth + 1))
-                if not key[2]:
-                    return nodes, len(nodes) - 1
-    return nodes, None
+            child = (j, *step(e, j, x1, x2))
+            if pruned and weak and not child[1] & ~child[2]:
+                continue
+            if key(child) not in seen:
+                seen[key(child)] = len(nodes)
+                nodes.append((*child, n, e, depth + 1))
+                if stop and not child[2]:
+                    return nodes, len(nodes) - 1, levels, edges
+            edges.append((n, e, seen[key(child)]))
+    return nodes, None, levels, edges
 
 
-def reference_walk(nfa, obs, family, k):
-    """The unpruned walk of a weak, SST or verifier search."""
+def reference_walk(nfa, obs, family, k, stop=True, pruned=False, root=None):
+    """The unpruned walk of a weak, SST or verifier search, or with *pruned*
+    the library's.  With *root*, an SST walk starts at that estimate alone,
+    as the batch's refill walks do."""
     table = row_table(nfa)
     reach, avoid, support, masks = table.reach, table.avoid, table.support, obs.masks
     if family == "weak":
         roots = [(i, m & table.secret, m & table.nonsecret) for i, m in enumerate(masks) if m & table.secret]
         return full_walk(obs, roots, lambda e, j, x1, x2: (
             union(reach[e], x1 & support[e]), union(reach[e], x2 & support[e])
-        ), k)
+        ), k, stop, True, pruned)
     if family == "sst":
-        roots = [(i, m, m & table.nonsecret) for i, m in enumerate(masks)]
+        roots = [(i, m, m & table.nonsecret) for i, m in enumerate(masks) if root in (None, i)]
     else:
         roots = [(0, masks[0], table.clean & masks[0])]
     return full_walk(obs, roots, lambda e, j, x1, x2: (
         masks[j], union(avoid[e], x2 & support[e]) & masks[j]
-    ), k)
+    ), k, stop, False, pruned)
 
 
 def reference(nfa, obs, family, k):
     """The unpruned walk's verdict: its continuation follows its own parents
     back to a root, whose prefix is the root's BFS access string."""
-    nodes, hit = reference_walk(nfa, obs, family, k)
+    nodes, hit, _, _ = reference_walk(nfa, obs, family, k)
     if hit is None:
         return Verdict(True)
     continuation = []
@@ -378,20 +392,26 @@ def test_merging_branches_keep_their_verdicts_and_witness():
     assert not verify_k_step_weak(nfa, 2).opaque
 
 
-def walked_pairs(search):
-    """Node count of each pair walk that *search* runs."""
-    counts = []
+def recorded_walks(search):
+    """(walk, hit, edges or None) of each pair walk that *search* runs."""
+    calls = []
     explore = opaq.weak._explore
 
-    def counted(*args, **kwargs):
+    def recorded(*args, **kwargs):
         walk, hit = explore(*args, **kwargs)
-        counts.append(len(walk.x2))
+        calls.append((walk, hit, kwargs.get("edges")))
         return walk, hit
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(opaq.weak, "_explore", counted)
+        for module in (opaq.weak, opaq.strong, opaq.crosscheck):
+            patch.setattr(module, "_explore", recorded)
         search()
-    return counts
+    return calls
+
+
+def walked_pairs(search):
+    """Node count of each pair walk that *search* runs."""
+    return [len(walk.x2) for walk, _, _ in recorded_walks(search)]
 
 
 def test_weak_walks_visit_live_pairs_only(g2):
@@ -407,7 +427,7 @@ def test_weak_walks_visit_live_pairs_only(g2):
     # the unpruned walk also visits the dead ({u},{u}) second.
     nfa = merging()
     assert walked_pairs(lambda: verify_infinite_step_weak(nfa)) == [3]
-    nodes, _ = reference_walk(nfa, build_observer(nfa), "weak", None)
+    nodes, *_ = reference_walk(nfa, build_observer(nfa), "weak", None)
     named = [(row_table(nfa).state_set(x1), row_table(nfa).state_set(x2)) for _, x1, x2, *_ in nodes]
     assert named == [(("s",), ("t",)), (("u",), ("u",)), (("u", "v"), ("u",)), (("w",), ())]
 
@@ -438,14 +458,15 @@ def test_roots_count_against_the_cap():
 
 # -- root seeding ---------------------------------------------------------------
 #
-# ``_explore`` seeds its roots as one block.  The reference is the loop it
-# replaced, one root at a time: append the root, stop at it when its x2 is
-# empty, then raise once more than *max_states* roots are in.
+# ``_explore`` takes one root x2 per observer position, -1 where an estimate
+# has no root, and seeds the roots as one block.  The reference is the loop
+# it replaced, one root at a time: append the root, stop at it when its x2
+# is empty, then raise once more than *max_states* roots are in.
 
 
 def per_root(roots, stop_at_empty, max_states):
     """The hit position, "cap" when the cap is passed first, or None."""
-    for p, (_, x2) in enumerate(roots):
+    for p, x2 in enumerate(x2 for x2 in roots if x2 >= 0):
         if stop_at_empty and not x2:
             return p
         if p + 1 > max_states:
@@ -460,9 +481,13 @@ def test_roots_keep_the_per_root_hit_and_cap_order(k, stop_at_empty):
     obs = build_observer(nth_last)
     steps = row_table(nth_last).avoid_steps
     n = 6
+    # Roots at every other estimate, -1 between them.
+    picked = list(range(0, 2 * n, 2))
     # An empty root before, at and past each cap, or none at all.
-    for empty in (None, *range(n)):
-        roots = [(i, 0 if i == empty else obs.masks[i]) for i in range(n)]
+    for empty in (None, *picked):
+        roots = [-1] * len(obs.masks)
+        for i in picked:
+            roots[i] = 0 if i == empty else obs.masks[i]
         for cap in range(n + 2):
             expected = per_root(roots, stop_at_empty, cap)
             if expected == "cap":
@@ -471,26 +496,94 @@ def test_roots_keep_the_per_root_hit_and_cap_order(k, stop_at_empty):
             elif expected is not None:
                 walk, hit = opaq.weak._explore(obs, roots, steps, k, stop_at_empty, max_states=cap)
                 assert hit == expected
-                assert walk.estimate == list(range(hit + 1))
-                assert walk.x2 == [x2 for _, x2 in roots[:hit + 1]]
+                assert walk.estimate == picked[:hit + 1]
+                assert walk.x2 == [roots[i] for i in picked[:hit + 1]]
                 assert walk.parent == walk.event == [-1] * (hit + 1)
             elif k == 0:
                 walk, hit = opaq.weak._explore(obs, roots, steps, k, stop_at_empty, max_states=cap)
                 assert hit is None
-                assert walk == (list(range(n)), [x2 for _, x2 in roots], [-1] * n, [-1] * n, [0])
+                assert walk == (picked, [roots[i] for i in picked], [-1] * n, [-1] * n, [0])
 
 
 def test_a_k0_walk_returns_its_roots_only():
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     obs = build_observer(nth_last)
     table = row_table(nth_last)
-    roots = [(i, m & table.nonsecret) for i, m in enumerate(obs.masks)]
+    roots = [m & table.nonsecret for m in obs.masks]
     edges = []
     walk, hit = opaq.weak._explore(obs, roots, table.avoid_steps, 0, False, edges=edges)
     assert hit is None and edges == []
     assert walk.estimate == list(range(len(obs.masks)))
-    assert walk.x2 == [x2 for _, x2 in roots]
+    assert walk.x2 == roots
+    assert walk.x2 is not roots
     assert walk.levels == [0]
     # The same roots at K = 1 are expanded.
     opaq.weak._explore(obs, roots, table.avoid_steps, 1, False, edges=edges)
     assert len(edges) == 2 * len(roots)
+    assert roots == [m & table.nonsecret for m in obs.masks]
+
+
+def test_sst_children_that_are_roots_add_no_pairs():
+    # Every child of an SST root on nth_last6 is the root at its estimate,
+    # so the walk stays at its 64 roots at any K; its 128 edges end at them.
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    obs = build_observer(nth_last)
+    assert len(obs.masks) == 64
+    assert walked_pairs(lambda: verify_k_step_strong(nth_last, 2)) == [64]
+    table = row_table(nth_last)
+    edges = []
+    walk, _ = opaq.weak._explore(obs, [m & table.nonsecret for m in obs.masks], table.avoid_steps, 2, False, edges=edges)
+    assert walk.levels == [0, 64]
+    assert len(edges) == 128 and all(m < 64 for _, _, m in edges)
+
+
+# -- the walk against the reference ---------------------------------------------
+
+
+def walk_rows(walk):
+    return [(i, x2, p, e) for i, x2, p, e in zip(walk.estimate, walk.x2, walk.parent, walk.event)]
+
+
+def reference_rows(nodes):
+    return [(i, x2, p, e) for i, _, x2, p, e, _ in nodes]
+
+
+def assert_walk_is_the_reference(recorded, expected):
+    walk, hit, edges = recorded
+    nodes, expected_hit, levels, expected_edges = expected
+    assert walk_rows(walk) == reference_rows(nodes)
+    assert walk.levels == levels
+    assert hit == expected_hit
+    if edges is not None:
+        assert edges == expected_edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfa=small_models(), k=st.integers(0, 3))
+def test_every_pair_walk_is_the_reference_walk(nfa, k):
+    obs = build_observer(nfa)
+    searches = (
+        (lambda: verify_current_state_opacity(nfa, obs), "weak", 0),
+        (lambda: verify_k_step_weak(nfa, k, obs), "weak", k),
+        (lambda: verify_k_step_strong(nfa, k, obs), "sst", k),
+        (lambda: verify_infinite_step_weak(nfa, obs), "weak", None),
+        (lambda: verify_infinite_step_strong(nfa, obs), "verifier", None),
+    )
+    for search, family, depth in searches:
+        [recorded] = recorded_walks(search)
+        assert_walk_is_the_reference(recorded, reference_walk(nfa, obs, family, depth, pruned=True))
+    # The batch's structural checks walk the verifier with edges, one
+    # refill SST walk per secret-intersecting root, then the weak walk at
+    # K = 2^|X| - 2.
+    result, infinite = opaq.crosscheck.BatchResult(), verify_infinite_step_weak(nfa, obs)
+    calls = recorded_walks(lambda: opaq.crosscheck._structural_checks(nfa, 0, (k,), result, obs, infinite))
+    secret = row_table(nfa).secret
+    refill_roots = [i for i, m in enumerate(obs.masks) if m & secret]
+    assert len(calls) == 2 + len(refill_roots)
+    verifier, *refills, weak = calls
+    assert verifier[2] is not None and all(edges is not None for _, _, edges in refills)
+    assert_walk_is_the_reference(verifier, reference_walk(nfa, obs, "verifier", None, False, True))
+    for recorded, i in zip(refills, refill_roots):
+        assert_walk_is_the_reference(recorded, reference_walk(nfa, obs, "sst", k, False, True, root=i))
+    bound = 2 ** len(nfa.states) - 2
+    assert_walk_is_the_reference(weak, reference_walk(nfa, obs, "weak", bound, pruned=True))
