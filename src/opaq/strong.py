@@ -163,7 +163,10 @@ def walk_verifier(nfa: Nfa, obs: Observer | None = None, max_states: int | None 
     ResourceLimitError.
     """
     table, obs, walk, _ = _run_verifier(nfa, obs, False, max_states=max_states)
-    hit = walk.x2.index(0) if 0 in walk.x2 else None
+    try:
+        hit = walk.x2.index(0)
+    except ValueError:
+        hit = None
     return _verdict(table, obs, walk, hit), len(walk.x2)
 
 

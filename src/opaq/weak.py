@@ -25,11 +25,15 @@ verifier pair whose ``x2`` is its whole estimate can still lose every state
 to a secret later.  Tree exports keep every node, ``x1`` included.
 
 Every walk takes its roots as one x2 per observer position, -1 where an
-estimate has no root, so each estimate roots at most one node.  A child
-whose x2 is the root x2 at its estimate is that root, found by position;
-only the other nodes are hashed into the walk's visited dict.  An SST walk
-roots every estimate, so a child that repeats a window's start costs one
-list read.
+estimate has no root, so each estimate roots at most one node.  The walk
+keeps, per estimate, the x2 of the first node met there: its root, or else
+the first live child that reaches it.  A child whose x2 is that first x2 is
+that node, found by position, and a child at an estimate with no node yet
+becomes its first node; only a second, different x2 at an estimate is
+hashed into the walk's visited dict.  So a walk that meets each estimate
+with one x2, as the verifier does when every estimate carries one
+secret-avoiding subset, hashes nothing, and an SST walk, which roots every
+estimate, costs one list read for a child that repeats a window's start.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
-    InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_quote, format_pair, row_table,
+    InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_quote, format_pair,
+    format_state_set, row_table,
 )
 from .observer import Observer, build_observer
 
@@ -171,7 +176,7 @@ def _tree_root(nfa: Nfa, obs: Observer, root_state: StateSet, k: int, max_states
         raise ValueError("k must be nonnegative")
     i = obs.index.get(root_state)
     if i is None:
-        raise ValueError(f"root {format_pair(root_state, ())} is not a reachable observer state")
+        raise ValueError(f"root {format_state_set(root_state)} is not a reachable observer state")
     if not obs.masks[i] & row_table(nfa).secret:
         raise ValueError("root estimate contains no secret state")
     if max_states is not None:
@@ -264,11 +269,16 @@ def _explore(
     refill check.  *roots* holds one x2 per observer position, -1 where that
     estimate has no root; the roots seed the queue in position order, and
     events expand in declaration order.  On move (e, j) a node's child is
-    (j, ``steps[e](x2) & masks[j]``).  A child whose x2 is the root x2 at
-    position j is that root, found by one list read; any other child is
-    keyed by the int ``x2 << w | j`` in the walk's visited dict.  BFS meets
-    each node at its shallowest depth, so reachability of an empty-``x2``
-    node within depth *k* (None: unbounded) is decided exactly.
+    (j, ``steps[e](x2) & masks[j]``).  ``first[j]`` holds the x2 of the
+    first node met at position j, seeded from *roots*, and an edge walk
+    keeps that node's position in ``node_at[j]``.  A child whose x2 is
+    ``first[j]`` is that node, found by one list read; a live child at a
+    position with no node yet becomes its first node.  Only a second,
+    different x2 at a position is keyed by the int ``x2 << w | j`` in the
+    walk's visited dict.  New nodes from either path are appended, then
+    checked for the hit and the cap alike.  BFS meets each node at its
+    shallowest depth, so reachability of an empty-``x2`` node within depth
+    *k* (None: unbounded) is decided exactly.
 
     With *stop_at_empty* the walk returns the position of the first node
     whose ``x2`` is empty, which gives the shortest (then lexicographically
@@ -302,8 +312,12 @@ def _explore(
     w = len(masks).bit_length()
     seen: dict[int, int] = {}
     event_steps = tuple(enumerate(steps))
-    # Edges end at roots too, so an edge walk looks up each root's node.
-    root_node = {j: n for n, j in enumerate(estimate)} if edges is not None else {}
+    first = roots[:]
+    node_at = None
+    if edges is not None:
+        node_at = [-1] * len(masks)
+        for n, j in enumerate(estimate):
+            node_at[j] = n
     start = 0
     # Each pass expands one level and appends the next behind it.
     while start < len(x2s) and (k is None or len(levels) <= k):
@@ -316,24 +330,34 @@ def _explore(
                 if j < 0:
                     continue
                 c2 = step(x2) & masks[j]
-                if c2 == roots[j]:
+                f = first[j]
+                if c2 == f:
                     if edges is not None:
-                        edges.append((n, e, root_node[j]))
+                        edges.append((n, e, node_at[j]))
                     continue
                 if weak and c2 == masks[j]:
                     continue
-                key = c2 << w | j
-                m = seen.get(key)
-                if m is None:
+                if f < 0:
+                    m = len(x2s)
+                    first[j] = c2
+                    if node_at is not None:
+                        node_at[j] = m
+                else:
+                    key = c2 << w | j
+                    m = seen.get(key)
+                    if m is not None:
+                        if edges is not None:
+                            edges.append((n, e, m))
+                        continue
                     m = seen[key] = len(x2s)
-                    estimate.append(j)
-                    x2s.append(c2)
-                    parent.append(n)
-                    event.append(e)
-                    if stop_at_empty and not c2:
-                        return walk, m
-                    if m >= limit:
-                        raise ResourceLimitError(f"{search} exceeded {max_states} states")
+                estimate.append(j)
+                x2s.append(c2)
+                parent.append(n)
+                event.append(e)
+                if stop_at_empty and not c2:
+                    return walk, m
+                if m >= limit:
+                    raise ResourceLimitError(f"{search} exceeded {max_states} states")
                 if edges is not None:
                     edges.append((n, e, m))
         start = end

@@ -465,3 +465,41 @@ def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path, argv, buffered):
         os.close(write)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def run_cli(argv, cwd, optimize):
+    """(exit code, stdout, stderr) of ``python [-O] -m opaq.cli argv`` in *cwd*."""
+    path = [SRC, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "opaq.cli", *argv], capture_output=True,
+        cwd=cwd, env=env, timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_optimize_changes_no_output(tmp_path):
+    # Invariants are checked without ``assert``, so ``python -O`` gives the
+    # same verdicts, witnesses, sizes and crosscheck report.
+    nth_last = os.path.join(FIXTURES, "nth_last6.json")
+    commands = [["crosscheck", "--models", "50", "--max-states", "8", "--k", "0..3", "--seed", "7",
+                 "--report", "report.jsonl"]]
+    for prop in PROPERTIES:
+        k = ["--k", "2"] if prop in ("k-weak", "k-strong") else []
+        commands.append(["verify", "--property", prop, *k, "--format", "json", nth_last])
+    for argv in commands:
+        outputs = []
+        for optimize in (False, True):
+            cwd = tmp_path / f"{argv[0]}-{argv[2]}-{int(optimize)}"
+            cwd.mkdir()
+            code, out, err = run_cli(argv, cwd, optimize)
+            assert code in (0, 1) and err == b"", err
+            report = (cwd / "report.jsonl").read_bytes() if argv[0] == "crosscheck" else None
+            outputs.append((code, out, report))
+        assert outputs[0] == outputs[1]
+        if argv[0] == "crosscheck":
+            # One report row per check.
+            assert report.count(b"\n") == 50 * 11
+        else:
+            assert json.loads(out)["property"] == argv[2]

@@ -61,6 +61,12 @@ def test_sst_requires_secret_root(g8frag):
         build_sst(g8frag, obs, ("0", "1"), 1)
 
 
+def test_an_unreachable_sst_root_is_named_as_a_set(g2):
+    obs = build_observer(g2)
+    with pytest.raises(ValueError, match=r"^root \{0,1\} is not a reachable observer state$"):
+        build_sst(g2, obs, ("0", "1"), 1)
+
+
 def test_g2_strong_verdicts(g2):
     assert verify_k_step_strong(g2, 1).opaque
     verdict = verify_k_step_strong(g2, 2)

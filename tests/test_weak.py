@@ -86,6 +86,9 @@ def test_tree_requires_secret_intersecting_reachable_root(g2):
         build_weak_state_tree(g2, obs, ("0",), 1)
     with pytest.raises(ValueError, match="not a reachable"):
         build_weak_state_tree(g2, obs, ("1", "4"), 1)
+    # The root is named as a set, not as a pair.
+    with pytest.raises(ValueError, match=r"^root \{0,1\} is not a reachable observer state$"):
+        build_weak_state_tree(g2, obs, ("0", "1"), 1)
 
 
 def test_g2_weak_verdicts(g2):
@@ -587,3 +590,135 @@ def test_every_pair_walk_is_the_reference_walk(nfa, k):
         assert_walk_is_the_reference(recorded, reference_walk(nfa, obs, "sst", k, False, True, root=i))
     bound = 2 ** len(nfa.states) - 2
     assert_walk_is_the_reference(weak, reference_walk(nfa, obs, "weak", bound, pruned=True))
+
+
+# -- first nodes --------------------------------------------------------------
+#
+# ``_explore`` keeps the x2 of the first node met at each estimate and finds
+# a child with that x2 by position; only a second, different x2 at one
+# estimate goes into its visited dict.
+
+
+def two_subsets():
+    """A verifier that meets one estimate with two secret-avoiding subsets.
+
+    ``a`` leads to {s,w} (``s`` secret) and ``b`` to {p}; ``c`` from either
+    reaches E = {u,v}, from {s,w} with x2 {v} first, from {p} with x2 {u,v}
+    second.  ``d`` loops on E and ``f`` leads from E to {y}, so E's second
+    node comes before the first node at {y}: node and observer positions
+    part from there on.
+    """
+    return validate_model(
+        {
+            "states": ["0", "s", "w", "p", "u", "v", "y"],
+            "events": [{"name": e, "observable": True} for e in "abcdf"],
+            "initial": ["0"],
+            "secret": ["s"],
+            "transitions": [
+                ["0", "a", "s"], ["0", "a", "w"], ["0", "b", "p"],
+                ["s", "c", "u"], ["w", "c", "v"], ["p", "c", "u"], ["p", "c", "v"],
+                ["u", "d", "u"], ["v", "d", "v"], ["u", "f", "y"], ["v", "f", "y"],
+            ],
+        }
+    )
+
+
+def named_rows(nfa, obs, walk):
+    name = row_table(nfa).state_set
+    return [(obs.states[i], name(x2), p, e) for i, x2, p, e in walk_rows(walk)]
+
+
+def test_a_second_x2_at_an_estimate_is_its_own_node():
+    nfa = two_subsets()
+    obs = build_observer(nfa)
+    assert obs.states == (("0",), ("s", "w"), ("p",), ("u", "v"), ("y",))
+    calls = recorded_walks(lambda: opaq.strong.build_verifier(nfa, obs))
+    [(walk, hit, edges)] = calls
+    assert hit is None
+    assert named_rows(nfa, obs, walk) == [
+        (("0",), ("0",), -1, -1),
+        (("s", "w"), ("w",), 0, 0),
+        (("p",), ("p",), 0, 1),
+        (("u", "v"), ("v",), 1, 2),
+        (("u", "v"), ("u", "v"), 2, 2),
+        (("y",), ("y",), 3, 4),
+    ]
+    assert walk.levels == [0, 1, 3, 5, 6]
+    # d ends at each node at E on itself; f ends at {y}'s first node, 5,
+    # from both, though {y} is observer position 4.
+    assert edges == [(0, 0, 1), (0, 1, 2), (1, 2, 3), (2, 2, 4), (3, 3, 3), (3, 4, 5), (4, 3, 4), (4, 4, 5)]
+    assert_walk_is_the_reference((walk, hit, edges), reference_walk(nfa, obs, "verifier", None, False, True))
+    ver = opaq.strong.build_verifier(nfa, obs)
+    first, second, y = ver.states[3:]
+    assert ver.transitions[(first, "d")] is first and ver.transitions[(second, "d")] is second
+    assert ver.transitions[(first, "f")] is y and ver.transitions[(second, "f")] is y
+
+
+def dead_first():
+    """A weak walk whose first child at an estimate is dead.
+
+    The root ({s},{t}) reaches E = {u,v} on ``b`` as the dead ({u,v},{u,v})
+    and then on ``c`` as the live ({u},{u}); ``d`` loops on E, and ``g``
+    from E empties x2 at {w}.
+    """
+    return validate_model(
+        {
+            "states": ["0", "s", "t", "u", "v", "w"],
+            "events": [{"name": e, "observable": True} for e in "abcdg"],
+            "initial": ["0"],
+            "secret": ["s"],
+            "transitions": [
+                ["0", "a", "s"], ["0", "a", "t"],
+                ["s", "b", "u"], ["t", "b", "u"], ["t", "b", "v"],
+                ["s", "c", "u"], ["s", "c", "v"], ["t", "c", "u"],
+                ["u", "d", "u"], ["v", "d", "v"], ["v", "g", "w"],
+            ],
+        }
+    )
+
+
+def test_a_dead_first_child_leaves_the_estimate_to_a_live_one():
+    nfa = dead_first()
+    obs = build_observer(nfa)
+    table = row_table(nfa)
+    [(walk, hit, _)] = recorded_walks(lambda: verify_infinite_step_weak(nfa, obs))
+    assert named_rows(nfa, obs, walk) == [
+        (("s", "t"), ("t",), -1, -1),
+        (("u", "v"), ("u",), 0, 2),
+        (("w",), (), 1, 4),
+    ]
+    # The empty x2 is the first node at {w}, and it is the hit.
+    assert hit == 2
+    assert verify_infinite_step_weak(nfa, obs).witness == Witness(("a",), ("c", "g"), (("w",), ()))
+    # With edges: b's dead child is dropped, and d ends at the live node.
+    edges = []
+    walk, _ = opaq.weak._explore(obs, opaq.weak._secret_roots(table, obs), table.reach_steps, None, False,
+                                 weak=True, edges=edges)
+    assert len(walk.x2) == 3
+    assert edges == [(0, 2, 1), (1, 3, 1), (1, 4, 2)]
+    check_against_reference(nfa)
+
+
+def test_a_first_node_counts_against_the_cap():
+    # The live node at {u,v} is the second node, met as a first node: a cap
+    # of one raises there, and a cap of two lets the walk reach the hit.
+    nfa = dead_first()
+    with pytest.raises(ResourceLimitError, match="infinite-step weak search exceeded 1 states"):
+        verify_infinite_step_weak(nfa, max_states=1)
+    assert not verify_infinite_step_weak(nfa, max_states=2).opaque
+    # The first node at {y} is two_subsets' sixth node.
+    nfa = two_subsets()
+    with pytest.raises(ResourceLimitError, match="verifier exceeded 5 states"):
+        opaq.strong.walk_verifier(nfa, max_states=5)
+    assert opaq.strong.walk_verifier(nfa, max_states=6) == (Verdict(True), 6)
+
+
+def test_the_nth_last_verifier_has_one_node_per_estimate():
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    obs = build_observer(nth_last)
+    [(walk, hit, edges)] = recorded_walks(lambda: opaq.strong.build_verifier(nth_last, obs))
+    assert hit is None
+    assert sorted(walk.estimate) == list(range(64))
+    assert len(edges) == 128
+    # Each edge ends at the one node of its move's target estimate.
+    assert all(walk.estimate[m] == obs.moves[walk.estimate[n]][e] for n, e, m in edges)
