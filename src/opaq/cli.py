@@ -122,7 +122,10 @@ def _run_verify(args) -> int:
 
     if args.property in ("k-weak", "k-strong", "cs"):
         # Weak trees and SSTs have the same shape, so one count serves both.
-        sizes["tree_nodes"] = tree_node_count(nfa, obs, args.k if args.property != "cs" else 0)
+        # The count stops past the state cap, which bounds its work and its
+        # digits, and then reads ">cap".
+        nodes = tree_node_count(nfa, obs, args.k if args.property != "cs" else 0, cap)
+        sizes["tree_nodes"] = nodes if nodes <= cap else f">{cap}"
 
     payload = verdict_to_dict(args.property, args.k, verdict)
     payload["sizes"] = sizes

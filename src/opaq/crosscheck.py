@@ -7,6 +7,12 @@ agreement, and at every K only when they disagree there (see _oracle_at).
 Structural assertions (size caps, absorbing emptiness on trees, the
 verifier/observer projection, and the finite/infinite weak consistency
 bound) run on the same models, the tree checks without building a tree.
+With them, each model walks its verifier once, with edges, and that walk
+gives the inf-strong row, the verifier's state count and the projection
+check; the projection is stepped by the model's oracle engine, so a walk
+edge whose target estimate or secret-avoiding subset differs from the
+oracle's step is reported (see _projection_problems).  Without them the
+row takes a walk that stops at the first empty second component.
 Any disagreement, or a construction witness that does not replay, is
 serialized as a standalone model fixture before the batch is reported as
 failed.
@@ -21,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Nfa, model_to_dict, row_table
+from .core import Nfa, format_pair, format_state_set, model_to_dict, row_table
 from .observer import Observer, build_observer
 from .oracle import (
     MaskEngine,
@@ -37,15 +43,11 @@ from .oracle import (
     replay_weak_violation,
 )
 from .projection import sipa_size
-from .strong import (
-    build_verifier,
-    check_verifier_observer_language_equality,
-    verify_infinite_step_strong,
-    verify_k_step_strong,
-)
+from .strong import _verifier_walk, verify_infinite_step_strong, verify_k_step_strong
 from .weak import (
     Steps,
     Verdict,
+    Walk,
     _explore,
     _secret_roots,
     verify_infinite_step_weak,
@@ -160,13 +162,20 @@ def _oracle_at(verdicts: dict[int, Verdict], search: Callable[[int], OracleVerdi
 
 
 def _agreement_rows(
-    nfa: Nfa, seed: int, ks: tuple[int, ...], obs: Observer, weak: Verdict, state_cap: int | None
+    nfa: Nfa,
+    seed: int,
+    ks: tuple[int, ...],
+    obs: Observer,
+    eng: MaskEngine,
+    weak: Verdict,
+    infinite_strong: Verdict,
+    state_cap: int | None,
 ) -> list[dict]:
-    # *weak* is the model's inf-weak verdict.  One oracle engine per model:
-    # the model's oracle searches and witness replays share its memoized
-    # steps and estimate BFS.  The oracle's K-step searches are called
-    # through this module's names, which the benchmark's tracer rebinds.
-    eng = MaskEngine(nfa)
+    # *weak* and *infinite_strong* are the model's inf-weak and inf-strong
+    # verdicts.  The model's oracle searches and witness replays share the
+    # memoized steps and estimate BFS of its one engine *eng*.  The
+    # oracle's K-step searches are called through this module's names,
+    # which the benchmark's tracer rebinds.
     strong = verify_k_step_strong(nfa, max(ks), obs)
     weak_at = {k: _at_depth(weak, k) for k in (0, *ks)}
     strong_at = {k: _at_depth(strong, k) for k in ks}
@@ -191,9 +200,7 @@ def _agreement_rows(
         rows.append(row("k-weak", k, weak_at[k], weak_oracle[k]))
         rows.append(row("k-strong", k, strong_at[k], strong_oracle[k]))
     rows.append(row("inf-weak", None, weak, oracle_infinite_step_weak(nfa, eng=eng)))
-    rows.append(
-        row("inf-strong", None, verify_infinite_step_strong(nfa, obs), oracle_infinite_step_strong(nfa, eng=eng))
-    )
+    rows.append(row("inf-strong", None, infinite_strong, oracle_infinite_step_strong(nfa, eng=eng)))
     return rows
 
 
@@ -223,13 +230,81 @@ def _refill_depth(obs: Observer, steps: Steps, roots: list[int], top: int) -> in
     return min((bisect_right(walk.levels, n) for n, _, m in edges if x2[m] and not x2[n]), default=top + 1)
 
 
+def _projection_problems(
+    obs: Observer, walk: Walk, edges: list[tuple[int, int, int]], eng: MaskEngine
+) -> list[str]:
+    """Criterion 4: the verifier walk projects onto the observer, stepped by the oracle.
+
+    Node n of *walk*, with *edges*, is the verifier state
+    (``obs.masks[walk.estimate[n]]``, ``walk.x2[n]``).  Its first
+    components must map onto the observer as a functional bisimulation,
+    matching moves exactly in both directions, which implies language
+    equality with no bound.  The walk follows ``obs.moves`` by
+    construction, so the check also steps every edge's x1 and x2 with the
+    model's oracle engine, ``eng.reach`` and ``eng.avoid_reach``, and checks
+    every estimate against the engine's estimate BFS: a wrong move, a wrong
+    reach row or a wrong avoid row then shows.  Returns every problem, in
+    the order of :func:`opaq.strong.check_verifier_observer_language_equality`,
+    whose messages it keeps, plus an x2 message of its own per edge.
+    """
+    masks, moves, events = obs.masks, obs.moves, obs.events
+    estimate, x2 = walk.estimate, walk.x2
+    name = obs.table.state_set
+
+    def pair(n: int) -> str:
+        return format_pair(name(masks[estimate[n]]), name(x2[n]))
+
+    problems: list[str] = []
+    order, access, _ = eng.reach_bfs()
+    if masks[estimate[0]] != order[0]:
+        problems.append(f"initial mismatch: verifier {pair(0)} vs observer {format_pair(name(order[0]), ())}")
+    width = len(events)
+    target = [-1] * (len(x2) * width)
+    for n, e, m in edges:
+        target[n * width + e] = m
+    covered = [False] * len(masks)
+    for n, i in enumerate(estimate):
+        x1 = masks[i]
+        if x1 not in access:
+            problems.append(f"verifier state {pair(n)} projects outside the observer")
+            continue
+        covered[i] = True
+        for e, (event, j) in enumerate(zip(events, moves[i])):
+            m = target[n * width + e]
+            reach = eng.reach(x1, event)
+            if (m < 0) != (j < 0) or (j < 0 and reach):
+                problems.append(f"transition definedness mismatch at {pair(n)} on {event!r}")
+            elif m >= 0:
+                if estimate[m] != j or masks[j] != reach:
+                    problems.append(f"transition target mismatch at {pair(n)} on {event!r}")
+                avoid = eng.avoid_reach(x2[n], event)
+                if x2[m] != avoid:
+                    problems.append(
+                        f"transition x2 mismatch at {pair(n)} on {event!r}: "
+                        f"the oracle's secret-avoiding step gives {format_state_set(name(avoid))}"
+                    )
+    for i, seen in enumerate(covered):
+        if not seen:
+            problems.append(f"observer state {format_pair(name(masks[i]), ())} has no verifier preimage")
+    return problems
+
+
 def _structural_checks(
-    nfa: Nfa, seed: int, ks: tuple[int, ...], result: BatchResult, obs: Observer, infinite: Verdict
+    nfa: Nfa,
+    seed: int,
+    ks: tuple[int, ...],
+    result: BatchResult,
+    obs: Observer,
+    infinite: Verdict,
+    eng: MaskEngine,
+    verifier: Walk,
+    edges: list[tuple[int, int, int]],
 ) -> None:
     # *infinite* is the model's inf-weak verdict, which the weak-bound check
-    # compares with a separately bounded walk.
+    # compares with a separately bounded walk.  *verifier* is the model's
+    # verifier walk run to exhaustion and *edges* its edges; *eng* is the
+    # model's oracle engine.
     sipa_states, sipa_transitions = sipa_size(nfa)
-    ver = build_verifier(nfa, obs)
     n = len(nfa.states)
     n_eo = len(nfa.observable_events)
 
@@ -239,11 +314,11 @@ def _structural_checks(
         result.cap_failures.append(f"seed {seed}: tagged automaton exceeds 2|X| states")
     if sipa_transitions > 4 * n * n * n_eo:
         result.cap_failures.append(f"seed {seed}: tagged automaton exceeds 4|X|^2|Eo| transitions")
-    if len(ver.states) > 4**n:
+    if len(verifier.x2) > 4**n:
         result.cap_failures.append(f"seed {seed}: verifier exceeds 4^|X| states")
 
-    ok, certificate = check_verifier_observer_language_equality(obs, ver)
-    if not ok:
+    certificate = _projection_problems(obs, verifier, edges, eng)
+    if certificate:
         result.projection_failures.append(
             f"seed {seed}: verifier/observer projection failed: {certificate[0]}"
         )
@@ -301,8 +376,16 @@ def run_crosscheck(
         nfa = random_nfa(cfg)
         result.models += 1
         obs = build_observer(nfa)
+        eng = MaskEngine(nfa)
         weak = verify_infinite_step_weak(nfa, obs)
-        rows = _agreement_rows(nfa, cfg.seed, ks, obs, weak, state_cap)
+        if structural:
+            # One verifier walk with edges serves the inf-strong row, the
+            # 4^|X| cap and the projection check.
+            edges: list[tuple[int, int, int]] = []
+            strong, verifier = _verifier_walk(nfa, obs, edges)
+        else:
+            strong = verify_infinite_step_strong(nfa, obs)
+        rows = _agreement_rows(nfa, cfg.seed, ks, obs, eng, weak, strong, state_cap)
         result.rows.extend(rows)
         for r in rows:
             if not r["agree"] or not r["witness_replays"]:
@@ -319,7 +402,7 @@ def run_crosscheck(
                         json.dump(record, fh, indent=2, sort_keys=True)
                     result.divergence_fixtures.append(path)
         if structural:
-            _structural_checks(nfa, cfg.seed, ks, result, obs, weak)
+            _structural_checks(nfa, cfg.seed, ks, result, obs, weak, eng, verifier, edges)
     result.elapsed = time.monotonic() - started
     if report_path is not None:
         # One encoder for every row: json.dumps would build one per call.

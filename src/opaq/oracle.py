@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import ModelError, Nfa, ResourceLimitError, validate_model
+from .core import Event, ModelError, Nfa, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -601,35 +601,40 @@ def random_nfa(cfg: OracleConfig) -> Nfa:
     Guarantees at least one observable event and a nonempty initial set;
     with a positive unobservable fraction at least one event is
     unobservable.  Cycles and nondeterminism are allowed.
+
+    The transitions are drawn as positions of the (state, event, state)
+    universe in row-major order and decoded, without building the
+    universe: ``random.sample`` picks from the length of its population
+    alone, so the positions are those a sample of the universe would pick.
+    The model is built directly; ``Nfa`` checks its structural invariants.
     """
     if cfg.n_states < 1:
         raise ModelError("random model needs at least one state")
     if cfg.n_events < 1:
         raise ModelError("random model needs at least one event")
     rng = random.Random(cfg.seed)
-    states = [str(i) for i in range(cfg.n_states)]
-    observable = [rng.random() >= cfg.unobservable_fraction for _ in range(cfg.n_events)]
+    n, m = cfg.n_states, cfg.n_events
+    states = tuple(str(i) for i in range(n))
+    observable = [rng.random() >= cfg.unobservable_fraction for _ in range(m)]
     if not any(observable):
         observable[0] = True
-    if cfg.unobservable_fraction > 0 and all(observable) and cfg.n_events > 1:
+    if cfg.unobservable_fraction > 0 and all(observable) and m > 1:
         observable[-1] = False
-    events = [
-        {"name": f"e{i}", "observable": observable[i]} for i in range(cfg.n_events)
-    ]
-    universe = [
-        (s, e["name"], t) for s in states for e in events for t in states
-    ]
-    wanted = max(1, round(cfg.density * cfg.n_states))
-    transitions = [list(t) for t in sorted(rng.sample(universe, min(wanted, len(universe))))]
-    size = 2 if cfg.n_states > 1 and rng.random() < 0.3 else 1
+    names = [f"e{i}" for i in range(m)]
+    universe = n * m * n
+    wanted = max(1, round(cfg.density * n))
+    # Sorted as the names sort, as the universe's triples would be.
+    transitions = sorted(
+        (states[p // (m * n)], names[p // n % m], states[p % n])
+        for p in rng.sample(range(universe), min(wanted, universe))
+    )
+    size = 2 if n > 1 and rng.random() < 0.3 else 1
     initial = rng.sample(states, size)
-    secret = [s for s in states if rng.random() < cfg.secret_fraction]
-    return validate_model(
-        {
-            "states": states,
-            "events": events,
-            "initial": sorted(initial),
-            "secret": secret,
-            "transitions": transitions,
-        }
+    secret = tuple(s for s in states if rng.random() < cfg.secret_fraction)
+    return Nfa(
+        states=states,
+        events=tuple(map(Event, names, observable)),
+        transitions=tuple(transitions),
+        initial=tuple(sorted(initial)),
+        secret=secret,
     )

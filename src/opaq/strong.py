@@ -21,6 +21,7 @@ from .projection import Sipa
 from .weak import (
     StateTree,
     Verdict,
+    Walk,
     _explore,
     _grow_tree,
     _tree_root,
@@ -132,6 +133,8 @@ def build_verifier(
     initial tag is N; each transition pairs the observer step with the
     N-to-N filtered step.  FIFO order over declaration-ordered events makes
     the state numbering deterministic; each (state, event) is examined once.
+    It serves the verifier export and library callers; the crosscheck batch
+    reads the walk itself (see :func:`_verifier_walk`).
     """
     edges: list[tuple[int, int, int]] = []
     table, obs, walk, _ = _run_verifier(nfa, obs, False, edges=edges, max_states=max_states)
@@ -153,21 +156,32 @@ def verify_infinite_step_strong(nfa: Nfa, obs: Observer | None = None, sipa: Sip
     return _verdict(*_run_verifier(nfa, obs, True))
 
 
-def walk_verifier(nfa: Nfa, obs: Observer | None = None, max_states: int | None = None) -> tuple[Verdict, int]:
-    """The infinite-step strong verdict and the verifier's state count, in one walk.
+def _verifier_walk(
+    nfa: Nfa, obs: Observer | None, edges: list[tuple[int, int, int]] | None = None, max_states: int | None = None
+) -> tuple[Verdict, Walk]:
+    """The infinite-step strong verdict and the verifier walk run to exhaustion.
 
-    The walk visits the states of :func:`build_verifier` in its order
-    without recording edges.  The first state whose second component is
-    empty is the one :func:`verify_infinite_step_strong` stops at, so the
-    verdict and witness are the same.  More than *max_states* states raise
-    ResourceLimitError.
+    The walk visits the states of :func:`build_verifier` in its order,
+    appending its edges to *edges* when given.  The first state whose
+    second component is empty is the one :func:`verify_infinite_step_strong`
+    stops at, so the verdict and witness are the same.  More than
+    *max_states* states raise ResourceLimitError.
     """
-    table, obs, walk, _ = _run_verifier(nfa, obs, False, max_states=max_states)
+    table, obs, walk, _ = _run_verifier(nfa, obs, False, edges=edges, max_states=max_states)
     try:
         hit = walk.x2.index(0)
     except ValueError:
         hit = None
-    return _verdict(table, obs, walk, hit), len(walk.x2)
+    return _verdict(table, obs, walk, hit), walk
+
+
+def walk_verifier(nfa: Nfa, obs: Observer | None = None, max_states: int | None = None) -> tuple[Verdict, int]:
+    """The infinite-step strong verdict and the verifier's state count, in one walk without edges.
+
+    More than *max_states* states raise ResourceLimitError.
+    """
+    verdict, walk = _verifier_walk(nfa, obs, max_states=max_states)
+    return verdict, len(walk.x2)
 
 
 def check_verifier_observer_language_equality(
@@ -178,7 +192,9 @@ def check_verifier_observer_language_equality(
     The projection maps the reachable verifier onto the reachable observer,
     matching transitions exactly in both directions, which implies language
     equality with no bound.  Returns (ok, certificate); the certificate
-    lists every offending state or edge.
+    lists every offending state or edge.  This check is for library callers:
+    the crosscheck batch checks its verifier walk, stepped by the oracle
+    engine, with the same messages (``opaq.crosscheck._projection_problems``).
     """
     problems: list[str] = []
     if ver.initial.x1 != obs.initial:

@@ -206,13 +206,14 @@ def secret_intersecting_roots(nfa: Nfa, obs: Observer) -> tuple[StateSet, ...]:
     return tuple(s for s, m in zip(obs.states, obs.masks) if m & secret)
 
 
-def tree_node_count(nfa: Nfa, obs: Observer, k: int) -> int:
+def tree_node_count(nfa: Nfa, obs: Observer, k: int, cap: float = float("inf")) -> int:
     """Summed node count of the depth-K trees over every secret-intersecting root.
 
-    See ``_path_count``.
+    See ``_path_count``: past *cap* the count stops, and the number it
+    returns is above *cap* but not the count.
     """
     secret = row_table(nfa).secret
-    return _path_count(obs, [1 if m & secret else 0 for m in obs.masks], k)
+    return _path_count(obs, [1 if m & secret else 0 for m in obs.masks], k, cap)
 
 
 def _path_count(obs: Observer, paths: list[int], k: int, cap: float = float("inf")) -> int:

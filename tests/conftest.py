@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+import opaq.crosscheck
+import opaq.strong
 from opaq import validate_model
+from opaq.oracle import MaskEngine
 
 HERE = os.path.dirname(__file__)
 MODELS = os.path.join(HERE, "..", "models")
@@ -184,3 +187,10 @@ def wide_chain_dict(m: int = 20, length: int = 12) -> dict:
         "secret": [node(i, i % length) for i in range(m)],
         "transitions": transitions,
     }
+
+
+def structural_checks(nfa, seed, ks, result, obs, infinite):
+    """The batch's structural checks on one model, after its verifier walk with edges."""
+    edges = []
+    _, walk = opaq.strong._verifier_walk(nfa, obs, edges)
+    opaq.crosscheck._structural_checks(nfa, seed, ks, result, obs, infinite, MaskEngine(nfa), walk, edges)

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-The batch (criterion 3) runs once per session and feeds criteria 3 through 7.
+The batch (criterion 3) runs once per session and feeds criteria 3 through 7;
+its JSONL report, written under the session's temporary directory, is pinned
+by its sha256.
 Criterion 3 demands that every construction verdict agrees with the oracle.
 A disagreement is serialized under tests/_artifacts/divergences/ (ignored by
 git) and fails the criterion.  The K-step strong hidden-crossing family
@@ -10,6 +12,7 @@ that once diverged at seed 7 is closed (README, "Known divergence
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 
@@ -35,6 +38,9 @@ BATCH_MODELS = 500
 BATCH_SEED = 7
 BATCH_KS = (0, 1, 2, 3)
 BATCH_MAX_STATES = 5
+# sha256 of the batch's JSONL report, as `opaq crosscheck` writes it with its
+# defaults (500 models, --max-states 5, --k 0..3, --seed 7).
+BATCH_REPORT_SHA256 = "698be602107867ebf91061e9e20043ffa0e55df8e2113116780253cecd5496d5"
 
 
 def _verdict_line(criterion: str, ok: bool, detail: str = "") -> None:
@@ -44,13 +50,18 @@ def _verdict_line(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="session")
-def batch():
+def batch_report(tmp_path_factory):
+    return tmp_path_factory.mktemp("batch") / "crosscheck_report.jsonl"
+
+
+@pytest.fixture(scope="session")
+def batch(batch_report):
     result = run_crosscheck(
         models=BATCH_MODELS,
         max_states=BATCH_MAX_STATES,
         ks=BATCH_KS,
         seed=BATCH_SEED,
-        report_path=None,
+        report_path=str(batch_report),
         fixtures_dir=ARTIFACTS,
         structural=True,
     )
@@ -135,6 +146,12 @@ def test_criterion_3_oracle_agreement(batch):
             )
         )
         pytest.fail(message)
+
+
+def test_the_batch_report_is_byte_identical(batch, batch_report):
+    # The rows and their JSONL encoding are pinned, not only the verdicts.
+    assert len(batch.rows) == 11 * BATCH_MODELS
+    assert hashlib.sha256(batch_report.read_bytes()).hexdigest() == BATCH_REPORT_SHA256
 
 
 def test_criterion_4_verifier_projects_onto_observer(batch):

@@ -145,6 +145,38 @@ def test_state_cap_bounds_the_verifier_walk(tmp_path, capsys):
     assert "error: verifier exceeded 1 states" in err
 
 
+def ten_loops(initial):
+    """Two states with a self-loop on each of ten observable events; secret 0."""
+    return {
+        "states": ["0", "1"],
+        "events": [{"name": f"e{i}", "observable": True} for i in range(10)],
+        "initial": initial,
+        "secret": ["0"],
+        "transitions": [[s, f"e{i}", s] for s in "01" for i in range(10)],
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("prop", ["k-weak", "k-strong"])
+@pytest.mark.parametrize("initial, opaque", [(["0", "1"], True), (["0"], False)], ids=["opaque", "not-opaque"])
+def test_a_tree_count_past_the_state_cap_reads_more_than_the_cap(tmp_path, capsys, fmt, prop, initial, opaque):
+    # At K = 4400 the trees would hold 1 + 10 + ... + 10^4400 nodes, past
+    # Python's 4,300-digit limit for int-to-string conversion.  The count
+    # stops past the state cap, so the exit code follows the verdict.
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps(ten_loops(initial)))
+    code, out, err = run(capsys, "verify", "--property", prop, "--k", "4400", "--format", fmt, str(path))
+    assert (code, err) == (0 if opaque else 1, "")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["opaque"] is opaque
+        assert payload["sizes"]["tree_nodes"] == ">1048576"
+    else:
+        lines = out.splitlines()
+        assert lines[0] == ("opaque" if opaque else "not opaque")
+        assert lines[-1] == "tree_nodes: >1048576"
+
+
 @pytest.mark.parametrize("model", ["g2", "nth_last6"])
 @pytest.mark.parametrize("prop", PROPERTIES)
 def test_verify_builds_nothing_it_only_counts(monkeypatch, capsys, model, prop):

@@ -6,7 +6,9 @@ lies at depth <= K, opaque otherwise.  The tree checks build no tree: a
 per-root path count gives the node count of both tree kinds at every K, and
 one SST pair walk per root gives the depth at which an empty second
 component refills.  These tests pin both derivations against the per-K
-searches and against trees built one per (root, K).
+searches and against trees built one per (root, K).  The verifier walk's
+projection check, stepped by the oracle engine, is pinned against three
+mutants of the walk's side.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from opaq import (
     verify_k_step_strong,
     verify_k_step_weak,
 )
-from opaq.core import row_table
+from opaq.core import row_table, set_step
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
+from opaq.oracle import MaskEngine
 from opaq.weak import StateTree, TreeNode, Verdict, Witness, _grow_tree, secret_intersecting_roots
 
-from conftest import hidden_crossing_dict
+from conftest import g2_dict, hidden_crossing_dict, structural_checks
 from test_reach import small_models
 
 KS = (0, 1, 2, 3)
@@ -118,7 +121,7 @@ def per_k_failures(seed, ks, n_eo, roots, weak_tree, sst):
 
 def tree_failures(nfa, seed, ks, obs):
     result = BatchResult()
-    crosscheck._structural_checks(nfa, seed, ks, result, obs, verify_infinite_step_weak(nfa, obs))
+    structural_checks(nfa, seed, ks, result, obs, verify_infinite_step_weak(nfa, obs))
     return result.cap_failures, result.absorbing_failures
 
 
@@ -304,6 +307,94 @@ def test_the_batch_builds_no_sipa(monkeypatch):
     assert len(result.rows) == 100 * 11
 
 
+def test_the_batch_builds_no_verifier_automaton(monkeypatch):
+    # One verifier walk with edges per model gives the inf-strong row, the
+    # 4^|X| cap and the projection check; without the structural checks the
+    # row takes the walk that stops at the first empty x2.
+    def refuse(*args, **kwargs):
+        raise AssertionError("crosscheck built a verifier automaton")
+
+    for name in ("build_verifier", "check_verifier_observer_language_equality"):
+        monkeypatch.setattr(opaq.strong, name, refuse)
+        monkeypatch.setattr(crosscheck, name, refuse, raising=False)
+    walks = []
+    run = opaq.strong._run_verifier
+
+    def recorded(nfa, obs, stop_at_empty, **options):
+        walks.append((stop_at_empty, options.get("edges") is not None))
+        return run(nfa, obs, stop_at_empty, **options)
+
+    monkeypatch.setattr(opaq.strong, "_run_verifier", recorded)
+    result = run_crosscheck(models=100, max_states=8, ks=KS, seed=7)
+    assert result.ok
+    assert len(result.rows) == 100 * 11
+    assert walks == [(False, True)] * 100
+    walks.clear()
+    stopped = run_crosscheck(models=100, max_states=8, ks=KS, seed=7, structural=False)
+    assert walks == [(True, False)] * 100
+    assert stopped.rows == result.rows
+
+
+# -- criterion 4: the projection check against mutants -------------------------
+#
+# g2's verifier walk is ({0},{0}) -a-> ({1,4,7},{4,7}) -b-> ({2,5,8},{8})
+# -c-> ({3,6,9},{}) -d-> itself.  Each mutant breaks one step of the walk's
+# side; the oracle engine, built from the model's transitions, does not
+# share it.
+
+
+def mutated_g2(family, e, x, row):
+    """g2 with the row table's *family* row of state *x* under event *e* replaced by *row*."""
+    nfa = validate_model(g2_dict())
+    table = row_table(nfa)
+    getattr(table, family)[e][x] = row
+    setattr(table, f"{family}_steps", tuple(map(set_step, getattr(table, family), table.support)))
+    return nfa
+
+
+def projection_failures(nfa, drop=None):
+    obs = build_observer(nfa)
+    edges = []
+    _, walk = opaq.strong._verifier_walk(nfa, obs, edges)
+    if drop is not None:
+        del edges[drop]
+    result = BatchResult()
+    crosscheck._structural_checks(
+        nfa, 0, KS, result, obs, verify_infinite_step_weak(nfa, obs), MaskEngine(nfa), walk, edges
+    )
+    return result.projection_failures
+
+
+@pytest.mark.parametrize(
+    "mutant, message",
+    [
+        # The b edge out of ({1,4,7},{4,7}) is lost.
+        (lambda: projection_failures(validate_model(g2_dict()), drop=1),
+         "transition definedness mismatch at ({1,4,7},{4,7}) on 'b'"),
+        # 7's avoid row under b loses 8, so the walk's x2 after ``a b`` is {}.
+        (lambda: projection_failures(mutated_g2("avoid", 1, 7, 0)),
+         "transition x2 mismatch at ({1,4,7},{4,7}) on 'b': the oracle's secret-avoiding step gives {8}"),
+        # 0's reach row under a loses 7, so the observer moves to {1,4}.
+        (lambda: projection_failures(mutated_g2("reach", 0, 0, 0b10010)),
+         "transition target mismatch at ({0},{0}) on 'a'"),
+    ],
+    ids=["dropped-edge", "wrong-avoid-row", "wrong-reach-target"],
+)
+def test_each_mutant_fails_the_projection_check(mutant, message):
+    failures = mutant()
+    assert failures == [f"seed 0: verifier/observer projection failed: {message}"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfa=small_models())
+def test_the_projection_check_passes_on_every_model(nfa):
+    obs = build_observer(nfa)
+    edges = []
+    verdict, walk = opaq.strong._verifier_walk(nfa, obs, edges)
+    assert crosscheck._projection_problems(obs, walk, edges, MaskEngine(nfa)) == []
+    assert verdict == opaq.strong.verify_infinite_step_strong(nfa, obs)
+
+
 def test_the_batch_walks_inf_weak_once_per_model(monkeypatch):
     # The weak-bound check compares the rows' inf-weak verdict with its own
     # bounded walk rather than walking the unbounded one again.
@@ -349,10 +440,10 @@ def test_weak_bound_check_compares_the_given_verdict():
     infinite = verify_infinite_step_weak(nfa, obs)
     assert infinite.opaque
     result = BatchResult()
-    crosscheck._structural_checks(nfa, 3, KS, result, obs, infinite)
+    structural_checks(nfa, 3, KS, result, obs, infinite)
     assert result.weak_bound_failures == []
     stale = Verdict(False, Witness((), (), (("0",), ())))
-    crosscheck._structural_checks(nfa, 3, KS, result, obs, stale)
+    structural_checks(nfa, 3, KS, result, obs, stale)
     assert result.weak_bound_failures == [
         "seed 3: weak verdict at k=2^|X|-2 disagrees with the infinite check"
     ]
@@ -373,7 +464,7 @@ def test_structural_checks_run_at_k_1500(g2):
     for nfa in (g2, two_loops):
         result = BatchResult()
         obs = build_observer(nfa)
-        crosscheck._structural_checks(nfa, 0, tuple(range(1501)), result, obs, verify_infinite_step_weak(nfa, obs))
+        structural_checks(nfa, 0, tuple(range(1501)), result, obs, verify_infinite_step_weak(nfa, obs))
         assert result.structural_failures == []
 
 

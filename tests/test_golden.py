@@ -109,11 +109,15 @@ def test_tree_nodes_are_counted_not_built(capsys):
     # 32 of the 64 estimates hold the secret 6, and both events are enabled
     # everywhere, so each root has 2^0 + ... + 2^16 nodes.  Building the
     # trees costs |Eo|^K; counting them is a walk of K steps over the observer.
-    rc = main(["verify", "--format", "json", "--property", "k-weak", "--k", "16",
-               MODELS["nth_last6"]])
-    payload = json.loads(capsys.readouterr().out)
-    assert rc == 0 and payload["opaque"]
-    assert payload["sizes"]["tree_nodes"] == 32 * (2**17 - 1) == 4_194_272
+    # A count up to the state cap is exact; past it the count stops and
+    # reads ">cap" (the default cap is 2^20).
+    argv = ["verify", "--format", "json", "--property", "k-weak", "--k", "16", MODELS["nth_last6"]]
+    for cap, nodes in ((["--state-cap", "4194272"], 32 * (2**17 - 1)), ([], ">1048576")):
+        rc = main(argv[:-1] + cap + argv[-1:])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0 and payload["opaque"]
+        assert payload["sizes"]["tree_nodes"] == nodes
+    assert 32 * (2**17 - 1) == 4_194_272
 
 
 # What a DOT line of the exports may be once each quoted string is replaced by Q.

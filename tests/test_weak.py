@@ -29,6 +29,7 @@ from opaq import (
 from opaq.core import InvariantError, ResourceLimitError, row_table, union
 from opaq.weak import Verdict, Witness
 
+from conftest import structural_checks
 from test_reach import small_models
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -575,11 +576,11 @@ def test_every_pair_walk_is_the_reference_walk(nfa, k):
     for search, family, depth in searches:
         [recorded] = recorded_walks(search)
         assert_walk_is_the_reference(recorded, reference_walk(nfa, obs, family, depth, pruned=True))
-    # The batch's structural checks walk the verifier with edges, one
-    # refill SST walk per secret-intersecting root, then the weak walk at
-    # K = 2^|X| - 2.
+    # The batch walks the verifier with edges; its structural checks then
+    # walk one refill SST per secret-intersecting root, then the weak walk
+    # at K = 2^|X| - 2.
     result, infinite = opaq.crosscheck.BatchResult(), verify_infinite_step_weak(nfa, obs)
-    calls = recorded_walks(lambda: opaq.crosscheck._structural_checks(nfa, 0, (k,), result, obs, infinite))
+    calls = recorded_walks(lambda: structural_checks(nfa, 0, (k,), result, obs, infinite))
     secret = row_table(nfa).secret
     refill_roots = [i for i, m in enumerate(obs.masks) if m & secret]
     assert len(calls) == 2 + len(refill_roots)
