@@ -3,6 +3,12 @@
 Exit codes: 0 opaque / zero disagreements, 1 not opaque / disagreements
 or stdout closed before the output was written, 2 input error, 3 resource
 limit exceeded.
+
+Each command parses its arguments with a parser that holds that command's
+arguments alone, built from the ``COMMANDS`` table. The full three-command
+parser, built from the same table, answers the rest: no arguments, top-level
+help, an unknown command, and any argument the command's parser leaves over.
+Every help, usage and error text is therefore the full parser's.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from .weak import (
 PROPERTIES = ("cs", "k-weak", "k-strong", "inf-weak", "inf-strong")
 STRUCTURES = ("observer", "projected", "sipa", "verifier", "weak-tree", "sst")
 DEFAULT_STATE_CAP = 2**20
+# ``opaq --help`` shows the docstring up to the note on parsing.
+DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
 
 
 def _color_enabled() -> bool:
@@ -49,17 +57,23 @@ def _paint(text: str, good: bool) -> str:
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return (int(text),)
+    lo, sep, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a K such as 3 or an inclusive range such as 0..3, got {text!r}"
+        ) from None
+    # Checked before the range is built, so a huge one costs nothing.
+    if hi - lo >= DEFAULT_STATE_CAP:
+        raise argparse.ArgumentTypeError(
+            f"the range {text} holds {hi - lo + 1} K values; at most {DEFAULT_STATE_CAP} are allowed"
+        )
+    return tuple(range(lo, hi + 1))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="opaq", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="check an opacity property of a model")
+def _verify_arguments(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--property", required=True, choices=PROPERTIES)
     verify.add_argument("--k", type=int, default=None)
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -68,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(exit 3 when exceeded)")
     verify.add_argument("model")
 
-    export = sub.add_parser("export", help="emit a structure as DOT on stdout")
+
+def _export_arguments(export: argparse.ArgumentParser) -> None:
     export.add_argument("--structure", required=True, choices=STRUCTURES)
     export.add_argument("--root", default=None,
                         help='root estimate for trees: comma-separated, or a JSON array such as \'["a,b","c"]\'')
@@ -77,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cap on the observer and the exported structure (exit 3 when exceeded)")
     export.add_argument("model")
 
-    cross = sub.add_parser("crosscheck", help="seeded random-model agreement batch")
+
+def _crosscheck_arguments(cross: argparse.ArgumentParser) -> None:
     cross.add_argument("--models", type=int, default=500)
     cross.add_argument("--max-states", type=int, default=5)
     cross.add_argument("--k", type=_parse_k_range, default=(0, 1, 2, 3),
@@ -87,7 +103,40 @@ def _build_parser() -> argparse.ArgumentParser:
     cross.add_argument("--fixtures-dir", default="divergences")
     cross.add_argument("--no-structural", action="store_true",
                        help="skip structural cap and projection checks")
+
+
+# Command name -> (help text, the function that adds its arguments).
+COMMANDS = {
+    "verify": ("check an opacity property of a model", _verify_arguments),
+    "export": ("emit a structure as DOT on stdout", _export_arguments),
+    "crosscheck": ("seeded random-model agreement batch", _crosscheck_arguments),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="opaq", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=text))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """*argv* parsed as ``_build_parser()`` parses it, with the texts it prints.
+
+    A known command is parsed by a parser holding only that command's
+    arguments, under the prog and the empty description its subparser has.
+    Anything it leaves over goes, with the rest, to the full parser, whose
+    ``unrecognized arguments`` error shows the top-level usage.
+    """
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"opaq {argv[0]}")
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _run_verify(args) -> int:
@@ -210,8 +259,7 @@ def _run_crosscheck(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args.command != "crosscheck" and args.state_cap < 1:
             print("error: --state-cap must be positive", file=sys.stderr)

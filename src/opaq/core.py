@@ -535,3 +535,20 @@ def format_pair(x1: StateSet, x2: StateSet) -> str:
 def dot_quote(text: str) -> str:
     """*text* as a DOT quoted string, with backslashes and quotes escaped."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def dot_nodes(labels: Sequence[str], shapes: Sequence[str]) -> tuple[list[str], list[str]]:
+    """DOT node ids and node lines for nodes printed as *labels*.
+
+    Each node is named by its quoted label while every label is distinct.
+    When two collide (state names that hold commas can print alike), the
+    nodes are numbered n0, n1, ... as :func:`tree_dot` numbers its nodes,
+    and each carries its label as an attribute.
+    """
+    if len(set(labels)) == len(labels):
+        ids = [dot_quote(label) for label in labels]
+        return ids, [f"  {name} [shape={shape}];" for name, shape in zip(ids, shapes)]
+    ids = [f"n{i}" for i in range(len(labels))]
+    return ids, [
+        f"  {name} [shape={shape},label={dot_quote(label)}];" for name, shape, label in zip(ids, shapes, labels)
+    ]

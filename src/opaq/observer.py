@@ -10,6 +10,7 @@ from .core import (
     ResourceLimitError,
     RowTable,
     StateSet,
+    dot_nodes,
     dot_quote,
     format_state_set,
     row_table,
@@ -128,15 +129,15 @@ def observer_state_after(obs: Observer, w: tuple[str, ...]) -> StateSet | None:
 
 
 def observer_dot(obs: Observer) -> str:
-    """Deterministic DOT rendering; one node per estimate."""
-    lines = ["digraph observer {", "  rankdir=LR;"]
-    for state in obs.states:
-        label = dot_quote(format_state_set(state))
-        shape = "doublecircle" if state == obs.initial else "circle"
-        lines.append(f"  {label} [shape={shape}];")
-    for state in obs.states:
-        for event, target in obs.successors(state):
-            src, dst = dot_quote(format_state_set(state)), dot_quote(format_state_set(target))
-            lines.append(f"  {src} -> {dst} [label={dot_quote(event)}];")
+    """Deterministic DOT rendering; one node per estimate (see :func:`dot_nodes`)."""
+    ids, nodes = dot_nodes(
+        [format_state_set(state) for state in obs.states],
+        ["doublecircle" if i == 0 else "circle" for i in range(len(obs.masks))],
+    )
+    lines = ["digraph observer {", "  rankdir=LR;", *nodes]
+    for i, row in enumerate(obs.moves):
+        for event, j in zip(obs.events, row):
+            if j >= 0:
+                lines.append(f"  {ids[i]} -> {ids[j]} [label={dot_quote(event)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Nfa, StateSet, dot_quote, format_pair, row_table
+from .core import Nfa, StateSet, dot_nodes, dot_quote, format_pair, row_table
 from .observer import Observer, build_observer
 from .projection import Sipa
 from .weak import (
@@ -227,15 +227,15 @@ def check_verifier_observer_language_equality(
 
 
 def verifier_dot(ver: VerifierAutomaton) -> str:
-    """Deterministic DOT rendering; one node per verifier state."""
-    lines = ["digraph verifier {", "  rankdir=LR;"]
-    for state in ver.states:
-        label = dot_quote(format_pair(state.x1, state.x2))
-        shape = "doublecircle" if state == ver.initial else "circle"
-        lines.append(f"  {label} [shape={shape}];")
+    """Deterministic DOT rendering; one node per verifier state (see :func:`dot_nodes`)."""
+    ids, nodes = dot_nodes(
+        [format_pair(state.x1, state.x2) for state in ver.states],
+        ["doublecircle" if state == ver.initial else "circle" for state in ver.states],
+    )
+    node_id = dict(zip(ver.states, ids))
+    lines = ["digraph verifier {", "  rankdir=LR;", *nodes]
     for state in ver.states:
         for event, target in ver.successors(state):
-            src, dst = dot_quote(format_pair(*state)), dot_quote(format_pair(*target))
-            lines.append(f"  {src} -> {dst} [label={dot_quote(event)}];")
+            lines.append(f"  {node_id[state]} -> {node_id[target]} [label={dot_quote(event)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

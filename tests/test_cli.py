@@ -428,6 +428,35 @@ def test_crosscheck_rejects_an_empty_k_range(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("k, message", [
+    ("0..1000000000000000000",
+     "argument --k: the range 0..1000000000000000000 holds 1000000000000000001 K values; "
+     "at most 1048576 are allowed"),
+    ("a..b", "argument --k: expected a K such as 3 or an inclusive range such as 0..3, got 'a..b'"),
+    ("2..", "argument --k: expected a K such as 3 or an inclusive range such as 0..3, got '2..'"),
+])
+def test_crosscheck_rejects_a_bad_k_before_any_model_runs(tmp_path, capsys, k, message):
+    # The range's length is checked before the range is built.
+    report = tmp_path / "report.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["crosscheck", "--k", k, "--report", str(report), "--fixtures-dir", str(tmp_path / "div")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: opaq crosscheck ")
+    assert [line for line in err.splitlines() if "error:" in line] == [f"opaq crosscheck: error: {message}"]
+    assert not report.exists()
+
+
+def test_crosscheck_accepts_a_k_range_up_to_the_state_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(opaq.cli, "DEFAULT_STATE_CAP", 3)
+    argv = ["crosscheck", "--models", "1", "--max-states", "1", "--report", str(tmp_path / "r.jsonl"),
+            "--fixtures-dir", str(tmp_path / "div"), "--k"]
+    assert main(argv + ["1..3"]) == 0
+    with pytest.raises(SystemExit):
+        main(argv + ["1..4"])
+    assert "at most 3 are allowed" in capsys.readouterr().err
+
+
 def test_crosscheck_oracle_searches_stop_at_the_cap(tmp_path, monkeypatch, capsys):
     # At K = 1500 an oracle K-step search would enumerate |Eo|^1500 strings;
     # the batch passes the CLI's state cap to it and exits 3.
@@ -535,3 +564,11 @@ def test_optimize_changes_no_output(tmp_path):
             assert report.count(b"\n") == 50 * 11
         else:
             assert json.loads(out)["property"] == argv[2]
+    # Help and usage errors, through ``sys.argv``: the top-level help, a
+    # command's own parser, and its fallback to the full parser.
+    for argv, expected_code in ((["--help"], 0), (["verify", "--help"], 0),
+                                (["verify", "--property", "cs", "--bogus", G2], 2)):
+        runs = [run_cli(argv, tmp_path, optimize) for optimize in (False, True)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == expected_code
+    assert runs[0][2].endswith(b"opaq: error: unrecognized arguments: --bogus\n")

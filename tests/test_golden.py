@@ -189,3 +189,31 @@ def test_dot_quotes_names_with_quotes_and_backslashes():
         assert 'e"v' in strings and "c\\" in strings
         assert any('s"0' in text for text in strings)
         assert any("t\\1" in text for text in strings)
+
+
+@pytest.mark.parametrize("structure, label", [
+    ("observer", "{a,b,x}"),
+    ("verifier", "({a,b,x},{a,b,x})"),
+])
+def test_estimates_that_print_alike_stay_two_nodes(tmp_path, capsys, structure, label):
+    # {a,b} + {x} and {a} + {b,x} both print as {a,b,x}, and e moves each to
+    # the other, so labels cannot serve as node ids.
+    path = tmp_path / "commas.json"
+    path.write_text(json.dumps({
+        "states": ["a,b", "x", "a", "b,x"],
+        "events": [{"name": "e", "observable": True}],
+        "initial": ["a,b", "x"],
+        "secret": [],
+        "transitions": [["a,b", "e", "a"], ["x", "e", "b,x"], ["a", "e", "a,b"], ["b,x", "e", "x"]],
+    }), encoding="utf-8")
+    assert main(["export", "--structure", structure, str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    tokens = [dot_tokens(line) for line in lines]
+    assert [skeleton for skeleton, _ in tokens[2:-1]] == [
+        "  n0 [shape=doublecircle,label=Q];",
+        "  n1 [shape=circle,label=Q];",
+        "  n0 -> n1 [label=Q];",
+        "  n1 -> n0 [label=Q];",
+    ]
+    assert [strings for _, strings in tokens[2:-1]] == [[label], [label], ["e"], ["e"]]
+    assert lines[:2] == [f"digraph {structure} {{", "  rankdir=LR;"] and lines[-1] == "}"
