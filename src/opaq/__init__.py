@@ -10,16 +10,9 @@ from .core import (
     StateSet,
     load_model,
     model_to_dict,
-    nonsecret_unobservable_reach,
-    observable_events_at,
-    observable_reach,
-    project,
-    secret_avoiding_reach,
-    step,
-    unobservable_reach,
     validate_model,
 )
-from .observer import Observer, build_observer, observer_dot, observer_state_after
+from .observer import Observer, build_observer, observer_dot
 from .oracle import (
     OracleConfig,
     OracleVerdict,
@@ -45,7 +38,6 @@ from .strong import (
     VerifierState,
     build_sst,
     build_verifier,
-    check_verifier_observer_language_equality,
     verifier_dot,
     verify_infinite_step_strong,
     verify_k_step_strong,

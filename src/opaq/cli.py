@@ -167,7 +167,8 @@ def _run_verify(args) -> int:
     elif args.property == "k-strong":
         verdict = verify_k_step_strong(nfa, args.k, obs, max_states=cap)
     else:
-        verdict, sizes["verifier_states"] = walk_verifier(nfa, obs, cap)
+        verdict, walk = walk_verifier(nfa, obs, cap)
+        sizes["verifier_states"] = len(walk.x2)
 
     if args.property in ("k-weak", "k-strong", "cs"):
         # Weak trees and SSTs have the same shape, so one count serves both.
@@ -280,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # A report or fixture path that cannot be written.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,4 @@
-"""Automaton model, validation, projection, and reachability primitives.
+"""Automaton model, validation, and the bitmask row table the constructions step by.
 
 States and events are identified by string tokens.  All set-valued results
 are returned as canonical ``StateSet`` tuples sorted by declaration order,
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # A canonical, duplicate-free tuple of state identifiers, sorted by
@@ -49,11 +48,7 @@ class Nfa:
 
     ``states`` and ``events`` fix the canonical iteration order used by
     every construction in this package.  ``secret`` is a subset of
-    ``states``; the nonsecret states are exactly the rest.  The set-based
-    step views ``_step`` and ``_silent`` serve only the reference
-    primitives (:func:`step` and the silent closures); they are built on
-    first use, so the constructions, which read the row table, never pay
-    for them.
+    ``states``; the nonsecret states are exactly the rest.
     """
 
     states: tuple[str, ...]
@@ -63,21 +58,20 @@ class Nfa:
     secret: tuple[str, ...]
 
     _order: dict[str, int] = field(init=False, repr=False, compare=False)
-    _observable: dict[str, bool] = field(init=False, repr=False, compare=False)
     _rows: RowTable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         order = {s: i for i, s in enumerate(self.states)}
         if len(order) != len(self.states):
             raise ModelError("duplicate state identifiers")
-        observable = {e.name: e.observable for e in self.events}
-        if len(observable) != len(self.events):
+        event_names = {e.name for e in self.events}
+        if len(event_names) != len(self.events):
             raise ModelError("duplicate event names")
         for src, ev, dst in self.transitions:
             if src not in order or dst not in order:
                 endpoint = dst if src in order else src
                 raise ModelError(f"transition ({src},{ev},{dst}) uses undeclared state {endpoint!r}")
-            if ev not in observable:
+            if ev not in event_names:
                 raise ModelError(f"transition ({src},{ev},{dst}) uses undeclared event {ev!r}")
         if len(set(self.transitions)) != len(self.transitions):
             raise ModelError("duplicate transitions")
@@ -90,23 +84,7 @@ class Nfa:
             if len(set(members)) != len(members):
                 raise ModelError(f"duplicate {group} states")
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_observable", observable)
         object.__setattr__(self, "_rows", None)
-
-    @cached_property
-    def _step(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        step: dict[tuple[str, str], list[str]] = {}
-        for src, ev, dst in self.transitions:
-            step.setdefault((src, ev), []).append(dst)
-        return {k: tuple(v) for k, v in step.items()}
-
-    @cached_property
-    def _silent(self) -> dict[str, tuple[str, ...]]:
-        silent: dict[str, list[str]] = {}
-        for src, ev, dst in self.transitions:
-            if not self._observable[ev]:
-                silent.setdefault(src, []).append(dst)
-        return {k: tuple(v) for k, v in silent.items()}
 
     # -- canonical views -------------------------------------------------
 
@@ -135,15 +113,6 @@ class Nfa:
     @property
     def secret_set(self) -> frozenset[str]:
         return frozenset(self.secret)
-
-    def is_observable(self, event: str) -> bool:
-        try:
-            return self._observable[event]
-        except KeyError:
-            raise ModelError(f"unknown event {event!r}") from None
-
-    def event_declared(self, event: str) -> bool:
-        return event in self._observable
 
 
 def validate_model(raw: Mapping) -> Nfa:
@@ -221,102 +190,6 @@ def model_to_dict(nfa: Nfa) -> dict:
         "secret": list(nfa.secret),
         "transitions": [list(t) for t in nfa.transitions],
     }
-
-
-# -- natural projection --------------------------------------------------
-
-
-def project(nfa: Nfa, s: Sequence[str]) -> ObservationString:
-    """Erase unobservable events from *s*, preserving order."""
-    observable = set(nfa.observable_events)
-    out = []
-    for ev in s:
-        if not nfa.event_declared(ev):
-            raise ModelError(f"unknown event {ev!r}")
-        if ev in observable:
-            out.append(ev)
-    return tuple(out)
-
-
-# -- reachability primitives ---------------------------------------------
-
-
-def step(nfa: Nfa, from_states: Iterable[str], event: str) -> StateSet:
-    """One-event transition targets over the whole set; may be empty."""
-    if not nfa.event_declared(event):
-        raise ModelError(f"unknown event {event!r}")
-    out: set[str] = set()
-    for s in from_states:
-        out.update(nfa._step.get((s, event), ()))
-    return nfa.state_set(out)
-
-
-def _silent_closure(nfa: Nfa, from_states: Iterable[str], barred: frozenset[str]) -> StateSet:
-    # The input plus every state reached along unobservable edges without
-    # entering a state in *barred*.  Unobservable cycles are handled by the
-    # visited set, never by bounded unrolling.
-    reached = set(from_states)
-    frontier = list(reached)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in nfa._silent.get(s, ()):
-                if t not in reached and t not in barred:
-                    reached.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return nfa.state_set(reached)
-
-
-def unobservable_reach(nfa: Nfa, from_states: Iterable[str]) -> StateSet:
-    """States reachable via unobservable events only (fixpoint closure).
-
-    Always a superset of the input.
-    """
-    return _silent_closure(nfa, from_states, frozenset())
-
-
-def observable_reach(nfa: Nfa, from_states: Iterable[str], event: str) -> StateSet:
-    """States reachable by strings whose projection is exactly *event*.
-
-    Computed as unobservable closure, one observable step, unobservable
-    closure again, which matches the there-exists-a-string quantification.
-    """
-    if not nfa.is_observable(event):
-        raise ModelError(f"event {event!r} is not observable")
-    closed = unobservable_reach(nfa, from_states)
-    return unobservable_reach(nfa, step(nfa, closed, event))
-
-
-def observable_events_at(nfa: Nfa, from_states: Iterable[str]) -> tuple[str, ...]:
-    """Observable events with a nonempty observable reach from the set."""
-    src = list(from_states)
-    return tuple(e for e in nfa.observable_events if observable_reach(nfa, src, e))
-
-
-def nonsecret_unobservable_reach(nfa: Nfa, from_states: Iterable[str]) -> StateSet:
-    """Unobservable closure where every state entered must be nonsecret.
-
-    The starting states are used as given (they are not filtered); only
-    states reached after an event are constrained.
-    """
-    return _silent_closure(nfa, from_states, nfa.secret_set)
-
-
-def secret_avoiding_reach(nfa: Nfa, from_states: Iterable[str], event: str) -> StateSet:
-    """Observable reach through runs whose every post-event state is nonsecret.
-
-    Mirrors the nested intersect-with-nonsecret form: the source states are
-    used as given, while the state after every event of the witnessing
-    string (observable and unobservable alike) must be nonsecret.  The
-    result is therefore always a subset of the nonsecret states.
-    """
-    if not nfa.is_observable(event):
-        raise ModelError(f"event {event!r} is not observable")
-    secret = nfa.secret_set
-    closed = nonsecret_unobservable_reach(nfa, from_states)
-    after = [t for t in step(nfa, closed, event) if t not in secret]
-    return nonsecret_unobservable_reach(nfa, after)
 
 
 # -- bitmask row table ---------------------------------------------------

@@ -25,7 +25,7 @@ import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import Nfa, format_pair, format_state_set, model_to_dict, row_table
 from .observer import Observer, build_observer
@@ -43,7 +43,7 @@ from .oracle import (
     replay_weak_violation,
 )
 from .projection import sipa_size
-from .strong import _verifier_walk, verify_infinite_step_strong, verify_k_step_strong
+from .strong import verify_infinite_step_strong, verify_k_step_strong, walk_verifier
 from .weak import (
     Steps,
     Verdict,
@@ -204,13 +204,14 @@ def _agreement_rows(
     return rows
 
 
-def _node_counts(obs: Observer, top: int) -> list[list[int]]:
-    """``[k][i]``: nodes of either depth-k tree rooted at estimate i (one per observer path)."""
-    counts = [[1] * len(obs.masks)]
+def _node_counts(obs: Observer, top: int) -> Iterator[list[int]]:
+    """Level k for k = 0..top, one at a time: ``[i]`` is the node count of
+    either depth-k tree rooted at estimate i (one node per observer path)."""
+    counts = [1] * len(obs.masks)
+    yield counts
     for _ in range(top):
-        below = counts[-1]
-        counts.append([1 + sum(below[j] for j in row if j >= 0) for row in obs.moves])
-    return counts
+        counts = [1 + sum(counts[j] for j in row if j >= 0) for row in obs.moves]
+        yield counts
 
 
 def _refill_depth(obs: Observer, steps: Steps, roots: list[int], top: int) -> int:
@@ -243,9 +244,10 @@ def _projection_problems(
     construction, so the check also steps every edge's x1 and x2 with the
     model's oracle engine, ``eng.reach`` and ``eng.avoid_reach``, and checks
     every estimate against the engine's estimate BFS: a wrong move, a wrong
-    reach row or a wrong avoid row then shows.  Returns every problem, in
-    the order of :func:`opaq.strong.check_verifier_observer_language_equality`,
-    whose messages it keeps, plus an x2 message of its own per edge.
+    reach row or a wrong avoid row then shows.  Returns every problem in
+    order: an initial mismatch, then per state one outside the observer or
+    a definedness, target or x2 mismatch per edge, then every estimate
+    without a preimage.
     """
     masks, moves, events = obs.masks, obs.moves, obs.events
     estimate, x2 = walk.estimate, walk.x2
@@ -324,11 +326,10 @@ def _structural_checks(
         )
 
     # Per secret-intersecting root and k: both trees' node count against the
-    # cap 1+|Eo|+...+|Eo|^k, and the depth at which an empty x2 refills.
+    # cap 1+|Eo|+...+|Eo|^k, and the depth at which an empty x2 refills.  The
+    # counts and the cap grow as |Eo|^k, so they step one level at a time and
+    # each k of *ks* is checked as the levels pass it.
     top = max(ks)
-    counts, caps = _node_counts(obs, top), [1]
-    for _ in range(top):
-        caps.append(1 + n_eo * caps[-1])
     table = row_table(nfa)
     refills = []
     for i, x2 in enumerate(_secret_roots(table, obs)):
@@ -336,13 +337,24 @@ def _structural_checks(
             roots = [-1] * len(obs.masks)
             roots[i] = x2
             refills.append((i, _refill_depth(obs, table.avoid_steps, roots, top)))
+    wanted, failed = set(ks), {}
+    cap = 1
+    for k, counts in enumerate(_node_counts(obs, top)):
+        if k in wanted:
+            over, leaks = [], []
+            for i, refill in refills:
+                if counts[i] > cap:
+                    over.append(f"seed {seed}: weak tree exceeds node cap at k={k}")
+                    over.append(f"seed {seed}: sst exceeds node cap at k={k}")
+                if refill <= k:
+                    leaks.append(f"seed {seed}: sst emptiness not absorbing at k={k}")
+            if over or leaks:
+                failed[k] = over, leaks
+        cap = 1 + n_eo * cap
     for k in ks:
-        for i, refill in refills:
-            if counts[k][i] > caps[k]:
-                result.cap_failures.append(f"seed {seed}: weak tree exceeds node cap at k={k}")
-                result.cap_failures.append(f"seed {seed}: sst exceeds node cap at k={k}")
-            if refill <= k:
-                result.absorbing_failures.append(f"seed {seed}: sst emptiness not absorbing at k={k}")
+        over, leaks = failed.get(k, ((), ()))
+        result.cap_failures += over
+        result.absorbing_failures += leaks
 
     if verify_k_step_weak(nfa, 2**n - 2, obs).opaque != infinite.opaque:
         result.weak_bound_failures.append(
@@ -363,12 +375,18 @@ def run_crosscheck(
     """Run the seeded agreement batch; write a JSONL report when asked.
 
     One record per (seed, property, k) with both verdicts and an agreement
-    flag.  Records are emitted in seed order regardless of scheduling.  An
-    oracle K-step search that examines more than *state_cap* strings raises
+    flag.  Records are emitted in seed order regardless of scheduling.  A
+    report that cannot be opened for writing raises OSError before the
+    first model runs.  An oracle K-step search that examines more than *state_cap* strings raises
     ResourceLimitError (None: unbounded).
     """
     if not ks:
         raise ValueError("the K range is empty")
+    if report_path is not None:
+        # An unwritable report raises its OSError before the first model,
+        # not after the batch.  Opening for append leaves an old report as
+        # it is until the batch ends.
+        open(report_path, "a", encoding="utf-8").close()
     started = time.monotonic()
     result = BatchResult()
     for index in range(models):
@@ -382,7 +400,7 @@ def run_crosscheck(
             # One verifier walk with edges serves the inf-strong row, the
             # 4^|X| cap and the projection check.
             edges: list[tuple[int, int, int]] = []
-            strong, verifier = _verifier_walk(nfa, obs, edges)
+            strong, verifier = walk_verifier(nfa, obs, edges=edges)
         else:
             strong = verify_infinite_step_strong(nfa, obs)
         rows = _agreement_rows(nfa, cfg.seed, ks, obs, eng, weak, strong, state_cap)

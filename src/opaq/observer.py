@@ -63,14 +63,6 @@ class Observer:
     def index(self) -> dict[StateSet, int]:
         return {state: i for i, state in enumerate(self.states)}
 
-    def successors(self, state: StateSet) -> tuple[tuple[str, StateSet], ...]:
-        states = self.states
-        return tuple(
-            (event, states[j])
-            for event, j in zip(self.events, self.moves[self.index[state]])
-            if j >= 0
-        )
-
 
 def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
     """Subset construction from the closed initial estimate.
@@ -112,20 +104,6 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
         parents=tuple(parents),
         table=table,
     )
-
-
-def observer_state_after(obs: Observer, w: tuple[str, ...]) -> StateSet | None:
-    """Unique estimate reached by observation *w*, or None if undefined."""
-    position = {event: e for e, event in enumerate(obs.events)}
-    i = 0
-    for event in w:
-        e = position.get(event)
-        if e is None:
-            return None
-        i = obs.moves[i][e]
-        if i < 0:
-            return None
-    return obs.states[i]
 
 
 def observer_dot(obs: Observer) -> str:

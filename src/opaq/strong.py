@@ -105,20 +105,41 @@ def verify_k_step_strong(
     return _verdict(table, obs, walk, hit)
 
 
-def _run_verifier(nfa: Nfa, obs: Observer | None, stop_at_empty: bool, **options) -> tuple:
-    """(table, obs, walk, hit) of the verifier walk; *options* go to :func:`_explore`.
+def walk_verifier(
+    nfa: Nfa,
+    obs: Observer | None = None,
+    max_states: int | None = None,
+    *,
+    edges: list[tuple[int, int, int]] | None = None,
+    stop_at_empty: bool = False,
+) -> tuple[Verdict, Walk]:
+    """The infinite-step strong verdict and the verifier walk.
 
-    The walk starts at the closed initial estimate, paired with the states
-    whose initial tag is N: the all-nonsecret closure of the nonsecret
-    initial states.
+    This one walk is behind :func:`build_verifier`,
+    :func:`verify_infinite_step_strong`, ``opaq verify --property
+    inf-strong`` and the crosscheck batch.  It starts at the closed initial
+    estimate, paired with the states whose initial tag is N: the
+    all-nonsecret closure of the nonsecret initial states; each move pairs
+    the observer step with the N-to-N filtered step.  FIFO order over
+    declaration-ordered events numbers the states deterministically: node n
+    is the verifier state (``obs.states[walk.estimate[n]]``, ``walk.x2[n]``).
+    The walk runs to exhaustion, appending its edges to *edges* when given,
+    unless *stop_at_empty* stops it at the first state whose second
+    component is empty.  Either way that state gives the verdict and its
+    witness, the observation reaching it.  More than *max_states* states
+    raise ResourceLimitError.
     """
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
     roots = [-1] * len(obs.masks)
     roots[0] = table.clean & obs.masks[0]
-    walk, hit = _explore(obs, roots, table.avoid_steps, None, stop_at_empty, **options)
-    return table, obs, walk, hit
+    walk, hit = _explore(
+        obs, roots, table.avoid_steps, None, stop_at_empty, edges=edges, max_states=max_states
+    )
+    if hit is None and 0 in walk.x2:
+        hit = walk.x2.index(0)
+    return _verdict(table, obs, walk, hit), walk
 
 
 def build_verifier(
@@ -127,18 +148,17 @@ def build_verifier(
     sipa: Sipa | None = None,
     max_states: int | None = None,
 ) -> VerifierAutomaton:
-    """Worklist construction of the verifier.
+    """The verifier automaton: the states and edges of :func:`walk_verifier`, in walk order.
 
-    The initial state pairs the closed initial estimate with the states whose
-    initial tag is N; each transition pairs the observer step with the
-    N-to-N filtered step.  FIFO order over declaration-ordered events makes
-    the state numbering deterministic; each (state, event) is examined once.
     It serves the verifier export and library callers; the crosscheck batch
-    reads the walk itself (see :func:`_verifier_walk`).
+    reads the walk itself.
     """
+    if obs is None:
+        obs = build_observer(nfa)
     edges: list[tuple[int, int, int]] = []
-    table, obs, walk, _ = _run_verifier(nfa, obs, False, edges=edges, max_states=max_states)
-    states = [VerifierState(obs.states[i], table.state_set(x2)) for i, x2 in zip(walk.estimate, walk.x2)]
+    _, walk = walk_verifier(nfa, obs, max_states, edges=edges)
+    name = row_table(nfa).state_set
+    states = [VerifierState(obs.states[i], name(x2)) for i, x2 in zip(walk.estimate, walk.x2)]
     events = obs.events
     return VerifierAutomaton(
         states=tuple(states),
@@ -153,77 +173,7 @@ def verify_infinite_step_strong(nfa: Nfa, obs: Observer | None = None, sipa: Sip
 
     The witness is the observation reaching the offending verifier state.
     """
-    return _verdict(*_run_verifier(nfa, obs, True))
-
-
-def _verifier_walk(
-    nfa: Nfa, obs: Observer | None, edges: list[tuple[int, int, int]] | None = None, max_states: int | None = None
-) -> tuple[Verdict, Walk]:
-    """The infinite-step strong verdict and the verifier walk run to exhaustion.
-
-    The walk visits the states of :func:`build_verifier` in its order,
-    appending its edges to *edges* when given.  The first state whose
-    second component is empty is the one :func:`verify_infinite_step_strong`
-    stops at, so the verdict and witness are the same.  More than
-    *max_states* states raise ResourceLimitError.
-    """
-    table, obs, walk, _ = _run_verifier(nfa, obs, False, edges=edges, max_states=max_states)
-    try:
-        hit = walk.x2.index(0)
-    except ValueError:
-        hit = None
-    return _verdict(table, obs, walk, hit), walk
-
-
-def walk_verifier(nfa: Nfa, obs: Observer | None = None, max_states: int | None = None) -> tuple[Verdict, int]:
-    """The infinite-step strong verdict and the verifier's state count, in one walk without edges.
-
-    More than *max_states* states raise ResourceLimitError.
-    """
-    verdict, walk = _verifier_walk(nfa, obs, max_states=max_states)
-    return verdict, len(walk.x2)
-
-
-def check_verifier_observer_language_equality(
-    obs: Observer, ver: VerifierAutomaton
-) -> tuple[bool, list[str]]:
-    """First-component projection must be a functional bisimulation.
-
-    The projection maps the reachable verifier onto the reachable observer,
-    matching transitions exactly in both directions, which implies language
-    equality with no bound.  Returns (ok, certificate); the certificate
-    lists every offending state or edge.  This check is for library callers:
-    the crosscheck batch checks its verifier walk, stepped by the oracle
-    engine, with the same messages (``opaq.crosscheck._projection_problems``).
-    """
-    problems: list[str] = []
-    if ver.initial.x1 != obs.initial:
-        problems.append(
-            f"initial mismatch: verifier {format_pair(*ver.initial)} vs observer "
-            f"{format_pair(obs.initial, ())}"
-        )
-    observer_states = set(obs.states)
-    covered = set()
-    for state in ver.states:
-        if state.x1 not in observer_states:
-            problems.append(f"verifier state {format_pair(*state)} projects outside the observer")
-            continue
-        covered.add(state.x1)
-        for event in dict.fromkeys(ver.events + obs.events):
-            v_target = ver.transitions.get((state, event))
-            o_target = obs.transitions.get((state.x1, event))
-            if (v_target is None) != (o_target is None):
-                problems.append(
-                    f"transition definedness mismatch at {format_pair(*state)} on {event!r}"
-                )
-            elif v_target is not None and v_target.x1 != o_target:
-                problems.append(
-                    f"transition target mismatch at {format_pair(*state)} on {event!r}"
-                )
-    for state in obs.states:
-        if state not in covered:
-            problems.append(f"observer state {format_pair(state, ())} has no verifier preimage")
-    return (not problems, problems)
+    return walk_verifier(nfa, obs, stop_at_empty=True)[0]
 
 
 def verifier_dot(ver: VerifierAutomaton) -> str:

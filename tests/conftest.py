@@ -192,5 +192,5 @@ def wide_chain_dict(m: int = 20, length: int = 12) -> dict:
 def structural_checks(nfa, seed, ks, result, obs, infinite):
     """The batch's structural checks on one model, after its verifier walk with edges."""
     edges = []
-    _, walk = opaq.strong._verifier_walk(nfa, obs, edges)
+    _, walk = opaq.strong.walk_verifier(nfa, obs, edges=edges)
     opaq.crosscheck._structural_checks(nfa, seed, ks, result, obs, infinite, MaskEngine(nfa), walk, edges)

@@ -15,6 +15,7 @@ import opaq.weak
 from opaq.cli import main
 from opaq.core import TABLE_STEP_STATES
 
+import reference
 from conftest import g2_dict, hidden_crossing_dict
 
 G2 = os.path.join(os.path.dirname(__file__), "..", "models", "g2.json")
@@ -206,8 +207,8 @@ def test_verify_builds_nothing_it_only_counts(monkeypatch, capsys, model, prop):
 
 @pytest.mark.parametrize("model", ["g2", "nth_last6"])
 def test_verify_builds_no_set_based_step_views(model):
-    # The constructions read the row table; the set-based views serve only
-    # the reference primitives and are built on their first call.
+    # The constructions read the row table.  The set-based views belong to
+    # the tests' reference primitives, which build them on their first call.
     path = G2 if model == "g2" else os.path.join(FIXTURES, "nth_last6.json")
     nfa = opaq.load_model(path)
     opaq.verify_current_state_opacity(nfa)
@@ -216,13 +217,13 @@ def test_verify_builds_no_set_based_step_views(model):
     opaq.verify_infinite_step_weak(nfa)
     opaq.verify_infinite_step_strong(nfa)
     opaq.walk_verifier(nfa)
-    assert not {"_step", "_silent"} & vars(nfa).keys()
+    assert vars(nfa).keys() == {"states", "events", "transitions", "initial", "secret", "_order", "_rows"}
     table = opaq.core.row_table(nfa)
     for e, event in enumerate(table.events):
         for i, x in enumerate(nfa.states):
             direct = {dst for src, ev, dst in nfa.transitions if src == x and ev == event}
-            assert opaq.core.step(nfa, [x], event) == nfa.state_set(direct)
-            assert opaq.observable_reach(nfa, [x], event) == table.state_set(table.reach[e][i])
+            assert reference.step(nfa, [x], event) == nfa.state_set(direct)
+            assert reference.observable_reach(nfa, [x], event) == table.state_set(table.reach[e][i])
     assert {"_step", "_silent"} <= vars(nfa).keys()
 
 
@@ -500,6 +501,43 @@ def test_crosscheck_divergence_writes_fixture_and_fails(tmp_path, monkeypatch, c
     record = json.loads(written[0].read_text())
     assert record["property"] == "k-strong"
     assert record["verify_opaque"] is True and record["oracle_opaque"] is False
+
+
+@pytest.mark.parametrize("report", ["missing/dir/r.jsonl", "."], ids=["missing-directory", "a-directory"])
+def test_an_unwritable_report_fails_before_any_model_runs(tmp_path, monkeypatch, capsys, report):
+    import opaq.crosscheck as crosscheck
+
+    models = []
+    generate = crosscheck.random_nfa
+    monkeypatch.setattr(crosscheck, "random_nfa", lambda cfg: models.append(cfg) or generate(cfg))
+    path = tmp_path / report
+    code, out, err = run(
+        capsys, "crosscheck", "--models", "2", "--report", str(path), "--fixtures-dir", str(tmp_path / "div"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ") and err.endswith(f"{str(path)!r}\n") and err.count("\n") == 1
+    assert models == []
+
+
+def test_a_fixtures_dir_that_is_a_file_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
+    # As in the divergence test, k-strong repeats its old, wrong "opaque" on
+    # the hidden-crossing model, so the batch writes a fixture.
+    import opaq.crosscheck as crosscheck
+    from opaq import validate_model
+    from opaq.weak import Verdict
+
+    monkeypatch.setattr(crosscheck, "random_nfa", lambda cfg: validate_model(hidden_crossing_dict()))
+    monkeypatch.setattr(crosscheck, "verify_k_step_strong", lambda *args: Verdict(True))
+    fixtures = tmp_path / "div"
+    fixtures.write_text("", encoding="utf-8")
+    code, out, err = run(
+        capsys, "crosscheck", "--models", "1", "--max-states", "4", "--k", "1..2",
+        "--report", str(tmp_path / "r.jsonl"), "--fixtures-dir", str(fixtures),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("buffered", [True, False])

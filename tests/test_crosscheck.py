@@ -13,6 +13,8 @@ mutants of the walk's side.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,7 +164,7 @@ def leaky(table):
 def test_counts_and_refill_equal_the_built_trees(nfa, k):
     obs = build_observer(nfa)
     table = row_table(nfa)
-    counts = crosscheck._node_counts(obs, 3)
+    counts = list(crosscheck._node_counts(obs, 3))
     assert len(counts) == 4
     for root in secret_intersecting_roots(nfa, obs):
         i = obs.index[root]
@@ -281,6 +283,26 @@ def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, r
     ]
 
 
+def test_a_large_k_top_holds_one_level_of_node_counts():
+    # Seed 45's model has 23 estimates over 3 observable events, and its
+    # per-estimate path counts grow as 3^k.  Held for all 1,501 levels, the
+    # counts peaked at about 6.8 MB over the batch; stepped one level at a
+    # time, at about 1.2 MB, most of it the 3,000 report rows.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_crosscheck(models=1, max_states=8, ks=tuple(range(1501)), seed=45)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert result.ok and len(result.rows) == 3 + 2 * 1501
+    assert peak < 3_000_000
+
+
 def test_the_batch_builds_no_tree(monkeypatch):
     def refuse(*args):
         raise AssertionError("crosscheck built a tree")
@@ -314,17 +336,19 @@ def test_the_batch_builds_no_verifier_automaton(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("crosscheck built a verifier automaton")
 
-    for name in ("build_verifier", "check_verifier_observer_language_equality"):
-        monkeypatch.setattr(opaq.strong, name, refuse)
-        monkeypatch.setattr(crosscheck, name, refuse, raising=False)
+    monkeypatch.setattr(opaq.strong, "build_verifier", refuse)
+    monkeypatch.setattr(crosscheck, "build_verifier", refuse, raising=False)
     walks = []
-    run = opaq.strong._run_verifier
+    run = opaq.strong.walk_verifier
 
-    def recorded(nfa, obs, stop_at_empty, **options):
-        walks.append((stop_at_empty, options.get("edges") is not None))
-        return run(nfa, obs, stop_at_empty, **options)
+    def recorded(nfa, obs=None, max_states=None, *, edges=None, stop_at_empty=False):
+        walks.append((stop_at_empty, edges is not None))
+        return run(nfa, obs, max_states, edges=edges, stop_at_empty=stop_at_empty)
 
-    monkeypatch.setattr(opaq.strong, "_run_verifier", recorded)
+    # The batch calls the walk by its own name; verify_infinite_step_strong
+    # calls it by strong's.
+    monkeypatch.setattr(opaq.strong, "walk_verifier", recorded)
+    monkeypatch.setattr(crosscheck, "walk_verifier", recorded)
     result = run_crosscheck(models=100, max_states=8, ks=KS, seed=7)
     assert result.ok
     assert len(result.rows) == 100 * 11
@@ -355,7 +379,7 @@ def mutated_g2(family, e, x, row):
 def projection_failures(nfa, drop=None):
     obs = build_observer(nfa)
     edges = []
-    _, walk = opaq.strong._verifier_walk(nfa, obs, edges)
+    _, walk = opaq.strong.walk_verifier(nfa, obs, edges=edges)
     if drop is not None:
         del edges[drop]
     result = BatchResult()
@@ -390,7 +414,7 @@ def test_each_mutant_fails_the_projection_check(mutant, message):
 def test_the_projection_check_passes_on_every_model(nfa):
     obs = build_observer(nfa)
     edges = []
-    verdict, walk = opaq.strong._verifier_walk(nfa, obs, edges)
+    verdict, walk = opaq.strong.walk_verifier(nfa, obs, edges=edges)
     assert crosscheck._projection_problems(obs, walk, edges, MaskEngine(nfa)) == []
     assert verdict == opaq.strong.verify_infinite_step_strong(nfa, obs)
 

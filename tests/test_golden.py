@@ -9,6 +9,8 @@ table replaced; every DOT export and every ``verify --format json`` payload
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -217,3 +219,62 @@ def test_estimates_that_print_alike_stay_two_nodes(tmp_path, capsys, structure, 
     ]
     assert [strings for _, strings in tokens[2:-1]] == [[label], [label], ["e"], ["e"]]
     assert lines[:2] == [f"digraph {structure} {{", "  rankdir=LR;"] and lines[-1] == "}"
+
+
+# -- hostile names end to end ----------------------------------------------
+
+# Pieces of state and event names: DOT and JSON punctuation, the comma that
+# joins a --root, the arrow of a DOT edge, non-ASCII letters and line breaks.
+HOSTILE = ['"', "'", "\\", ",", "{", "}", "[", "]", " ", "->", ";", "=", "é", "ß", "Ж", "中", "a", "\n", "\r"]
+# An estimate's node when two estimates print alike (see core.dot_nodes).
+NUMBERED_NODE = re.compile(r"  n\d+ \[shape=\w+,label=Q\];")
+
+
+@st.composite
+def hostile_models(draw):
+    name = st.lists(st.sampled_from(HOSTILE), min_size=1, max_size=4).map("".join)
+    states = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+    events = draw(st.lists(name, min_size=1, max_size=3, unique=True))
+    state, event = st.sampled_from(states), st.sampled_from(events)
+    return {
+        "states": states,
+        "events": [{"name": e, "observable": draw(st.booleans())} for e in events],
+        "initial": draw(st.lists(state, min_size=1, unique=True)),
+        "secret": draw(st.lists(state, unique=True)),
+        "transitions": [list(t) for t in draw(st.lists(st.tuples(state, event, state), max_size=8, unique=True))],
+    }
+
+
+@pytest.fixture(scope="module")
+def hostile_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "model.json"
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=hostile_models())
+def test_hostile_names_exit_cleanly_and_keep_dot_lines_whole(hostile_path, raw):
+    hostile_path.write_text(json.dumps(raw), encoding="utf-8")
+    path = str(hostile_path)
+    obs = build_observer(validate_model(raw))
+    # A secret-intersecting root when there is one; else the tree exports
+    # reject the initial estimate (exit 2).
+    root = next((s for s in obs.states if set(s) & set(raw["secret"])), obs.initial)
+    calls = [["verify", "--property", prop, "--k", "2", path] for prop in ("k-weak", "k-strong")]
+    calls += [["verify", "--property", prop, path] for prop in ("cs", "inf-weak", "inf-strong")]
+    calls += [["export", "--structure", s, path] for s in ("observer", "projected", "sipa", "verifier")]
+    calls += [
+        ["export", "--structure", s, f"--root={text}", "--k", "2", path]
+        for s in ("weak-tree", "sst")
+        for text in (json.dumps(list(root)), ",".join(root))
+    ]
+    names = raw["states"] + [e["name"] for e in raw["events"]]
+    one_line = not any("\n" in n or "\r" in n for n in names)
+    for argv in calls:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert 0 <= code <= 3, argv
+        if argv[0] == "export" and code == 0 and one_line:
+            for line in out.getvalue().splitlines():
+                skeleton, _ = dot_tokens(line)
+                assert DOT_LINE.fullmatch(skeleton) or NUMBERED_NODE.fullmatch(skeleton), line

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from opaq import ModelError, project, validate_model
+from opaq import ModelError, validate_model
 
 from conftest import g2_dict
+from reference import project
 
 
 def test_g2_loads(g2):

@@ -5,14 +5,10 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opaq import (
-    build_observer,
-    observer_dot,
-    observer_state_after,
-    validate_model,
-)
+from opaq import build_observer, observer_dot, validate_model
 from opaq.core import row_table
 
+from reference import observer_state_after
 from test_reach import small_models
 
 

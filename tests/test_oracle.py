@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from opaq import (
     ModelError,
     OracleConfig,
-    observable_reach,
     oracle_current_state,
     oracle_infinite_step_strong,
     oracle_infinite_step_weak,
     oracle_k_step_strong,
     oracle_k_step_weak,
     random_nfa,
-    secret_avoiding_reach,
-    unobservable_reach,
     validate_model,
     verify_current_state_opacity,
     verify_infinite_step_strong,
@@ -36,6 +33,7 @@ from opaq.oracle import (
 )
 
 from conftest import wide_chain_dict
+from reference import observable_reach, secret_avoiding_reach, unobservable_reach
 from test_reach import small_models
 
 

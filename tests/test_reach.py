@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opaq import (
-    ModelError,
-    OracleConfig,
+from opaq import ModelError, OracleConfig, random_nfa
+from opaq.core import set_step, union
+
+from reference import (
     observable_events_at,
     observable_reach,
-    random_nfa,
     secret_avoiding_reach,
     step,
     unobservable_reach,
 )
-from opaq.core import set_step, union
 
 
 def small_models(max_states=5, max_events=4):

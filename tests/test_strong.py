@@ -10,12 +10,7 @@ from opaq import (
     build_sipa,
     build_sst,
     build_verifier,
-    check_verifier_observer_language_equality,
-    nonsecret_unobservable_reach,
-    observable_reach,
-    secret_avoiding_reach,
     sipa_state_count,
-    unobservable_reach,
     validate_model,
     verifier_dot,
     verify_infinite_step_strong,
@@ -24,10 +19,17 @@ from opaq import (
     walk_verifier,
 )
 from opaq.core import TABLE_STEP_STATES, row_table, union
+from opaq.crosscheck import _projection_problems
 from opaq.oracle import MaskEngine
 from opaq.projection import TAG_N, sipa_size
 
-from conftest import wide_chain_dict
+from conftest import g2_dict, wide_chain_dict
+from reference import (
+    nonsecret_unobservable_reach,
+    observable_reach,
+    secret_avoiding_reach,
+    unobservable_reach,
+)
 from test_reach import small_models, subset_of_states
 from test_weak import chain
 
@@ -121,15 +123,26 @@ def test_g2_infinite_strong_witness(g2):
     assert verdict.witness.observation == ("a", "b", "c")
 
 
+def walk_with_edges(nfa):
+    """The model's observer, and its verifier walk run to exhaustion with its edges."""
+    obs = build_observer(nfa)
+    edges = []
+    _, walk = walk_verifier(nfa, obs, edges=edges)
+    return obs, walk, edges
+
+
 def test_language_equality_check(g2, g8frag):
-    obs = build_observer(g2)
-    ver = build_verifier(g2, obs)
-    ok, certificate = check_verifier_observer_language_equality(obs, ver)
-    assert ok and certificate == []
-    other_obs = build_observer(g8frag)
-    ok, certificate = check_verifier_observer_language_equality(other_obs, ver)
-    assert not ok
-    assert certificate
+    for nfa in (g2, g8frag):
+        obs, walk, edges = walk_with_edges(nfa)
+        assert _projection_problems(obs, walk, edges, MaskEngine(nfa)) == []
+    # Stepped by the engine of g2 without secrets, the walk's second
+    # components are wrong from the first edge on.
+    obs, walk, edges = walk_with_edges(g2)
+    other = validate_model(dict(g2_dict(), secret=[]))
+    certificate = _projection_problems(obs, walk, edges, MaskEngine(other))
+    assert certificate[0] == (
+        "transition x2 mismatch at ({0},{0}) on 'a': the oracle's secret-avoiding step gives {1,4,7}"
+    )
 
 
 def test_verifier_dot_shows_empty_component(g2):
@@ -245,11 +258,25 @@ def test_verifier_second_component_matches_flagged_chains(nfa):
 @settings(max_examples=100, deadline=None)
 @given(nfa=small_models())
 def test_verifier_size_and_projection(nfa):
-    obs = build_observer(nfa)
+    obs, walk, edges = walk_with_edges(nfa)
+    assert len(walk.x2) <= 4 ** len(nfa.states)
+    assert _projection_problems(obs, walk, edges, MaskEngine(nfa)) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfa=small_models())
+def test_the_verifier_automaton_is_the_walk(nfa):
+    # build_verifier names the walk's nodes and edges, in walk order.
+    obs, walk, edges = walk_with_edges(nfa)
     ver = build_verifier(nfa, obs)
-    assert len(ver.states) <= 4 ** len(nfa.states)
-    ok, certificate = check_verifier_observer_language_equality(obs, ver)
-    assert ok, certificate
+    name = row_table(nfa).state_set
+    states = [(obs.states[i], name(x2)) for i, x2 in zip(walk.estimate, walk.x2)]
+    assert list(ver.states) == states
+    assert ver.initial == states[0]
+    assert list(ver.transitions.items()) == [
+        ((states[n], obs.events[e]), states[m]) for n, e, m in edges
+    ]
+    assert ver.events == obs.events
 
 
 @settings(max_examples=200, deadline=None)
@@ -348,6 +375,6 @@ def test_wide_chain_rows_equal_the_set_based_steps():
 def test_counts_equal_the_built_structures(nfa):
     # `opaq verify` reports these sizes without building the structures.
     assert sipa_state_count(nfa) == len(build_sipa(nfa).states)
-    verdict, states = walk_verifier(nfa)
-    assert states == len(build_verifier(nfa).states)
+    verdict, walk = walk_verifier(nfa)
+    assert len(walk.x2) == len(build_verifier(nfa).states)
     assert verdict == verify_infinite_step_strong(nfa)
