@@ -47,7 +47,7 @@ def main() -> int:
     write("sipa.dot", sipa_dot(build_sipa(nfa)))
     write("verifier.dot", verifier_dot(build_verifier(nfa, obs)))
     for i, root in enumerate(secret_intersecting_roots(nfa, obs)):
-        write(f"weak_tree_{i}.dot", tree_dot(build_weak_state_tree(nfa, obs, root, 2)))
+        write(f"weak_tree_{i}.dot", tree_dot(build_weak_state_tree(nfa, obs, root, 2), "weak_tree"))
         write(f"sst_{i}.dot", tree_dot(build_sst(nfa, obs, root, 2), "sst"))
     return 0
 

@@ -233,6 +233,9 @@ def _run_crosscheck(args) -> int:
     if args.models < 1 or args.max_states < 1:
         print("error: --models and --max-states must be positive", file=sys.stderr)
         return 2
+    if args.max_states > DEFAULT_STATE_CAP:
+        print(f"error: --max-states must be at most {DEFAULT_STATE_CAP}", file=sys.stderr)
+        return 2
     if any(k < 0 for k in args.k):
         print("error: K values must be nonnegative", file=sys.stderr)
         return 2

@@ -410,18 +410,25 @@ def dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dot_nodes(labels: Sequence[str], shapes: Sequence[str]) -> tuple[list[str], list[str]]:
-    """DOT node ids and node lines for nodes printed as *labels*.
+def dot_graph(
+    name: str, rankdir: str, labels: Sequence[str], shapes: Sequence[str],
+    edges: Iterable[tuple[int, str, int]], numbered: bool = False,
+) -> str:
+    """The DOT text of every export: node lines in order, then edge lines.
 
-    Each node is named by its quoted label while every label is distinct.
-    When two collide (state names that hold commas can print alike), the
-    nodes are numbered n0, n1, ... as :func:`tree_dot` numbers its nodes,
-    and each carries its label as an attribute.
+    Node i is printed as ``labels[i]`` with shape ``shapes[i]``; an edge
+    ``(i, event, j)`` runs from node i to node j.  Each node is named by its
+    quoted label while every label is distinct.  With *numbered*, or when
+    two labels collide (state names that hold commas can print alike), the
+    nodes are named n0, n1, ... and each carries its label as an attribute.
     """
-    if len(set(labels)) == len(labels):
+    if numbered or len(set(labels)) != len(labels):
+        ids = [f"n{i}" for i in range(len(labels))]
+        nodes = [f"  {n} [shape={shape},label={dot_quote(label)}];" for n, shape, label in zip(ids, shapes, labels)]
+    else:
         ids = [dot_quote(label) for label in labels]
-        return ids, [f"  {name} [shape={shape}];" for name, shape in zip(ids, shapes)]
-    ids = [f"n{i}" for i in range(len(labels))]
-    return ids, [
-        f"  {name} [shape={shape},label={dot_quote(label)}];" for name, shape, label in zip(ids, shapes, labels)
-    ]
+        nodes = [f"  {n} [shape={shape}];" for n, shape in zip(ids, shapes)]
+    lines = [f"digraph {name} {{", f"  rankdir={rankdir};", *nodes]
+    lines += [f"  {ids[i]} -> {ids[j]} [label={dot_quote(event)}];" for i, event, j in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

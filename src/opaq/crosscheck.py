@@ -43,7 +43,7 @@ from .oracle import (
     replay_weak_violation,
 )
 from .projection import sipa_size
-from .strong import verify_infinite_step_strong, verify_k_step_strong, walk_verifier
+from .strong import verify_k_step_strong, walk_verifier
 from .weak import (
     Steps,
     Verdict,
@@ -81,12 +81,16 @@ class BatchResult:
         return not self.disagreements and not self.structural_failures
 
 
-def model_config(base_seed: int, index: int, max_states: int, max_events: int = 4) -> OracleConfig:
+# Batch models have 2..MAX_EVENTS events.
+MAX_EVENTS = 4
+
+
+def model_config(base_seed: int, index: int, max_states: int) -> OracleConfig:
     """Per-model generator parameters; every other model gets silence."""
     seed = base_seed * 1_000_003 + index
     local = (seed * 2654435761) % 2**32
     n_states = 2 + local % (max_states - 1) if max_states > 1 else 1
-    n_events = 2 + (local >> 8) % (max_events - 1) if max_events > 1 else 1
+    n_events = 2 + (local >> 8) % (MAX_EVENTS - 1)
     unobs = 0.0 if index % 2 == 0 else 0.35
     density = 1.2 + ((local >> 16) % 5) * 0.25
     secret = 0.2 + ((local >> 20) % 3) * 0.1
@@ -148,8 +152,8 @@ def _oracle_at(verdicts: dict[int, Verdict], search: Callable[[int], OracleVerdi
 
     So agreement at ``lo`` and ``hi`` means agreement at every K.  The
     other K reuse the probe's OracleVerdict; rows read only its ``opaque``
-    and ``exact``, and ``exact`` is true on every batch search, which passes
-    no OracleConfig (bound = depth + K).  When either probe disagrees, every
+    and ``exact``, and ``exact`` is true on every oracle search, which has
+    one mode, exact.  When either probe disagrees, every
     other K is asked too, so a failing batch's rows are those of a search
     per K.
     """
@@ -176,7 +180,7 @@ def _agreement_rows(
     # memoized steps and estimate BFS of its one engine *eng*.  The
     # oracle's K-step searches are called through this module's names,
     # which the benchmark's tracer rebinds.
-    strong = verify_k_step_strong(nfa, max(ks), obs)
+    strong = verify_k_step_strong(nfa, max(ks), obs, max_states=state_cap)
     weak_at = {k: _at_depth(weak, k) for k in (0, *ks)}
     strong_at = {k: _at_depth(strong, k) for k in ks}
     weak_oracle = _oracle_at(weak_at, lambda k: oracle_k_step_weak(nfa, k, eng=eng, max_states=state_cap))
@@ -214,11 +218,12 @@ def _node_counts(obs: Observer, top: int) -> Iterator[list[int]]:
         yield counts
 
 
-def _refill_depth(obs: Observer, steps: Steps, roots: list[int], top: int) -> int:
+def _refill_depth(obs: Observer, steps: Steps, roots: list[int], top: int, max_states: int | None = None) -> int:
     """Least depth of a tree edge from an empty x2 to a nonempty one (top + 1: none).
 
     *roots* holds one tree's root x2 at its estimate's position and -1
-    everywhere else, as :func:`opaq.weak._explore` takes them.
+    everywhere else, as :func:`opaq.weak._explore` takes them.  A walk of
+    more than *max_states* pairs raises ResourceLimitError.
 
     BFS meets each pair at its least depth and a child depends only on its
     parent pair, so a deduplicating walk's edges give that depth: an edge
@@ -226,7 +231,7 @@ def _refill_depth(obs: Observer, steps: Steps, roots: list[int], top: int) -> in
     among the level boundaries.
     """
     edges: list[tuple[int, int, int]] = []
-    walk, _ = _explore(obs, roots, steps, top, False, edges=edges)
+    walk, _ = _explore(obs, roots, steps, top, False, edges=edges, max_states=max_states, search="refill walk")
     x2 = walk.x2
     return min((bisect_right(walk.levels, n) for n, _, m in edges if x2[m] and not x2[n]), default=top + 1)
 
@@ -301,11 +306,12 @@ def _structural_checks(
     eng: MaskEngine,
     verifier: Walk,
     edges: list[tuple[int, int, int]],
+    state_cap: int | None = None,
 ) -> None:
     # *infinite* is the model's inf-weak verdict, which the weak-bound check
     # compares with a separately bounded walk.  *verifier* is the model's
     # verifier walk run to exhaustion and *edges* its edges; *eng* is the
-    # model's oracle engine.
+    # model's oracle engine.  Each walk here stops at *state_cap* states.
     sipa_states, sipa_transitions = sipa_size(nfa)
     n = len(nfa.states)
     n_eo = len(nfa.observable_events)
@@ -336,7 +342,7 @@ def _structural_checks(
         if x2 >= 0:
             roots = [-1] * len(obs.masks)
             roots[i] = x2
-            refills.append((i, _refill_depth(obs, table.avoid_steps, roots, top)))
+            refills.append((i, _refill_depth(obs, table.avoid_steps, roots, top, state_cap)))
     wanted, failed = set(ks), {}
     cap = 1
     for k, counts in enumerate(_node_counts(obs, top)):
@@ -356,7 +362,7 @@ def _structural_checks(
         result.cap_failures += over
         result.absorbing_failures += leaks
 
-    if verify_k_step_weak(nfa, 2**n - 2, obs).opaque != infinite.opaque:
+    if verify_k_step_weak(nfa, 2**n - 2, obs, state_cap).opaque != infinite.opaque:
         result.weak_bound_failures.append(
             f"seed {seed}: weak verdict at k=2^|X|-2 disagrees with the infinite check"
         )
@@ -377,8 +383,9 @@ def run_crosscheck(
     One record per (seed, property, k) with both verdicts and an agreement
     flag.  Records are emitted in seed order regardless of scheduling.  A
     report that cannot be opened for writing raises OSError before the
-    first model runs.  An oracle K-step search that examines more than *state_cap* strings raises
-    ResourceLimitError (None: unbounded).
+    first model runs.  An observer, walk or tree walk of more than
+    *state_cap* states, or an oracle K-step search that examines more than
+    *state_cap* strings, raises ResourceLimitError (None: unbounded).
     """
     if not ks:
         raise ValueError("the K range is empty")
@@ -393,16 +400,16 @@ def run_crosscheck(
         cfg = model_config(seed, index, max_states)
         nfa = random_nfa(cfg)
         result.models += 1
-        obs = build_observer(nfa)
+        obs = build_observer(nfa, max_states=state_cap)
         eng = MaskEngine(nfa)
-        weak = verify_infinite_step_weak(nfa, obs)
+        weak = verify_infinite_step_weak(nfa, obs, state_cap)
         if structural:
             # One verifier walk with edges serves the inf-strong row, the
             # 4^|X| cap and the projection check.
             edges: list[tuple[int, int, int]] = []
-            strong, verifier = walk_verifier(nfa, obs, edges=edges)
+            strong, verifier = walk_verifier(nfa, obs, state_cap, edges=edges)
         else:
-            strong = verify_infinite_step_strong(nfa, obs)
+            strong, _ = walk_verifier(nfa, obs, state_cap, stop_at_empty=True)
         rows = _agreement_rows(nfa, cfg.seed, ks, obs, eng, weak, strong, state_cap)
         result.rows.extend(rows)
         for r in rows:
@@ -420,7 +427,7 @@ def run_crosscheck(
                         json.dump(record, fh, indent=2, sort_keys=True)
                     result.divergence_fixtures.append(path)
         if structural:
-            _structural_checks(nfa, cfg.seed, ks, result, obs, weak, eng, verifier, edges)
+            _structural_checks(nfa, cfg.seed, ks, result, obs, weak, eng, verifier, edges, state_cap)
     result.elapsed = time.monotonic() - started
     if report_path is not None:
         # One encoder for every row: json.dumps would build one per call.

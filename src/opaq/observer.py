@@ -10,8 +10,7 @@ from .core import (
     ResourceLimitError,
     RowTable,
     StateSet,
-    dot_nodes,
-    dot_quote,
+    dot_graph,
     format_state_set,
     row_table,
 )
@@ -107,15 +106,10 @@ def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
 
 
 def observer_dot(obs: Observer) -> str:
-    """Deterministic DOT rendering; one node per estimate (see :func:`dot_nodes`)."""
-    ids, nodes = dot_nodes(
+    """Deterministic DOT rendering; one node per estimate (see :func:`dot_graph`)."""
+    return dot_graph(
+        "observer", "LR",
         [format_state_set(state) for state in obs.states],
         ["doublecircle" if i == 0 else "circle" for i in range(len(obs.masks))],
+        [(i, event, j) for i, row in enumerate(obs.moves) for event, j in zip(obs.events, row) if j >= 0],
     )
-    lines = ["digraph observer {", "  rankdir=LR;", *nodes]
-    for i, row in enumerate(obs.moves):
-        for event, j in zip(obs.events, row):
-            if j >= 0:
-                lines.append(f"  {ids[i]} -> {ids[j]} [label={dot_quote(event)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -36,14 +36,8 @@ from .core import Event, ModelError, Nfa, ResourceLimitError
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Oracle bound and random-model parameters.
+    """Random-model parameters; the seed fully determines generated models."""
 
-    ``max_len`` caps the examined observation length; None means the bound
-    needed for an exact verdict is computed from the model.  The seed fully
-    determines generated models.
-    """
-
-    max_len: int | None = None
     n_states: int = 4
     n_events: int = 3
     unobservable_fraction: float = 0.25
@@ -51,18 +45,14 @@ class OracleConfig:
     density: float = 1.8
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.max_len is not None and self.max_len < 1:
-            raise ValueError("max_len must be at least 1")
-
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """Verdict of a bounded definitional search.
+    """Verdict of an exact definitional search.
 
-    A reported violation is always genuine; ``opaque`` with ``exact`` False
-    is only a within-bound claim.  ``bound`` is the longest observation
-    length the search accounted for.
+    A reported violation is always genuine.  The oracle has one mode, exact,
+    so ``exact`` is always True.  ``bound`` is the longest observation length
+    the search accounted for.
     """
 
     opaque: bool
@@ -300,12 +290,7 @@ def _checked(nfa: Nfa, verdict: OracleVerdict, kind: str, k: int | None) -> Orac
 
 
 def oracle_k_step_weak(
-    nfa: Nfa,
-    k: int,
-    cfg: OracleConfig | None = None,
-    *,
-    eng: MaskEngine | None = None,
-    max_states: int | None = None,
+    nfa: Nfa, k: int, *, eng: MaskEngine | None = None, max_states: int | None = None
 ) -> OracleVerdict:
     """Quantifier evaluation of the K-step weak definition.
 
@@ -318,37 +303,26 @@ def oracle_k_step_weak(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    cfg = cfg or OracleConfig()
     eng = _engine(nfa, eng)
     order, access, depth = eng.reach_bfs()
-    bound = depth + k if cfg.max_len is None else cfg.max_len
-    exact = bound >= depth + k
     left = _limit(max_states)
     for a in order:
         if not a & eng.secret:
             continue
-        budget = min(k, bound - len(access[a]))
-        if budget < 0:
-            exact = False
-            continue
-        if budget < k:
-            exact = False
-        hit, left = _weak_dfs(eng, a & eng.secret, a & eng.nonsecret, budget, left)
+        hit, left = _weak_dfs(eng, a & eng.secret, a & eng.nonsecret, k, left)
         if left < 0:
             raise ResourceLimitError(f"oracle k-step weak search exceeded {max_states} strings")
         if hit is not None:
             w = access[a] + hit
             return _checked(
                 nfa,
-                OracleVerdict(False, w, len(access[a]), bound, True),
+                OracleVerdict(False, w, len(access[a]), depth + k, True),
                 "weak", k,
             )
-    return OracleVerdict(True, None, None, bound, exact)
+    return OracleVerdict(True, None, None, depth + k, True)
 
 
-def _weak_dfs(
-    eng: MaskEngine, fs: int, fns: int, budget: int, left: float
-) -> tuple[tuple[str, ...] | None, float]:
+def _weak_dfs(eng: MaskEngine, fs: int, fns: int, k: int, left: float) -> tuple[tuple[str, ...] | None, float]:
     # Preorder walk on an explicit stack (events in declaration order, first
     # hit wins), so a large K cannot exhaust the interpreter's recursion.
     # Returns the hit and how many more strings the cap allows (below 0:
@@ -367,7 +341,7 @@ def _weak_dfs(
             return None, left
         if fs and not fns:
             return tuple(path[1:]), left
-        if depth == budget or not fs:
+        if depth == k or not fs:
             continue
         children = []
         for event in eng.events:
@@ -382,12 +356,7 @@ def _weak_dfs(
 
 
 def oracle_k_step_strong(
-    nfa: Nfa,
-    k: int,
-    cfg: OracleConfig | None = None,
-    *,
-    eng: MaskEngine | None = None,
-    max_states: int | None = None,
+    nfa: Nfa, k: int, *, eng: MaskEngine | None = None, max_states: int | None = None
 ) -> OracleVerdict:
     """Quantifier evaluation of the K-step strong definition.
 
@@ -401,35 +370,25 @@ def oracle_k_step_strong(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    cfg = cfg or OracleConfig()
     eng = _engine(nfa, eng)
     order, access, depth = eng.reach_bfs()
-    bound = depth + k if cfg.max_len is None else cfg.max_len
-    exact = bound >= depth + k
     left = _limit(max_states)
-    start = order[0]
     for a in order:
-        at_initial = a == start
-        budget = min(k, bound - len(access[a]))
-        if budget < k:
-            exact = False
-        if budget < 0:
-            continue
-        hit, left = _strong_dfs(eng, a, budget, k, at_initial, left)
+        hit, left = _strong_dfs(eng, a, k, a == order[0], left)
         if left < 0:
             raise ResourceLimitError(f"oracle k-step strong search exceeded {max_states} strings")
         if hit is not None:
             w = access[a] + hit
             return _checked(
                 nfa,
-                OracleVerdict(False, w, max(0, len(w) - k), bound, True),
+                OracleVerdict(False, w, max(0, len(w) - k), depth + k, True),
                 "strong", k,
             )
-    return OracleVerdict(True, None, None, bound, exact)
+    return OracleVerdict(True, None, None, depth + k, True)
 
 
 def _strong_dfs(
-    eng: MaskEngine, anchor: int, budget: int, k: int, check_short: bool, left: float
+    eng: MaskEngine, anchor: int, k: int, check_short: bool, left: float
 ) -> tuple[tuple[str, ...] | None, float]:
     # Preorder walk from the window anchor on an explicit stack, counted,
     # spelled and returned as in _weak_dfs.  Nodes are (estimate, secret
@@ -444,9 +403,9 @@ def _strong_dfs(
             return None, left
         # Windows anchored at the initial estimate may be shorter than K; all
         # others are checked at full window length only.
-        if (depth == k or (check_short and depth < k)) and sec_cont and not window:
+        if (check_short or depth == k) and sec_cont and not window:
             return tuple(path[1:]), left
-        if depth >= budget:
+        if depth == k:
             continue
         children = []
         for event in eng.events:
@@ -466,20 +425,16 @@ def _strong_dfs(
 # -- infinite-step weak -------------------------------------------------------
 
 
-def oracle_infinite_step_weak(
-    nfa: Nfa, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
-) -> OracleVerdict:
+def oracle_infinite_step_weak(nfa: Nfa, *, eng: MaskEngine | None = None) -> OracleVerdict:
     """K-step weak check with unbounded continuations.
 
     Continuation behavior depends only on the (secret-descended,
     nonsecret-descended) pair, so the per-root search prunes repeated pairs;
     exploration is exact once every reachable pair has been expanded.
     """
-    cfg = cfg or OracleConfig()
     eng = _engine(nfa, eng)
     order, access, _ = eng.reach_bfs()
     bound = 0
-    exact = True
     for a in order:
         if not a & eng.secret:
             continue
@@ -496,15 +451,12 @@ def oracle_infinite_step_weak(
                     OracleVerdict(False, w, len(access[a]), len(w), True),
                     "weak", None,
                 )
-            if cfg.max_len is not None and len(access[a]) + len(path) >= cfg.max_len:
-                exact = False
-                continue
             for event in reversed(eng.events):
                 ns, nns = eng.reach(fs, event), eng.reach(fns, event)
                 if (ns | nns) and (ns, nns) not in seen:
                     seen.add((ns, nns))
                     stack.append((ns, nns, path + (event,)))
-    return OracleVerdict(True, None, None, bound, exact)
+    return OracleVerdict(True, None, None, bound, True)
 
 
 # -- infinite-step strong ------------------------------------------------------
@@ -545,9 +497,7 @@ def _flagged_step(eng: MaskEngine, clean: int, dirty: int, event: str) -> tuple[
     return _flagged_ur(eng, new_clean, new_dirty)
 
 
-def oracle_infinite_step_strong(
-    nfa: Nfa, cfg: OracleConfig | None = None, *, eng: MaskEngine | None = None
-) -> OracleVerdict:
+def oracle_infinite_step_strong(nfa: Nfa, *, eng: MaskEngine | None = None) -> OracleVerdict:
     """Quantifier evaluation of the infinite-step strong definition.
 
     Runs that have visited a secret are tracked by flagged reachability over
@@ -556,14 +506,12 @@ def oracle_infinite_step_strong(
     with every post-event state nonsecret.  The search deduplicates the
     joint (flagged set, avoiding set) node, so it is exact on termination.
     """
-    cfg = cfg or OracleConfig()
     eng = _engine(nfa, eng)
     clean, dirty = _flagged_initial(eng)
     avoid = eng.ur_nonsecret(eng.initial & eng.nonsecret)
     queue: list[tuple[int, int, int, tuple[str, ...]]] = [(clean, dirty, avoid, ())]
     seen = {(clean, dirty, avoid)}
     bound = 0
-    exact = True
     while queue:
         clean, dirty, avoid, path = queue.pop(0)
         bound = max(bound, len(path))
@@ -573,9 +521,6 @@ def oracle_infinite_step_strong(
                 OracleVerdict(False, path, None, len(path), True),
                 "inf-strong", None,
             )
-        if cfg.max_len is not None and len(path) >= cfg.max_len:
-            exact = False
-            continue
         for event in eng.events:
             if not eng.reach(clean | dirty, event):
                 continue
@@ -585,11 +530,11 @@ def oracle_infinite_step_strong(
             if key not in seen:
                 seen.add(key)
                 queue.append((nclean, ndirty, navoid, path + (event,)))
-    return OracleVerdict(True, None, None, bound, exact)
+    return OracleVerdict(True, None, None, bound, True)
 
 
-def oracle_current_state(nfa: Nfa, cfg: OracleConfig | None = None) -> OracleVerdict:
-    return oracle_k_step_weak(nfa, 0, cfg)
+def oracle_current_state(nfa: Nfa) -> OracleVerdict:
+    return oracle_k_step_weak(nfa, 0)
 
 
 # -- random models -------------------------------------------------------------

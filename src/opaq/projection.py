@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .core import Nfa, RowTable, StateSet, bits, dot_quote, row_table
+from .core import Nfa, RowTable, StateSet, bits, dot_graph, row_table
 
 TAG_N = "N"
 TAG_Y = "Y"
@@ -188,25 +188,20 @@ def sipa_size(nfa: Nfa) -> tuple[int, int]:
     return sum(t.bit_count() for t in tags), transitions
 
 
+def _automaton_dot(name: str, states: tuple, initial: tuple, transitions: tuple, label: Callable) -> str:
+    index = {state: i for i, state in enumerate(states)}
+    start = set(initial)
+    return dot_graph(
+        name, "LR",
+        [label(state) for state in states],
+        ["doublecircle" if state in start else "circle" for state in states],
+        [(index[src], event, index[dst]) for src, event, dst in transitions],
+    )
+
+
 def projected_dot(pa: ProjectedAutomaton) -> str:
-    lines = ["digraph projected {", "  rankdir=LR;"]
-    initial = set(pa.initial)
-    for state in pa.states:
-        shape = "doublecircle" if state in initial else "circle"
-        lines.append(f"  {dot_quote(state)} [shape={shape}];")
-    for src, event, dst in pa.transitions:
-        lines.append(f"  {dot_quote(src)} -> {dot_quote(dst)} [label={dot_quote(event)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _automaton_dot("projected", pa.states, pa.initial, pa.transitions, str)
 
 
 def sipa_dot(sipa: Sipa) -> str:
-    lines = ["digraph sipa {", "  rankdir=LR;"]
-    initial = set(sipa.initial)
-    for state in sipa.states:
-        shape = "doublecircle" if state in initial else "circle"
-        lines.append(f"  {dot_quote(state.label())} [shape={shape}];")
-    for src, event, dst in sipa.transitions:
-        lines.append(f"  {dot_quote(src.label())} -> {dot_quote(dst.label())} [label={dot_quote(event)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _automaton_dot("sipa", sipa.states, sipa.initial, sipa.transitions, TaggedState.label)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Nfa, StateSet, dot_nodes, dot_quote, format_pair, row_table
+from .core import Nfa, StateSet, dot_graph, format_pair, row_table
 from .observer import Observer, build_observer
 from .projection import Sipa
 from .weak import (
@@ -42,13 +42,6 @@ class VerifierAutomaton:
     initial: VerifierState
     transitions: dict[tuple[VerifierState, str], VerifierState]
     events: tuple[str, ...]
-
-    def successors(self, state: VerifierState) -> tuple[tuple[str, VerifierState], ...]:
-        return tuple(
-            (e, self.transitions[(state, e)])
-            for e in self.events
-            if (state, e) in self.transitions
-        )
 
 
 # Second components step through the model's avoid rows, which are the
@@ -177,15 +170,16 @@ def verify_infinite_step_strong(nfa: Nfa, obs: Observer | None = None, sipa: Sip
 
 
 def verifier_dot(ver: VerifierAutomaton) -> str:
-    """Deterministic DOT rendering; one node per verifier state (see :func:`dot_nodes`)."""
-    ids, nodes = dot_nodes(
+    """Deterministic DOT rendering; one node per verifier state (see :func:`dot_graph`).
+
+    Edges are listed by source state, then by event, whatever the order of
+    ``ver.transitions``.
+    """
+    index = {state: i for i, state in enumerate(ver.states)}
+    moves = ver.transitions
+    return dot_graph(
+        "verifier", "LR",
         [format_pair(state.x1, state.x2) for state in ver.states],
         ["doublecircle" if state == ver.initial else "circle" for state in ver.states],
+        [(i, e, index[moves[s, e]]) for i, s in enumerate(ver.states) for e in ver.events if (s, e) in moves],
     )
-    node_id = dict(zip(ver.states, ids))
-    lines = ["digraph verifier {", "  rankdir=LR;", *nodes]
-    for state in ver.states:
-        for event, target in ver.successors(state):
-            lines.append(f"  {node_id[state]} -> {node_id[target]} [label={dot_quote(event)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

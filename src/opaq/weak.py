@@ -43,7 +43,7 @@ from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
-    InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_quote, format_pair,
+    InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_graph, format_pair,
     format_state_set, row_table,
 )
 from .observer import Observer, build_observer
@@ -442,12 +442,11 @@ def verify_infinite_step_weak(
 
 def tree_dot(tree: StateTree, name: str = "state_tree") -> str:
     """Deterministic DOT rendering; nodes are numbered in creation order."""
-    ids = {id(node): f"n{i}" for i, node in enumerate(tree.nodes)}
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    for node in tree.nodes:
-        label = dot_quote(format_pair(node.x1, node.x2))
-        lines.append(f"  {ids[id(node)]} [shape=box,label={label}];")
-    for src, event, dst in tree.edges:
-        lines.append(f"  {ids[id(src)]} -> {ids[id(dst)]} [label={dot_quote(event)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    index = {id(node): i for i, node in enumerate(tree.nodes)}
+    return dot_graph(
+        name, "TB",
+        [format_pair(node.x1, node.x2) for node in tree.nodes],
+        ["box"] * len(tree.nodes),
+        [(index[id(src)], event, index[id(dst)]) for src, event, dst in tree.edges],
+        numbered=True,
+    )

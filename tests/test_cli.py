@@ -14,6 +14,7 @@ import opaq.strong
 import opaq.weak
 from opaq.cli import main
 from opaq.core import TABLE_STEP_STATES
+from opaq.crosscheck import BatchResult
 
 import reference
 from conftest import g2_dict, hidden_crossing_dict
@@ -448,6 +449,29 @@ def test_crosscheck_rejects_a_bad_k_before_any_model_runs(tmp_path, capsys, k, m
     assert not report.exists()
 
 
+def test_crosscheck_rejects_max_states_above_the_state_cap_before_any_model_runs(tmp_path, monkeypatch, capsys):
+    # A model of 10^9 states would exhaust memory while it is generated.
+    models = []
+    monkeypatch.setattr(opaq.crosscheck, "random_nfa", lambda cfg: models.append(cfg))
+    report = tmp_path / "report.jsonl"
+    code, out, err = run(capsys, "crosscheck", "--models", "1", "--max-states", "1000000000",
+                         "--report", str(report), "--fixtures-dir", str(tmp_path / "div"))
+    assert code == 2
+    assert (out, err) == ("", "error: --max-states must be at most 1048576\n")
+    assert models == []
+    assert not report.exists()
+
+
+def test_crosscheck_accepts_max_states_up_to_the_state_cap(monkeypatch, capsys):
+    batches = []
+    monkeypatch.setattr(opaq.cli, "run_crosscheck", lambda **kw: batches.append(kw["max_states"]) or BatchResult())
+    argv = ["crosscheck", "--models", "1", "--max-states"]
+    assert main(argv + ["1048576"]) == 0
+    assert main(argv + ["1048577"]) == 2
+    assert batches == [1048576]
+    assert capsys.readouterr().err == "error: --max-states must be at most 1048576\n"
+
+
 def test_crosscheck_accepts_a_k_range_up_to_the_state_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(opaq.cli, "DEFAULT_STATE_CAP", 3)
     argv = ["crosscheck", "--models", "1", "--max-states", "1", "--report", str(tmp_path / "r.jsonl"),
@@ -486,7 +510,7 @@ def test_crosscheck_divergence_writes_fixture_and_fails(tmp_path, monkeypatch, c
     monkeypatch.setattr(
         crosscheck, "random_nfa", lambda cfg: validate_model(hidden_crossing_dict())
     )
-    monkeypatch.setattr(crosscheck, "verify_k_step_strong", lambda *args: Verdict(True))
+    monkeypatch.setattr(crosscheck, "verify_k_step_strong", lambda *args, **kwargs: Verdict(True))
     fixtures = tmp_path / "div"
     code, out, _ = run(
         capsys,
@@ -528,7 +552,7 @@ def test_a_fixtures_dir_that_is_a_file_ends_in_one_error_line(tmp_path, monkeypa
     from opaq.weak import Verdict
 
     monkeypatch.setattr(crosscheck, "random_nfa", lambda cfg: validate_model(hidden_crossing_dict()))
-    monkeypatch.setattr(crosscheck, "verify_k_step_strong", lambda *args: Verdict(True))
+    monkeypatch.setattr(crosscheck, "verify_k_step_strong", lambda *args, **kwargs: Verdict(True))
     fixtures = tmp_path / "div"
     fixtures.write_text("", encoding="utf-8")
     code, out, err = run(

@@ -13,6 +13,7 @@ mutants of the walk's side.
 
 from __future__ import annotations
 
+import inspect
 import tracemalloc
 
 import pytest
@@ -34,7 +35,7 @@ from opaq import (
     verify_k_step_strong,
     verify_k_step_weak,
 )
-from opaq.core import row_table, set_step
+from opaq.core import ResourceLimitError, row_table, set_step
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
 from opaq.oracle import MaskEngine
 from opaq.weak import StateTree, TreeNode, Verdict, Witness, _grow_tree, secret_intersecting_roots
@@ -254,7 +255,7 @@ def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, r
     )
     monkeypatch.setattr(
         crosscheck, "_refill_depth",
-        lambda obs, steps, roots, top: refill_of(broom((), top, sst_fan, refill), top),
+        lambda obs, steps, roots, top, max_states=None: refill_of(broom((), top, sst_fan, refill), top),
     )
     obs = build_observer(g2)
     roots = secret_intersecting_roots(g2, obs)
@@ -345,9 +346,8 @@ def test_the_batch_builds_no_verifier_automaton(monkeypatch):
         walks.append((stop_at_empty, edges is not None))
         return run(nfa, obs, max_states, edges=edges, stop_at_empty=stop_at_empty)
 
-    # The batch calls the walk by its own name; verify_infinite_step_strong
-    # calls it by strong's.
-    monkeypatch.setattr(opaq.strong, "walk_verifier", recorded)
+    # The batch calls the walk by its own name, with and without the
+    # structural checks.
     monkeypatch.setattr(crosscheck, "walk_verifier", recorded)
     result = run_crosscheck(models=100, max_states=8, ks=KS, seed=7)
     assert result.ok
@@ -357,6 +357,37 @@ def test_the_batch_builds_no_verifier_automaton(monkeypatch):
     stopped = run_crosscheck(models=100, max_states=8, ks=KS, seed=7, structural=False)
     assert walks == [(True, False)] * 100
     assert stopped.rows == result.rows
+
+
+CAPPED = (
+    "build_observer", "verify_infinite_step_weak", "verify_k_step_strong", "walk_verifier",
+    "verify_k_step_weak", "_explore",
+)
+
+
+@pytest.mark.parametrize("structural", [True, False])
+def test_every_batch_construction_gets_the_state_cap(monkeypatch, structural):
+    # The observer, the inf-weak and K-step strong walks, the verifier walk
+    # in either form, the refill walks and the weak-bound walk.
+    caps = {}
+    for name in CAPPED:
+        fn = getattr(crosscheck, name)
+
+        def recorded(*args, fn=fn, name=name, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            caps.setdefault(name, set()).add(bound.arguments.get("max_states"))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(crosscheck, name, recorded)
+    assert run_crosscheck(models=10, max_states=5, ks=KS, seed=7, structural=structural, state_cap=999).ok
+    called = CAPPED if structural else CAPPED[:4]
+    assert caps == {name: {999} for name in called}
+
+
+def test_a_tiny_state_cap_stops_the_batch_at_the_observer():
+    # Seed 5's first model has 12 estimates.
+    with pytest.raises(ResourceLimitError, match="^observer exceeded 4 states$"):
+        run_crosscheck(models=1, max_states=5, ks=KS, seed=5, state_cap=4)
 
 
 # -- criterion 4: the projection check against mutants -------------------------
@@ -533,7 +564,7 @@ def test_a_disagreement_asks_every_k(tmp_path, monkeypatch):
     # made to say opaque disagrees with the probe at K = 3, so the batch
     # asks the oracle at every other K and reports as a per-K sweep does.
     monkeypatch.setattr(crosscheck, "random_nfa", lambda cfg: validate_model(hidden_crossing_dict()))
-    monkeypatch.setattr(crosscheck, "verify_k_step_strong", lambda *args: Verdict(True))
+    monkeypatch.setattr(crosscheck, "verify_k_step_strong", lambda *args, **kwargs: Verdict(True))
     calls = count_oracle_calls(monkeypatch)
     probed = run_crosscheck(models=1, max_states=4, ks=KS, seed=0, fixtures_dir=str(tmp_path / "probed"))
     assert [k for family, _, k in calls if family == "strong"] == [3, 0, 1, 2]

@@ -226,7 +226,7 @@ def test_estimates_that_print_alike_stay_two_nodes(tmp_path, capsys, structure, 
 # Pieces of state and event names: DOT and JSON punctuation, the comma that
 # joins a --root, the arrow of a DOT edge, non-ASCII letters and line breaks.
 HOSTILE = ['"', "'", "\\", ",", "{", "}", "[", "]", " ", "->", ";", "=", "é", "ß", "Ж", "中", "a", "\n", "\r"]
-# An estimate's node when two estimates print alike (see core.dot_nodes).
+# An estimate's node when two estimates print alike (see core.dot_graph).
 NUMBERED_NODE = re.compile(r"  n\d+ \[shape=\w+,label=Q\];")
 
 

@@ -82,13 +82,6 @@ def test_lone_secret_state_violates_at_k0():
     assert verdict.split == 1
 
 
-def test_explicit_bound_is_honored(g2):
-    verdict = oracle_k_step_weak(g2, 2, OracleConfig(max_len=6))
-    assert verdict.opaque and verdict.exact and verdict.bound == 6
-    shallow = oracle_k_step_weak(g2, 2, OracleConfig(max_len=2))
-    assert shallow.opaque and not shallow.exact
-
-
 def test_secret_only_estimate_breaks_infinite_weak():
     from opaq import validate_model
 

@@ -7,6 +7,10 @@ import os
 import subprocess
 import sys
 
+from opaq import build_observer, load_model
+from opaq.cli import main
+from opaq.weak import secret_intersecting_roots
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
 G2 = os.path.join(ROOT, "models", "g2.json")
@@ -32,7 +36,7 @@ def test_run_crosscheck_writes_its_report(tmp_path):
         assert any(line.startswith(prop + " ") for line in proc.stdout.splitlines())
 
 
-def test_export_structures_writes_every_structure(tmp_path):
+def test_export_structures_writes_every_structure(tmp_path, capsys):
     out = tmp_path / "out"
     proc = run_script("export_structures.py", G2, str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -42,5 +46,12 @@ def test_export_structures_writes_every_structure(tmp_path):
     names += [f"{kind}_{i}.dot" for i in range(3) for kind in ("weak_tree", "sst")]
     assert sorted(os.listdir(out)) == sorted(names)
     assert proc.stdout.splitlines() == [str(out / name) for name in names]
+    # Each file is what `opaq export` writes, trees at K = 2 from the same roots.
+    nfa = load_model(G2)
+    exports = {f"{name}.dot": [name] for name in ("observer", "projected", "sipa", "verifier")}
+    for i, root in enumerate(secret_intersecting_roots(nfa, build_observer(nfa))):
+        for kind, structure in (("weak_tree", "weak-tree"), ("sst", "sst")):
+            exports[f"{kind}_{i}.dot"] = [structure, "--root", json.dumps(list(root)), "--k", "2"]
     for name in names:
-        assert (out / name).read_text().startswith("digraph ")
+        assert main(["export", "--structure", *exports[name], G2]) == 0
+        assert (out / name).read_text(encoding="utf-8") == capsys.readouterr().out, name

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opaq import (
+    VerifierAutomaton,
     VerifierState,
     build_observer,
     build_sipa,
@@ -249,10 +250,34 @@ def test_verifier_second_component_matches_flagged_chains(nfa):
         assert eng._mask(state.x2) == avoid
         if depth >= 6:
             continue
-        for event, target in ver.successors(state):
-            if target not in seen:
+        for event in ver.events:
+            target = ver.transitions.get((state, event))
+            if target is not None and target not in seen:
                 seen.add(target)
                 stack.append((target, eng.avoid_reach(avoid, event), depth + 1))
+
+
+def test_verifier_dot_lists_edges_by_state_then_event():
+    # Transitions inserted out of order; events declared out of name order.
+    start = VerifierState(("0",), ("0",))
+    other = VerifierState(("1",), ())
+    ver = VerifierAutomaton(
+        states=(start, other),
+        initial=start,
+        transitions={(other, "a"): start, (start, "a"): other, (other, "b"): other, (start, "b"): start},
+        events=("b", "a"),
+    )
+    assert verifier_dot(ver).splitlines() == [
+        "digraph verifier {",
+        "  rankdir=LR;",
+        '  "({0},{0})" [shape=doublecircle];',
+        '  "({1},{})" [shape=circle];',
+        '  "({0},{0})" -> "({0},{0})" [label="b"];',
+        '  "({0},{0})" -> "({1},{})" [label="a"];',
+        '  "({1},{})" -> "({1},{})" [label="b"];',
+        '  "({1},{})" -> "({0},{0})" [label="a"];',
+        "}",
+    ]
 
 
 @settings(max_examples=100, deadline=None)
