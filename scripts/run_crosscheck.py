@@ -3,6 +3,8 @@
 
 Usage: python3 scripts/run_crosscheck.py [models] [seed]
 Writes crosscheck_report.jsonl and any divergence fixtures to ./divergences/.
+Arguments other than at most two integers, with at least one model, print
+the usage to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -12,10 +14,19 @@ from collections import Counter
 
 from opaq.crosscheck import run_crosscheck
 
+USAGE = "usage: python3 scripts/run_crosscheck.py [models] [seed]"
 
-def main() -> int:
-    models = int(sys.argv[1]) if len(sys.argv) > 1 else 500
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 7
+
+def main(argv: list[str]) -> int:
+    try:
+        models, seed = [int(arg) for arg in argv] + [500, 7][len(argv):]
+    except ValueError:
+        # A non-integer, or more than two arguments.
+        models = 0
+    if models < 1:
+        print(USAGE, file=sys.stderr)
+        print("error: models must be a positive integer and seed an integer", file=sys.stderr)
+        return 2
     result = run_crosscheck(
         models=models,
         max_states=5,
@@ -43,4 +54,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -178,6 +178,10 @@ def load_model(path: str) -> Nfa:
         raise ModelError(f"cannot read model file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed JSON in {path!r}: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting too deep for the parser, bytes that are not UTF-8, or an
+        # integer past the interpreter's digit limit.
+        raise ModelError(f"cannot parse model file {path!r}: {exc}") from exc
     return validate_model(raw)
 
 

@@ -6,13 +6,12 @@ The oracle's K-step searches run at the two K per family that decide
 agreement, and at every K only when they disagree there (see _oracle_at).
 Structural assertions (size caps, absorbing emptiness on trees, the
 verifier/observer projection, and the finite/infinite weak consistency
-bound) run on the same models, the tree checks without building a tree.
-With them, each model walks its verifier once, with edges, and that walk
-gives the inf-strong row, the verifier's state count and the projection
-check; the projection is stepped by the model's oracle engine, so a walk
-edge whose target estimate or secret-avoiding subset differs from the
-oracle's step is reported (see _projection_problems).  Without them the
-row takes a walk that stops at the first empty second component.
+bound) run on every model, the tree checks without building a tree.
+Each model walks its verifier once, with edges, and that walk gives the
+inf-strong row, the verifier's state count and the projection check; the
+projection is stepped by the model's oracle engine, so a walk edge whose
+target estimate or secret-avoiding subset differs from the oracle's step
+is reported (see _projection_problems).
 Any disagreement, or a construction witness that does not replay, is
 serialized as a standalone model fixture before the batch is reported as
 failed.
@@ -375,7 +374,6 @@ def run_crosscheck(
     seed: int,
     report_path: str | None = None,
     fixtures_dir: str | None = None,
-    structural: bool = True,
     state_cap: int | None = None,
 ) -> BatchResult:
     """Run the seeded agreement batch; write a JSONL report when asked.
@@ -403,13 +401,10 @@ def run_crosscheck(
         obs = build_observer(nfa, max_states=state_cap)
         eng = MaskEngine(nfa)
         weak = verify_infinite_step_weak(nfa, obs, state_cap)
-        if structural:
-            # One verifier walk with edges serves the inf-strong row, the
-            # 4^|X| cap and the projection check.
-            edges: list[tuple[int, int, int]] = []
-            strong, verifier = walk_verifier(nfa, obs, state_cap, edges=edges)
-        else:
-            strong, _ = walk_verifier(nfa, obs, state_cap, stop_at_empty=True)
+        # One verifier walk with edges serves the inf-strong row, the 4^|X|
+        # cap and the projection check.
+        edges: list[tuple[int, int, int]] = []
+        strong, verifier = walk_verifier(nfa, obs, state_cap, edges=edges)
         rows = _agreement_rows(nfa, cfg.seed, ks, obs, eng, weak, strong, state_cap)
         result.rows.extend(rows)
         for r in rows:
@@ -426,8 +421,7 @@ def run_crosscheck(
                     with open(path, "w", encoding="utf-8") as fh:
                         json.dump(record, fh, indent=2, sort_keys=True)
                     result.divergence_fixtures.append(path)
-        if structural:
-            _structural_checks(nfa, cfg.seed, ks, result, obs, weak, eng, verifier, edges, state_cap)
+        _structural_checks(nfa, cfg.seed, ks, result, obs, weak, eng, verifier, edges, state_cap)
     result.elapsed = time.monotonic() - started
     if report_path is not None:
         # One encoder for every row: json.dumps would build one per call.

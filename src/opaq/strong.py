@@ -104,7 +104,6 @@ def walk_verifier(
     max_states: int | None = None,
     *,
     edges: list[tuple[int, int, int]] | None = None,
-    stop_at_empty: bool = False,
 ) -> tuple[Verdict, Walk]:
     """The infinite-step strong verdict and the verifier walk.
 
@@ -116,10 +115,9 @@ def walk_verifier(
     the observer step with the N-to-N filtered step.  FIFO order over
     declaration-ordered events numbers the states deterministically: node n
     is the verifier state (``obs.states[walk.estimate[n]]``, ``walk.x2[n]``).
-    The walk runs to exhaustion, appending its edges to *edges* when given,
-    unless *stop_at_empty* stops it at the first state whose second
-    component is empty.  Either way that state gives the verdict and its
-    witness, the observation reaching it.  More than *max_states* states
+    The walk runs to exhaustion, appending its edges to *edges* when given.
+    Its first state whose second component is empty gives the verdict and
+    its witness, the observation reaching it.  More than *max_states* states
     raise ResourceLimitError.
     """
     if obs is None:
@@ -127,11 +125,8 @@ def walk_verifier(
     table = row_table(nfa)
     roots = [-1] * len(obs.masks)
     roots[0] = table.clean & obs.masks[0]
-    walk, hit = _explore(
-        obs, roots, table.avoid_steps, None, stop_at_empty, edges=edges, max_states=max_states
-    )
-    if hit is None and 0 in walk.x2:
-        hit = walk.x2.index(0)
+    walk, _ = _explore(obs, roots, table.avoid_steps, None, False, edges=edges, max_states=max_states)
+    hit = walk.x2.index(0) if 0 in walk.x2 else None
     return _verdict(table, obs, walk, hit), walk
 
 
@@ -162,11 +157,12 @@ def build_verifier(
 
 
 def verify_infinite_step_strong(nfa: Nfa, obs: Observer | None = None, sipa: Sipa | None = None) -> Verdict:
-    """Walk the verifier without building it; stop at the first empty second component.
+    """The verdict of :func:`walk_verifier`, read off the whole verifier walk.
 
-    The witness is the observation reaching the offending verifier state.
+    The witness is the observation reaching its first verifier state whose
+    second component is empty.
     """
-    return walk_verifier(nfa, obs, stop_at_empty=True)[0]
+    return walk_verifier(nfa, obs)[0]
 
 
 def verifier_dot(ver: VerifierAutomaton) -> str:

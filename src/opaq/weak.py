@@ -366,7 +366,10 @@ def _explore(
 
 
 def _verdict(table: RowTable, obs: Observer, walk: Walk, hit: int | None) -> Verdict:
-    """Verdict of a stopped walk; the witness follows *hit*'s parents, then the observer's."""
+    """Verdict of a walk whose first empty-x2 node is *hit* (None: opaque).
+
+    The witness follows *hit*'s parents, then the observer's.
+    """
     if hit is None:
         return Verdict(True)
     continuation = []
@@ -440,8 +443,12 @@ def verify_infinite_step_weak(
     return _weak_search(nfa, obs, None, max_states, "infinite-step weak search")
 
 
-def tree_dot(tree: StateTree, name: str = "state_tree") -> str:
-    """Deterministic DOT rendering; nodes are numbered in creation order."""
+def tree_dot(tree: StateTree, name: str) -> str:
+    """Deterministic DOT rendering of *tree* as the graph *name*.
+
+    The exports name a weak tree ``weak_tree`` and an SST ``sst``; nodes are
+    numbered in creation order.
+    """
     index = {id(node): i for i, node in enumerate(tree.nodes)}
     return dot_graph(
         name, "TB",

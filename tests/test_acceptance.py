@@ -63,7 +63,6 @@ def batch(batch_report):
         seed=BATCH_SEED,
         report_path=str(batch_report),
         fixtures_dir=ARTIFACTS,
-        structural=True,
     )
     return result
 

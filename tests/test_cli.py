@@ -81,6 +81,20 @@ def test_verify_malformed_model(tmp_path, capsys):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    (b'{"states": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    (b"\xff{}", "can't decode byte 0xff"),
+], ids=["deeply-nested", "long-integer", "not-utf8"])
+def test_an_unparsable_model_file_ends_in_one_error_line_naming_it(tmp_path, capsys, content, message):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--property", "cs", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot parse model file {str(path)!r}: ")
+    assert message in err and err.count("\n") == 1
+
+
 def test_verify_unknown_field_model(tmp_path, capsys):
     raw = g2_dict()
     raw["bogus"] = True
@@ -336,7 +350,7 @@ def test_export_unreachable_root(capsys):
         capsys, "export", "--structure", "sst", "--root", "1,4", "--k", "2", G2
     )
     assert code == 2
-    assert "not a reachable" in err
+    assert err == "error: root {1,4} is not a reachable observer state\n"
 
 
 def test_export_root_accepts_a_json_array(tmp_path, capsys):
@@ -380,6 +394,13 @@ def test_export_root_falls_back_to_commas_for_bracketed_names(tmp_path, capsys):
     assert '"({[1]},{})"' in out
 
 
+def test_a_root_nested_too_deeply_for_json_takes_the_comma_form(capsys):
+    root = "[" * 5000
+    code, out, err = run(capsys, "export", "--structure", "sst", "--root", root, "--k", "2", G2)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unknown state {root!r}") and err.count("\n") == 1
+
+
 def test_export_tree_requires_root_and_k(capsys):
     code, _, err = run(capsys, "export", "--structure", "weak-tree", G2)
     assert code == 2
@@ -410,6 +431,13 @@ def test_crosscheck_small_batch_agrees(tmp_path, capsys):
     )
     assert code == 0
     assert "agreement: 100%" in out
+
+
+def test_crosscheck_has_no_option_to_skip_the_structural_checks(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["crosscheck", "--no-structural"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --no-structural\n")
 
 
 def test_crosscheck_rejects_zero_states(capsys):
@@ -487,7 +515,7 @@ def test_crosscheck_oracle_searches_stop_at_the_cap(tmp_path, monkeypatch, capsy
     # the batch passes the CLI's state cap to it and exits 3.
     monkeypatch.setattr(opaq.cli, "DEFAULT_STATE_CAP", 5000)
     code, out, err = run(
-        capsys, "crosscheck", "--no-structural", "--k", "1500", "--models", "20",
+        capsys, "crosscheck", "--k", "1500", "--models", "20",
         "--report", str(tmp_path / "r.jsonl"), "--fixtures-dir", str(tmp_path / "div"),
     )
     assert code == 3

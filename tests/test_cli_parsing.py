@@ -24,7 +24,7 @@ ARGVS = [
     ["export", "--structure", "sst", "--root", "1,4,7", "--k", "2", "--state-cap", "5", "m.json"],
     ["crosscheck"],
     ["crosscheck", "--models", "3", "--max-states", "4", "--k", "0..2", "--seed", "1",
-     "--report", "r.jsonl", "--fixtures-dir", "d", "--no-structural"],
+     "--report", "r.jsonl", "--fixtures-dir", "d"],
     ["crosscheck", "--k", "3"],
     # Help at the top and for each command.
     ["-h"],
@@ -48,6 +48,9 @@ ARGVS = [
     ["verify", "--property", "cs", "--bogus", "m.json"],
     ["verify", "--property", "cs", "m.json", "extra"],
     ["crosscheck", "stray"],
+    # A removed option.
+    ["crosscheck", "--models", "3", "--max-states", "4", "--k", "0..2", "--seed", "1",
+     "--report", "r.jsonl", "--fixtures-dir", "d", "--no-structural"],
     ["crosscheck", "--k", "a..b"],
     # Abbreviations, negative numbers and the ``--`` separator.
     ["verify", "--prop", "cs", "m.json"],

@@ -332,8 +332,7 @@ def test_the_batch_builds_no_sipa(monkeypatch):
 
 def test_the_batch_builds_no_verifier_automaton(monkeypatch):
     # One verifier walk with edges per model gives the inf-strong row, the
-    # 4^|X| cap and the projection check; without the structural checks the
-    # row takes the walk that stops at the first empty x2.
+    # 4^|X| cap and the projection check.
     def refuse(*args, **kwargs):
         raise AssertionError("crosscheck built a verifier automaton")
 
@@ -342,21 +341,16 @@ def test_the_batch_builds_no_verifier_automaton(monkeypatch):
     walks = []
     run = opaq.strong.walk_verifier
 
-    def recorded(nfa, obs=None, max_states=None, *, edges=None, stop_at_empty=False):
-        walks.append((stop_at_empty, edges is not None))
-        return run(nfa, obs, max_states, edges=edges, stop_at_empty=stop_at_empty)
+    def recorded(nfa, obs=None, max_states=None, *, edges=None):
+        walks.append(edges is not None)
+        return run(nfa, obs, max_states, edges=edges)
 
-    # The batch calls the walk by its own name, with and without the
-    # structural checks.
+    # The batch calls the walk by its own name.
     monkeypatch.setattr(crosscheck, "walk_verifier", recorded)
     result = run_crosscheck(models=100, max_states=8, ks=KS, seed=7)
     assert result.ok
     assert len(result.rows) == 100 * 11
-    assert walks == [(False, True)] * 100
-    walks.clear()
-    stopped = run_crosscheck(models=100, max_states=8, ks=KS, seed=7, structural=False)
-    assert walks == [(True, False)] * 100
-    assert stopped.rows == result.rows
+    assert walks == [True] * 100
 
 
 CAPPED = (
@@ -365,10 +359,9 @@ CAPPED = (
 )
 
 
-@pytest.mark.parametrize("structural", [True, False])
-def test_every_batch_construction_gets_the_state_cap(monkeypatch, structural):
-    # The observer, the inf-weak and K-step strong walks, the verifier walk
-    # in either form, the refill walks and the weak-bound walk.
+def test_every_batch_construction_gets_the_state_cap(monkeypatch):
+    # The observer, the inf-weak and K-step strong walks, the verifier walk,
+    # the refill walks and the weak-bound walk.
     caps = {}
     for name in CAPPED:
         fn = getattr(crosscheck, name)
@@ -379,9 +372,8 @@ def test_every_batch_construction_gets_the_state_cap(monkeypatch, structural):
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(crosscheck, name, recorded)
-    assert run_crosscheck(models=10, max_states=5, ks=KS, seed=7, structural=structural, state_cap=999).ok
-    called = CAPPED if structural else CAPPED[:4]
-    assert caps == {name: {999} for name in called}
+    assert run_crosscheck(models=10, max_states=5, ks=KS, seed=7, state_cap=999).ok
+    assert caps == {name: {999} for name in CAPPED}
 
 
 def test_a_tiny_state_cap_stops_the_batch_at_the_observer():

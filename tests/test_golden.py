@@ -179,7 +179,7 @@ def test_dot_quotes_names_with_quotes_and_backslashes():
         projected_dot(build_projected_automaton(nfa)),
         sipa_dot(build_sipa(nfa)),
         verifier_dot(build_verifier(nfa, obs)),
-        tree_dot(build_weak_state_tree(nfa, obs, root, 2)),
+        tree_dot(build_weak_state_tree(nfa, obs, root, 2), "weak_tree"),
         tree_dot(build_sst(nfa, obs, root, 2), "sst"),
     ]
     for dot in dots:

@@ -36,6 +36,17 @@ def test_run_crosscheck_writes_its_report(tmp_path):
         assert any(line.startswith(prop + " ") for line in proc.stdout.splitlines())
 
 
+def test_run_crosscheck_rejects_bad_arguments(tmp_path):
+    # A non-integer, a model count below 1 and a third argument each print
+    # the usage and exit 2 before any model runs.
+    for args in (["x"], ["0"], ["20", "y"], ["20", "7", "1"]):
+        proc = run_script("run_crosscheck.py", *args, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, ""), args
+        assert proc.stderr.startswith("usage: python3 scripts/run_crosscheck.py [models] [seed]\n"), args
+        assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
 def test_export_structures_writes_every_structure(tmp_path, capsys):
     out = tmp_path / "out"
     proc = run_script("export_structures.py", G2, str(out), cwd=tmp_path)

@@ -133,7 +133,7 @@ def test_verdict_serialization_shape(g2):
 
 def test_tree_dot_labels_pairs(g2):
     obs = build_observer(g2)
-    dot = tree_dot(build_weak_state_tree(g2, obs, ("1", "4", "7"), 2))
+    dot = tree_dot(build_weak_state_tree(g2, obs, ("1", "4", "7"), 2), "weak_tree")
     assert '"({1},{4,7})"' in dot
     assert '"({3},{6,9})"' in dot
 
@@ -566,16 +566,18 @@ def assert_walk_is_the_reference(recorded, expected):
 @given(nfa=small_models(), k=st.integers(0, 3))
 def test_every_pair_walk_is_the_reference_walk(nfa, k):
     obs = build_observer(nfa)
+    # The searches stop at their first empty x2; the verifier walk runs to
+    # exhaustion and its verdict reads that node off the whole walk.
     searches = (
-        (lambda: verify_current_state_opacity(nfa, obs), "weak", 0),
-        (lambda: verify_k_step_weak(nfa, k, obs), "weak", k),
-        (lambda: verify_k_step_strong(nfa, k, obs), "sst", k),
-        (lambda: verify_infinite_step_weak(nfa, obs), "weak", None),
-        (lambda: verify_infinite_step_strong(nfa, obs), "verifier", None),
+        (lambda: verify_current_state_opacity(nfa, obs), "weak", 0, True),
+        (lambda: verify_k_step_weak(nfa, k, obs), "weak", k, True),
+        (lambda: verify_k_step_strong(nfa, k, obs), "sst", k, True),
+        (lambda: verify_infinite_step_weak(nfa, obs), "weak", None, True),
+        (lambda: verify_infinite_step_strong(nfa, obs), "verifier", None, False),
     )
-    for search, family, depth in searches:
+    for search, family, depth, stop in searches:
         [recorded] = recorded_walks(search)
-        assert_walk_is_the_reference(recorded, reference_walk(nfa, obs, family, depth, pruned=True))
+        assert_walk_is_the_reference(recorded, reference_walk(nfa, obs, family, depth, stop, pruned=True))
     # The batch walks the verifier with edges; its structural checks then
     # walk one refill SST per secret-intersecting root, then the weak walk
     # at K = 2^|X| - 2.
