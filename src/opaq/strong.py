@@ -156,13 +156,16 @@ def build_verifier(
     )
 
 
-def verify_infinite_step_strong(nfa: Nfa, obs: Observer | None = None, sipa: Sipa | None = None) -> Verdict:
+def verify_infinite_step_strong(
+    nfa: Nfa, obs: Observer | None = None, sipa: Sipa | None = None, max_states: int | None = None
+) -> Verdict:
     """The verdict of :func:`walk_verifier`, read off the whole verifier walk.
 
     The witness is the observation reaching its first verifier state whose
-    second component is empty.
+    second component is empty.  More than *max_states* verifier states raise
+    ResourceLimitError.
     """
-    return walk_verifier(nfa, obs)[0]
+    return walk_verifier(nfa, obs, max_states)[0]
 
 
 def verifier_dot(ver: VerifierAutomaton) -> str:

@@ -64,6 +64,13 @@ def test_verify_warns_when_k_is_ignored(capsys):
     assert "ignored" in err
 
 
+@pytest.mark.parametrize("prop", ["cs", "inf-weak", "inf-strong"])
+def test_an_ignored_k_reads_null_in_json(capsys, prop):
+    code, out, err = run(capsys, "verify", "--property", prop, "--k", "3", "--format", "json", G2)
+    assert err == f"warning: --k is ignored for property {prop}\n"
+    assert json.loads(out)["k"] is None
+
+
 def test_verify_json_output_round_trips(capsys):
     code, out, _ = run(capsys, "verify", "--property", "inf-strong", "--format", "json", G2)
     assert code == 1

@@ -103,7 +103,9 @@ def test_main_reads_sys_argv(capsys, monkeypatch, parsed):
 
 @pytest.fixture
 def parsers_built(monkeypatch, parsed):
-    """How many ``argparse.ArgumentParser`` objects ``main`` constructs."""
+    """How many ``argparse.ArgumentParser`` objects ``main`` constructs,
+    counted from an empty cache of command parsers."""
+    opaq.cli._command_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -135,3 +137,27 @@ def test_an_unrecognized_argument_falls_back_to_the_full_parser(capsys, parsers_
     err = capsys.readouterr().err
     assert err.startswith("usage: opaq [-h] {verify,export,crosscheck} ...\n")
     assert err.endswith("opaq: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_second_call_of_a_command_builds_no_parser(parsers_built):
+    argv = ["verify", "--property", "cs", "m.json"]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert parsers_built == ["opaq verify"]
+
+
+def test_options_do_not_leak_between_calls(parsed):
+    assert main(["verify", "--property", "k-weak", "--k", "2", "--format", "json", "--state-cap", "9", "m.json"]) == 0
+    assert main(["verify", "--property", "cs", "m.json"]) == 0
+    second = parsed.pop()
+    assert (second.property, second.k, second.format, second.state_cap) == ("cs", None, "text", 2**20)
+
+
+def test_a_cached_parser_formats_help_at_the_current_width(capsys, monkeypatch, parsers_built):
+    assert main(["verify", "--property", "cs", "m.json"]) == 0
+    monkeypatch.setenv("COLUMNS", "40")
+    got = outcome(capsys, lambda: main(["verify", "-h"]))
+    assert parsers_built == ["opaq verify"]
+    assert got == outcome(capsys, lambda: _build_parser().parse_args(["verify", "-h"]))
+    monkeypatch.setenv("COLUMNS", "80")
+    assert got != outcome(capsys, lambda: _build_parser().parse_args(["verify", "-h"]))

@@ -4,7 +4,9 @@
 the CLI arguments, the exit code and the file holding the expected stdout.
 The files were written by the set-based implementation that the bitmask row
 table replaced; every DOT export and every ``verify --format json`` payload
-(verdict, witness and ``sizes``) must stay identical.
+(verdict, witness and ``sizes``) must stay identical.  The one change
+since is ``k``, which reads null for ``cs``, ``inf-weak`` and
+``inf-strong``: those verdicts use no K, whatever ``--k`` says.
 """
 
 from __future__ import annotations

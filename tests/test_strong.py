@@ -19,7 +19,7 @@ from opaq import (
     verify_k_step_weak,
     walk_verifier,
 )
-from opaq.core import TABLE_STEP_STATES, row_table, union
+from opaq.core import TABLE_STEP_STATES, ResourceLimitError, row_table, union
 from opaq.crosscheck import _projection_problems
 from opaq.oracle import MaskEngine
 from opaq.projection import TAG_N, sipa_size
@@ -122,6 +122,14 @@ def test_g2_infinite_strong_witness(g2):
     verdict = verify_infinite_step_strong(g2)
     assert not verdict.opaque
     assert verdict.witness.observation == ("a", "b", "c")
+
+
+def test_infinite_strong_stops_at_max_states(g2):
+    # g2's verifier has 4 states; the SIPA still goes by position, before the cap.
+    with pytest.raises(ResourceLimitError, match="^verifier exceeded 3 states$"):
+        verify_infinite_step_strong(g2, max_states=3)
+    verdict = verify_infinite_step_strong(g2, build_observer(g2), build_sipa(g2), 4)
+    assert verdict == verify_infinite_step_strong(g2)
 
 
 def walk_with_edges(nfa):
