@@ -9,8 +9,7 @@ here is pure; ``Nfa`` instances are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # A canonical, duplicate-free tuple of state identifiers, sorted by
 # declaration order of the owning Nfa.
@@ -36,55 +35,70 @@ class InvariantError(RuntimeError):
     """Raised when an internal invariant breaks: a program bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     name: str
     observable: bool
 
 
-@dataclass(frozen=True)
 class Nfa:
     """A partially observed nondeterministic finite automaton.
 
     ``states`` and ``events`` fix the canonical iteration order used by
     every construction in this package.  ``secret`` is a subset of
-    ``states``; the nonsecret states are exactly the rest.
+    ``states``; the nonsecret states are exactly the rest.  An Nfa is
+    immutable, and two compare equal when their five fields do.
     """
 
-    states: tuple[str, ...]
-    events: tuple[Event, ...]
-    transitions: tuple[tuple[str, str, str], ...]
-    initial: tuple[str, ...]
-    secret: tuple[str, ...]
-
-    _order: dict[str, int] = field(init=False, repr=False, compare=False)
-    _rows: RowTable | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        order = {s: i for i, s in enumerate(self.states)}
-        if len(order) != len(self.states):
+    def __init__(
+        self, states: tuple[str, ...], events: tuple[Event, ...], transitions: tuple[tuple[str, str, str], ...],
+        initial: tuple[str, ...], secret: tuple[str, ...],
+    ) -> None:
+        order = {s: i for i, s in enumerate(states)}
+        if len(order) != len(states):
             raise ModelError("duplicate state identifiers")
-        event_names = {e.name for e in self.events}
-        if len(event_names) != len(self.events):
+        event_names = {e.name for e in events}
+        if len(event_names) != len(events):
             raise ModelError("duplicate event names")
-        for src, ev, dst in self.transitions:
+        for src, ev, dst in transitions:
             if src not in order or dst not in order:
                 endpoint = dst if src in order else src
                 raise ModelError(f"transition ({src},{ev},{dst}) uses undeclared state {endpoint!r}")
             if ev not in event_names:
                 raise ModelError(f"transition ({src},{ev},{dst}) uses undeclared event {ev!r}")
-        if len(set(self.transitions)) != len(self.transitions):
+        if len(set(transitions)) != len(transitions):
             raise ModelError("duplicate transitions")
-        if not self.initial:
+        if not initial:
             raise ModelError("empty initial set")
-        for group, members in (("initial", self.initial), ("secret", self.secret)):
+        for group, members in (("initial", initial), ("secret", secret)):
             for s in members:
                 if s not in order:
                     raise ModelError(f"{group} member {s!r} is not a declared state")
             if len(set(members)) != len(members):
                 raise ModelError(f"duplicate {group} states")
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_rows", None)
+        # _rows is the row table, set once by row_table.
+        vars(self).update(
+            states=states, events=events, transitions=transitions, initial=initial, secret=secret,
+            _order=order, _rows=None,
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.states, self.events, self.transitions, self.initial, self.secret
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if isinstance(other, Nfa) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        states, events, transitions, initial, secret = self._fields()
+        return f"Nfa({states=}, {events=}, {transitions=}, {initial=}, {secret=})"
 
     # -- canonical views -------------------------------------------------
 

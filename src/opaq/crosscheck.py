@@ -23,7 +23,6 @@ import json
 import os
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .core import Nfa, format_pair, format_state_set, model_to_dict, row_table
@@ -54,17 +53,17 @@ from .weak import (
 )
 
 
-@dataclass
 class BatchResult:
-    rows: list[dict] = field(default_factory=list)
-    disagreements: list[dict] = field(default_factory=list)
-    projection_failures: list[str] = field(default_factory=list)
-    absorbing_failures: list[str] = field(default_factory=list)
-    cap_failures: list[str] = field(default_factory=list)
-    weak_bound_failures: list[str] = field(default_factory=list)
-    divergence_fixtures: list[str] = field(default_factory=list)
-    models: int = 0
-    elapsed: float = 0.0
+    def __init__(self) -> None:
+        self.rows: list[dict] = []
+        self.disagreements: list[dict] = []
+        self.projection_failures: list[str] = []
+        self.absorbing_failures: list[str] = []
+        self.cap_failures: list[str] = []
+        self.weak_bound_failures: list[str] = []
+        self.divergence_fixtures: list[str] = []
+        self.models = 0
+        self.elapsed = 0.0
 
     @property
     def structural_failures(self) -> list[str]:
@@ -311,7 +310,7 @@ def _structural_checks(
     # compares with a separately bounded walk.  *verifier* is the model's
     # verifier walk run to exhaustion and *edges* its edges; *eng* is the
     # model's oracle engine.  Each walk here stops at *state_cap* states.
-    sipa_states, sipa_transitions = sipa_size(nfa)
+    sipa_states, sipa_transitions = sipa_size(nfa, obs)
     n = len(nfa.states)
     n_eo = len(nfa.observable_events)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import (
@@ -16,7 +15,6 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class Observer:
     """Deterministic automaton over canonical state estimates, held by position.
 
@@ -34,11 +32,11 @@ class Observer:
     built on first access: the verdict searches read positions only.
     """
 
-    events: tuple[str, ...]
-    masks: tuple[int, ...] = field(repr=False)
-    moves: tuple[tuple[int, ...], ...] = field(repr=False)
-    parents: tuple[int, ...] = field(repr=False)
-    table: RowTable = field(repr=False)
+    def __init__(
+        self, events: tuple[str, ...], masks: tuple[int, ...], moves: tuple[tuple[int, ...], ...],
+        parents: tuple[int, ...], table: RowTable,
+    ) -> None:
+        self.events, self.masks, self.moves, self.parents, self.table = events, masks, moves, parents, table
 
     @cached_property
     def states(self) -> tuple[StateSet, ...]:

@@ -29,13 +29,12 @@ raise ResourceLimitError, naming the search, once the count passes it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Event, ModelError, Nfa, ResourceLimitError
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(NamedTuple):
     """Random-model parameters; the seed fully determines generated models."""
 
     n_states: int = 4
@@ -46,8 +45,7 @@ class OracleConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     """Verdict of an exact definitional search.
 
     A reported violation is always genuine.  The oracle has one mode, exact,

@@ -10,10 +10,12 @@ constructions downstream.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, NamedTuple
 
 from .core import Nfa, RowTable, StateSet, bits, dot_graph, row_table
+from .observer import Observer
 
 TAG_N = "N"
 TAG_Y = "Y"
@@ -27,21 +29,20 @@ class TaggedState(NamedTuple):
         return f"{self.base}_{self.tag}"
 
 
-@dataclass(frozen=True, eq=False)
 class ProjectedAutomaton:
     """NFA over observable events whose edges are observable-reach steps."""
 
-    states: tuple[str, ...]
-    initial: StateSet
-    events: tuple[str, ...]
-    transitions: tuple[tuple[str, str, str], ...]
+    def __init__(
+        self, states: tuple[str, ...], initial: StateSet, events: tuple[str, ...],
+        transitions: tuple[tuple[str, str, str], ...],
+    ) -> None:
+        self.states, self.initial, self.events, self.transitions = states, initial, events, transitions
 
     @property
     def transition_count(self) -> int:
         return len(self.transitions)
 
 
-@dataclass(frozen=True, eq=False)
 class Sipa:
     """Secret-involved projected automaton.
 
@@ -51,11 +52,12 @@ class Sipa:
     rows, which tree and verifier steps read directly.
     """
 
-    states: tuple[TaggedState, ...]
-    initial: tuple[TaggedState, ...]
-    events: tuple[str, ...]
-    transitions: tuple[tuple[TaggedState, str, TaggedState], ...]
-    trimmed: bool
+    def __init__(
+        self, states: tuple[TaggedState, ...], initial: tuple[TaggedState, ...], events: tuple[str, ...],
+        transitions: tuple[tuple[TaggedState, str, TaggedState], ...], trimmed: bool,
+    ) -> None:
+        self.states, self.initial, self.events, self.transitions = states, initial, events, transitions
+        self.trimmed = trimmed
 
 
 def build_projected_automaton(nfa: Nfa) -> ProjectedAutomaton:
@@ -142,15 +144,20 @@ def build_sipa(nfa: Nfa, trimmed: bool = True) -> Sipa:
     )
 
 
-def _sipa_tags(table: RowTable) -> tuple[int, int]:
+def _sipa_tags(table: RowTable, obs: Observer | None) -> tuple[int, int]:
     # The bases of the trimmed SIPA's N-tagged and Y-tagged states, as masks.
-    reached = frontier = table.initial
-    while frontier:
-        step = 0
-        for reach in table.reach_steps:
-            step |= reach(frontier)
-        frontier = step & ~reached
-        reached |= frontier
+    # The projected automaton reaches the union of the observer's estimates;
+    # without an observer, a BFS over the reach rows finds the same set.
+    if obs is not None:
+        reached = reduce(or_, obs.masks)
+    else:
+        reached = frontier = table.initial
+        while frontier:
+            step = 0
+            for reach in table.reach_steps:
+                step |= reach(frontier)
+            frontier = step & ~reached
+            reached |= frontier
     tag_n = table.clean & table.initial
     tag_y = table.initial & ~table.clean
     for rows, avoid, movers in zip(table.reach, table.avoid, table.support):
@@ -160,28 +167,31 @@ def _sipa_tags(table: RowTable) -> tuple[int, int]:
     return tag_n, tag_y
 
 
-def sipa_state_count(nfa: Nfa) -> int:
+def sipa_state_count(nfa: Nfa, obs: Observer | None = None) -> int:
     """Number of states of the trimmed :func:`build_sipa`, counted without building it.
 
     Every tagged state over a base reached by the projected automaton has
     that base's outgoing edges (a secret base has only its Y tag), so the
-    reachable bases are the projected automaton's.  A reachable tagged state
-    is then an initial one or the target of an edge from a reachable base:
+    reachable bases are the projected automaton's: the members of the
+    observer's estimates, read off *obs* when it is given (one BFS over the
+    reach rows otherwise).  A reachable tagged state is then an initial one
+    or the target of an edge from a reachable base:
     N-tagged along an avoid row, Y-tagged along the rest of the reach row.
     Both rows are empty outside the event's support, so only the reached
     bases that move under it are read.
     """
-    return sum(tags.bit_count() for tags in _sipa_tags(row_table(nfa)))
+    return sum(tags.bit_count() for tags in _sipa_tags(row_table(nfa), obs))
 
 
-def sipa_size(nfa: Nfa) -> tuple[int, int]:
+def sipa_size(nfa: Nfa, obs: Observer | None = None) -> tuple[int, int]:
     """States and transitions of the trimmed :func:`build_sipa`, counted without building it.
 
     A tagged state has one edge per member of its base's reach row, so the
-    transitions sum those members over the states :func:`sipa_state_count` counts.
+    transitions sum those members over the states :func:`sipa_state_count`
+    counts (with the same optional *obs*).
     """
     table = row_table(nfa)
-    tags = _sipa_tags(table)
+    tags = _sipa_tags(table, obs)
     transitions = sum(
         rows[x].bit_count() for rows, movers in zip(table.reach, table.support) for t in tags for x in bits(t & movers)
     )

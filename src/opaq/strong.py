@@ -12,7 +12,6 @@ worklist; emptiness of the second component certifies a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Nfa, StateSet, dot_graph, format_pair, row_table
@@ -34,14 +33,14 @@ class VerifierState(NamedTuple):
     x2: StateSet
 
 
-@dataclass(frozen=True, eq=False)
 class VerifierAutomaton:
     """Deterministic automaton over (estimate, secret-avoiding subset) pairs."""
 
-    states: tuple[VerifierState, ...]
-    initial: VerifierState
-    transitions: dict[tuple[VerifierState, str], VerifierState]
-    events: tuple[str, ...]
+    def __init__(
+        self, states: tuple[VerifierState, ...], initial: VerifierState,
+        transitions: dict[tuple[VerifierState, str], VerifierState], events: tuple[str, ...],
+    ) -> None:
+        self.states, self.initial, self.transitions, self.events = states, initial, transitions, events
 
 
 # Second components step through the model's avoid rows, which are the

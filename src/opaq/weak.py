@@ -38,7 +38,6 @@ estimate, costs one list read for a child that repeats a window's start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -70,8 +69,7 @@ class Walk(NamedTuple):
     levels: list[int]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Replayable evidence for a non-opacity verdict.
 
     ``prefix`` reaches the root estimate, ``continuation`` descends to the
@@ -87,14 +85,20 @@ class Witness:
         return self.prefix + self.continuation
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
     opaque: bool
     witness: Witness | None = None
 
-    def __post_init__(self) -> None:
-        if self.opaque != (self.witness is None):
+
+class Verdict(_VerdictFields):
+    """A property's verdict: opaque, or not opaque with a witness."""
+
+    __slots__ = ()
+
+    def __new__(cls, opaque: bool, witness: Witness | None = None) -> Verdict:
+        if opaque != (witness is None):
             raise InvariantError("a verdict has a witness exactly when it is not opaque")
+        return super().__new__(cls, opaque, witness)
 
 
 def verdict_to_dict(property_name: str, k: int | None, verdict: Verdict) -> dict:
@@ -110,21 +114,19 @@ def verdict_to_dict(property_name: str, k: int | None, verdict: Verdict) -> dict
     return out
 
 
-@dataclass(eq=False)
 class TreeNode:
-    x1: StateSet
-    x2: StateSet
-    depth: int
+    def __init__(self, x1: StateSet, x2: StateSet, depth: int) -> None:
+        self.x1, self.x2, self.depth = x1, x2, depth
 
 
-@dataclass(eq=False)
 class StateTree:
     """Rooted, edge-labeled tree of (x1, x2) pairs of depth at most K."""
 
-    root_state: StateSet
-    root: TreeNode
-    nodes: tuple[TreeNode, ...]
-    edges: tuple[tuple[TreeNode, str, TreeNode], ...]
+    def __init__(
+        self, root_state: StateSet, root: TreeNode, nodes: tuple[TreeNode, ...],
+        edges: tuple[tuple[TreeNode, str, TreeNode], ...],
+    ) -> None:
+        self.root_state, self.root, self.nodes, self.edges = root_state, root, nodes, edges
 
     @property
     def node_count(self) -> int:

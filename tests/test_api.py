@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 
 import opaq
 import opaq.strong
@@ -40,3 +43,14 @@ def test_the_reference_primitives_are_not_in_the_library():
     assert [view for view in ("_step", "_silent", "is_observable", "event_declared") if hasattr(opaq.Nfa, view)] == []
     for name in ("check_verifier_observer_language_equality", "_run_verifier", "_verifier_walk"):
         assert not hasattr(opaq.strong, name)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter pays for every module an import pulls in, and
+    # dataclasses (which imports inspect) costs about twice the rest of
+    # opaq.cli.  -S keeps whatever site's start-up imports out of the count.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, opaq.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -26,6 +26,12 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 PROPERTIES = ("cs", "k-weak", "k-strong", "inf-weak", "inf-strong")
 
 
+def golden_verify(model, prop):
+    """The golden ``verify --format json`` output of *prop* at K = 2 (no K where it uses none)."""
+    name = f"verify_{prop}_k2.json" if prop in ("k-weak", "k-strong") else f"verify_{prop}.json"
+    return os.path.join(FIXTURES, "golden", model, name)
+
+
 @pytest.fixture(autouse=True)
 def plain_output(monkeypatch):
     monkeypatch.setenv("OPAQ_COLOR", "never")
@@ -220,7 +226,7 @@ def test_verify_builds_nothing_it_only_counts(monkeypatch, capsys, model, prop):
     monkeypatch.setattr(opaq.cli, "build_observer", recorded)
     path = G2 if model == "g2" else os.path.join(FIXTURES, "nth_last6.json")
     code, out, _ = run(capsys, "verify", "--format", "json", "--property", prop, "--k", "2", path)
-    with open(os.path.join(FIXTURES, "golden", model, f"verify_{prop}_k2.json"), encoding="utf-8") as fh:
+    with open(golden_verify(model, prop), encoding="utf-8") as fh:
         assert out == fh.read()
     assert code == (0 if json.loads(out)["opaque"] else 1)
     assert len(observers) == 1
@@ -259,7 +265,7 @@ def test_a_model_past_the_table_steps_verifies_like_g2(tmp_path, capsys, prop):
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert len(raw["states"]) > TABLE_STEP_STATES[-1]
     code, out, _ = run(capsys, "verify", "--format", "json", "--property", prop, "--k", "2", str(path))
-    with open(os.path.join(FIXTURES, "golden", "g2", f"verify_{prop}_k2.json"), encoding="utf-8") as fh:
+    with open(golden_verify("g2", prop), encoding="utf-8") as fh:
         assert out == fh.read()
     assert code == (0 if json.loads(out)["opaque"] else 1)
 

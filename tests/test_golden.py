@@ -6,7 +6,9 @@ The files were written by the set-based implementation that the bitmask row
 table replaced; every DOT export and every ``verify --format json`` payload
 (verdict, witness and ``sizes``) must stay identical.  The one change
 since is ``k``, which reads null for ``cs``, ``inf-weak`` and
-``inf-strong``: those verdicts use no K, whatever ``--k`` says.
+``inf-strong``: those verdicts use no K, whatever ``--k`` says.  So each of
+those three runs once per model, without ``--k``, and ``k-weak`` and
+``k-strong`` run at K = 1 and K = 2.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ def test_output_matches_golden_file(case, model_paths, capsys):
 
 def test_golden_set_covers_every_structure_and_property():
     structures = {c["args"][2] for c in CASES if c["args"][0] == "export"}
-    properties = {(c["args"][4], c["args"][6]) for c in CASES if c["args"][0] == "verify"}
+    properties = {tuple(c["args"][4:]) for c in CASES if c["args"][0] == "verify"}
     assert structures == {"observer", "projected", "sipa", "verifier", "weak-tree", "sst"}
-    assert properties == {
-        (p, k) for p in ("cs", "k-weak", "k-strong", "inf-weak", "inf-strong") for k in ("1", "2")
+    assert properties == {(p, "--k", k) for p in ("k-weak", "k-strong") for k in ("1", "2")} | {
+        (p,) for p in ("cs", "inf-weak", "inf-strong")
     }
     assert {c["model"] for c in CASES} == set(MODELS)
 

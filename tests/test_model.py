@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from opaq import ModelError, validate_model
+from opaq import ModelError, OracleConfig, validate_model
 
 from conftest import g2_dict
 from reference import project
@@ -123,3 +123,27 @@ def test_tuple_transitions_are_accepted(g2):
     raw = g2_dict()
     raw["transitions"] = [tuple(t) for t in raw["transitions"]]
     assert validate_model(raw) == g2
+
+
+def test_a_model_is_an_immutable_value(g2):
+    # Equal fields give equal models with equal hashes; any field differing
+    # (here only the secret) makes them unequal, and no field can be set.
+    again = validate_model(g2_dict())
+    assert again == g2 and hash(again) == hash(g2) and again is not g2
+    raw = g2_dict()
+    raw["secret"] = ["1"]
+    assert validate_model(raw) != g2
+    for name in ("states", "secret", "_rows"):
+        with pytest.raises(AttributeError):
+            setattr(g2, name, ())
+    with pytest.raises(AttributeError):
+        del g2.secret
+    assert g2.secret == ("1", "5", "9")
+
+
+def test_the_generator_config_keeps_its_defaults():
+    assert OracleConfig() == OracleConfig(
+        n_states=4, n_events=3, unobservable_fraction=0.25, secret_fraction=0.3, density=1.8, seed=0
+    )
+    cfg = OracleConfig(seed=7)
+    assert (cfg.n_states, cfg.density, cfg.seed) == (4, 1.8, 7)
