@@ -27,8 +27,8 @@ PROPERTIES = ("cs", "k-weak", "k-strong", "inf-weak", "inf-strong")
 
 
 def golden_verify(model, prop):
-    """The golden ``verify --format json`` output of *prop* at K = 2 (no K where it uses none)."""
-    name = f"verify_{prop}_k2.json" if prop in ("k-weak", "k-strong") else f"verify_{prop}.json"
+    """The golden ``verify --format json`` output of *prop* at K = 2 (any K where it uses none)."""
+    name = f"verify_{prop}_k2.json" if prop in ("k-weak", "k-strong") else f"verify_{prop}_k1.json"
     return os.path.join(FIXTURES, "golden", model, name)
 
 

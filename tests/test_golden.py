@@ -7,8 +7,8 @@ table replaced; every DOT export and every ``verify --format json`` payload
 (verdict, witness and ``sizes``) must stay identical.  The one change
 since is ``k``, which reads null for ``cs``, ``inf-weak`` and
 ``inf-strong``: those verdicts use no K, whatever ``--k`` says.  So each of
-those three runs once per model, without ``--k``, and ``k-weak`` and
-``k-strong`` run at K = 1 and K = 2.
+those three runs once per model, at ``--k 1`` (its output is the same for
+any ``--k`` or none), and ``k-weak`` and ``k-strong`` run at K = 1 and K = 2.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def test_golden_set_covers_every_structure_and_property():
     properties = {tuple(c["args"][4:]) for c in CASES if c["args"][0] == "verify"}
     assert structures == {"observer", "projected", "sipa", "verifier", "weak-tree", "sst"}
     assert properties == {(p, "--k", k) for p in ("k-weak", "k-strong") for k in ("1", "2")} | {
-        (p,) for p in ("cs", "inf-weak", "inf-strong")
+        (p, "--k", "1") for p in ("cs", "inf-weak", "inf-strong")
     }
     assert {c["model"] for c in CASES} == set(MODELS)
 
