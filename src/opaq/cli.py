@@ -166,7 +166,7 @@ def _run_verify(args) -> int:
     # no structure is built only to be measured.
     sizes = {"observer_states": len(obs.masks)}
     if args.property in ("k-strong", "inf-strong"):
-        sizes["sipa_states"] = sipa_state_count(nfa, obs)
+        sizes["sipa_states"] = sipa_state_count(nfa)
     if args.property == "cs":
         verdict = verify_current_state_opacity(nfa, obs)
     elif args.property == "k-weak":

@@ -40,7 +40,17 @@ class Event(NamedTuple):
     observable: bool
 
 
-class Nfa:
+class _Frozen:
+    """Fields are set once, through ``vars(self)``; assigning or deleting one raises."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Nfa(_Frozen):
     """A partially observed nondeterministic finite automaton.
 
     ``states`` and ``events`` fix the canonical iteration order used by
@@ -80,12 +90,6 @@ class Nfa:
             states=states, events=events, transitions=transitions, initial=initial, secret=secret,
             _order=order, _rows=None,
         )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def _fields(self) -> tuple:
         return self.states, self.events, self.transitions, self.initial, self.secret

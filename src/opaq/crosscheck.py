@@ -310,7 +310,7 @@ def _structural_checks(
     # compares with a separately bounded walk.  *verifier* is the model's
     # verifier walk run to exhaustion and *edges* its edges; *eng* is the
     # model's oracle engine.  Each walk here stops at *state_cap* states.
-    sipa_states, sipa_transitions = sipa_size(nfa, obs)
+    sipa_states, sipa_transitions = sipa_size(nfa)
     n = len(nfa.states)
     n_eo = len(nfa.observable_events)
 

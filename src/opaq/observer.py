@@ -9,13 +9,14 @@ from .core import (
     ResourceLimitError,
     RowTable,
     StateSet,
+    _Frozen,
     dot_graph,
     format_state_set,
     row_table,
 )
 
 
-class Observer:
+class Observer(_Frozen):
     """Deterministic automaton over canonical state estimates, held by position.
 
     ``masks`` holds each estimate as a bitmask over declaration order, in
@@ -29,14 +30,15 @@ class Observer:
 
     The named views (``states``, ``initial``, ``transitions`` keyed by
     estimate and event name, and ``index``, an estimate's position) are
-    built on first access: the verdict searches read positions only.
+    built on first access: the verdict searches read positions only.  The
+    fields are fixed, so those views never go stale.
     """
 
     def __init__(
         self, events: tuple[str, ...], masks: tuple[int, ...], moves: tuple[tuple[int, ...], ...],
         parents: tuple[int, ...], table: RowTable,
     ) -> None:
-        self.events, self.masks, self.moves, self.parents, self.table = events, masks, moves, parents, table
+        vars(self).update(events=events, masks=masks, moves=moves, parents=parents, table=table)
 
     @cached_property
     def states(self) -> tuple[StateSet, ...]:

@@ -10,12 +10,9 @@ constructions downstream.
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
-from operator import or_
 from typing import Callable, NamedTuple
 
 from .core import Nfa, RowTable, StateSet, bits, dot_graph, row_table
-from .observer import Observer
 
 TAG_N = "N"
 TAG_Y = "Y"
@@ -144,20 +141,15 @@ def build_sipa(nfa: Nfa, trimmed: bool = True) -> Sipa:
     )
 
 
-def _sipa_tags(table: RowTable, obs: Observer | None) -> tuple[int, int]:
+def _sipa_tags(table: RowTable) -> tuple[int, int]:
     # The bases of the trimmed SIPA's N-tagged and Y-tagged states, as masks.
-    # The projected automaton reaches the union of the observer's estimates;
-    # without an observer, a BFS over the reach rows finds the same set.
-    if obs is not None:
-        reached = reduce(or_, obs.masks)
-    else:
-        reached = frontier = table.initial
-        while frontier:
-            step = 0
-            for reach in table.reach_steps:
-                step |= reach(frontier)
-            frontier = step & ~reached
-            reached |= frontier
+    reached = frontier = table.initial
+    while frontier:
+        step = 0
+        for reach in table.reach_steps:
+            step |= reach(frontier)
+        frontier = step & ~reached
+        reached |= frontier
     tag_n = table.clean & table.initial
     tag_y = table.initial & ~table.clean
     for rows, avoid, movers in zip(table.reach, table.avoid, table.support):
@@ -167,31 +159,28 @@ def _sipa_tags(table: RowTable, obs: Observer | None) -> tuple[int, int]:
     return tag_n, tag_y
 
 
-def sipa_state_count(nfa: Nfa, obs: Observer | None = None) -> int:
+def sipa_state_count(nfa: Nfa) -> int:
     """Number of states of the trimmed :func:`build_sipa`, counted without building it.
 
     Every tagged state over a base reached by the projected automaton has
     that base's outgoing edges (a secret base has only its Y tag), so the
-    reachable bases are the projected automaton's: the members of the
-    observer's estimates, read off *obs* when it is given (one BFS over the
-    reach rows otherwise).  A reachable tagged state is then an initial one
-    or the target of an edge from a reachable base:
+    reachable bases are the projected automaton's.  A reachable tagged state
+    is then an initial one or the target of an edge from a reachable base:
     N-tagged along an avoid row, Y-tagged along the rest of the reach row.
     Both rows are empty outside the event's support, so only the reached
     bases that move under it are read.
     """
-    return sum(tags.bit_count() for tags in _sipa_tags(row_table(nfa), obs))
+    return sum(tags.bit_count() for tags in _sipa_tags(row_table(nfa)))
 
 
-def sipa_size(nfa: Nfa, obs: Observer | None = None) -> tuple[int, int]:
+def sipa_size(nfa: Nfa) -> tuple[int, int]:
     """States and transitions of the trimmed :func:`build_sipa`, counted without building it.
 
     A tagged state has one edge per member of its base's reach row, so the
-    transitions sum those members over the states :func:`sipa_state_count`
-    counts (with the same optional *obs*).
+    transitions sum those members over the states :func:`sipa_state_count` counts.
     """
     table = row_table(nfa)
-    tags = _sipa_tags(table, obs)
+    tags = _sipa_tags(table)
     transitions = sum(
         rows[x].bit_count() for rows, movers in zip(table.reach, table.support) for t in tags for x in bits(t & movers)
     )

@@ -100,6 +100,11 @@ class Verdict(_VerdictFields):
             raise InvariantError("a verdict has a witness exactly when it is not opaque")
         return super().__new__(cls, opaque, witness)
 
+    @classmethod
+    def _make(cls, iterable) -> Verdict:
+        # The NamedTuple _make, which _replace calls, skips __new__.
+        return cls(*iterable)
+
 
 def verdict_to_dict(property_name: str, k: int | None, verdict: Verdict) -> dict:
     """Serialize a verdict as {property, k, opaque, witness{prefix, continuation}}."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +51,18 @@ def test_g2_observer_chain(g2):
     }
     # One row per estimate, one target per event a..d, -1 for no move.
     assert obs.moves == ((1, -1, -1, -1), (-1, 2, -1, -1), (-1, -1, 3, -1), (-1, -1, -1, 3))
+
+
+def test_an_observer_is_immutable(g2):
+    # Its named views are cached on first access, so its fields stay fixed.
+    obs = build_observer(g2)
+    states = obs.states
+    for name in ("masks", "moves", "table", "states"):
+        with pytest.raises(AttributeError):
+            setattr(obs, name, ())
+    with pytest.raises(AttributeError):
+        del obs.masks
+    assert obs.states is states and len(obs.masks) == len(states)
 
 
 def test_observer_without_observable_events():

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from opaq import (
     OracleConfig,
     TaggedState,
-    build_observer,
     build_projected_automaton,
     build_sipa,
     random_nfa,
     sipa_dot,
-    sipa_state_count,
     validate_model,
 )
 from opaq.core import Nfa
@@ -117,16 +115,6 @@ def test_sipa_size_caps(nfa):
 def test_sipa_size_counts_the_built_automaton(nfa):
     sipa = build_sipa(nfa)
     assert sipa_size(nfa) == (len(sipa.states), len(sipa.transitions))
-
-
-@settings(max_examples=200, deadline=None)
-@given(nfa=small_models(max_states=8))
-def test_sipa_counts_read_the_bases_off_the_observer(nfa):
-    # The observer's estimates cover the bases the projected automaton
-    # reaches, so passing it replaces the counts' own BFS.
-    sipa, obs = build_sipa(nfa), build_observer(nfa)
-    assert sipa_state_count(nfa, obs) == len(sipa.states)
-    assert sipa_size(nfa, obs) == (len(sipa.states), len(sipa.transitions))
 
 
 @settings(max_examples=120, deadline=None)

@@ -222,6 +222,12 @@ def test_verdict_rejects_a_missing_or_stray_witness():
         Verdict(False)
     with pytest.raises(InvariantError):
         Verdict(True, Witness(("a",), (), (("1",), ())))
+    # _replace and _make build through the same check.
+    with pytest.raises(InvariantError):
+        Verdict(True)._replace(opaque=False)
+    with pytest.raises(InvariantError):
+        Verdict._make((False, None))
+    assert Verdict(True)._replace(opaque=True) == Verdict(True)
 
 
 def test_verdict_invariant_holds_under_optimize():
