@@ -9,7 +9,8 @@ here is pure; ``Nfa`` instances are immutable after construction.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 # A canonical, duplicate-free tuple of state identifiers, sorted by
 # declaration order of the owning Nfa.
@@ -217,33 +218,40 @@ def model_to_dict(nfa: Nfa) -> dict:
 # -- bitmask row table ---------------------------------------------------
 
 
-def bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> list[int]:
     """Indices of the set bits of *mask*, lowest first.
 
-    Cost follows the number of set bits, not the width of the mask, which
-    matters for wide models whose sets are sparse.
+    The loop takes the highest set bit and clears it, so each member costs
+    one shift and one XOR over what is left of the mask.  That work still
+    grows with the width, but the mask shortens as it goes, and it spares
+    the negation, AND and XOR over the full width that taking the lowest
+    bit (``mask & -mask``) costs per member.
     """
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 def union(rows: Sequence[int], mask: int) -> int:
-    """OR of ``rows[i]`` over the set bits i of *mask*."""
+    """OR of ``rows[i]`` over the set bits i of *mask*, highest bit first."""
     out = 0
     while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
+        top = mask.bit_length() - 1
+        out |= rows[top]
+        mask ^= 1 << top
     return out
 
 
 # Byte-table steps serve models of 9 to 64 states; the rest loop over set
 # bits.  Past 64, a table step pays for every byte of the mask, set or not:
 # on a 2,401-state model it shifts the 2,401-bit mask 301 times and ORs
-# full-width entries, which made whole `opaq verify` calls 2.2-2.7x slower
-# than the bit loop over the few members that move.  Up to 8 states a
+# full-width entries, which made whole `opaq verify` calls 3.8-4.3x slower
+# than the highest-bit-first loop over the few members that move (medians
+# of 9 calls per property on a 2-vCPU Xeon host).  Up to 8 states a
 # model's walks are short and few masks repeat (about half the steps of a
 # random crosscheck batch missed the table), so the tables cost more than
 # they saved there.
@@ -269,9 +277,9 @@ def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
             mask &= support
             out = 0
             while mask:
-                low = mask & -mask
-                out |= rows[low.bit_length() - 1]
-                mask ^= low
+                top = mask.bit_length() - 1
+                out |= rows[top]
+                mask ^= 1 << top
             return out
 
         return step
@@ -326,6 +334,10 @@ class RowTable:
     closure of the initial states, ``clean`` the all-nonsecret closure of
     the nonsecret initial states.
 
+    The reach rows are built with the table.  ``avoid`` and ``avoid_steps``
+    are built on first read: only the strong verdicts, the SIPA and the
+    crosscheck read them.
+
     Use :func:`row_table`, which builds the table once per model.
     """
 
@@ -344,9 +356,6 @@ class RowTable:
                 rows[x] = rows.get(x, 0) | 1 << order[dst]
             else:
                 silent[x] |= 1 << order[dst]
-        is_nonsecret = [True] * n
-        for s in nfa.secret:
-            is_nonsecret[order[s]] = False
         self.secret = sum(1 << order[s] for s in nfa.secret)
         self.nonsecret = nonsecret = (1 << n) - 1 & ~self.secret
         # A state without silent successors is its own closure, and one
@@ -366,49 +375,75 @@ class RowTable:
             else:
                 closure[x] |= silent[x]
                 clean[x] |= silent[x] & nonsecret
-        reach, avoid, support = [], [], []
+        reach, support = [], []
         for direct in step.values():
-            # post[y] is the closure of y's direct e-successors, post_clean[y]
-            # their clean closure (for nonsecret y: a clean closure from a
-            # nonsecret state holds no other kind).  Closing distributes over
-            # union, so a row is the OR of post over the state's closure, or
-            # of post_clean over its clean closure, and a state without
-            # silent successors keeps its post rows as they are.  The rows
-            # of silent movers replace their post rows in place: a closure
-            # holds the closure of each of its members, so a member's row
-            # read in place of its post row adds nothing.
-            post, post_clean = [0] * n, [0] * n
+            # post[y] is the closure of y's direct e-successors.  Closing
+            # distributes over union, so a row is the OR of post over the
+            # state's closure, and a state without silent successors keeps
+            # its post row as it is.  The rows of silent movers replace
+            # their post rows in place: a closure holds the closure of each
+            # of its members, so a member's row read in place of its post
+            # row adds nothing.
+            post = [0] * n
             moving = 0
             for y, row in direct.items():
                 moving |= 1 << y
                 post[y] = union(closure, row) if row & loud_mask else row
-                if is_nonsecret[y]:
-                    row &= nonsecret
-                    post_clean[y] = union(clean, row) if row & loud_mask else row
             support_e = moving
             for x in loud:
                 if closure[x] & moving:
                     support_e |= 1 << x
                     post[x] = union(post, closure[x])
-                    if is_nonsecret[x]:
-                        post_clean[x] = union(post_clean, clean[x])
             reach.append(post)
-            avoid.append(post_clean)
             support.append(support_e)
-        self.reach, self.avoid, self.support = reach, avoid, support
+        self.reach, self.support = reach, support
         start = sum(1 << order[s] for s in nfa.initial)
         self.initial = union(closure, start)
         self.clean = union(clean, start & nonsecret)
         self.reach_steps = tuple(map(set_step, reach, support))
-        self.avoid_steps = tuple(map(set_step, avoid, support))
+        # What the avoid rows are built from, on first read.
+        self._direct = tuple(step.values())
+        self._clean_closure = clean
+        self._loud_mask = loud_mask
+
+    @cached_property
+    def avoid(self) -> list[list[int]]:
+        # post_clean[y] is the clean closure of nonsecret y's nonsecret
+        # direct e-successors (a clean closure from a nonsecret state holds
+        # no other kind), and a nonsecret silent mover's row is the OR of
+        # post_clean over its clean closure, replaced in place as in the
+        # reach pass.  A silent mover moves under e exactly when its bit of
+        # support[e] is set.
+        n = len(self.states)
+        nonsecret, clean, loud_mask = self.nonsecret, self._clean_closure, self._loud_mask
+        is_nonsecret = [True] * n
+        for x in bits(self.secret):
+            is_nonsecret[x] = False
+        loud_nonsecret = loud_mask & nonsecret
+        avoid = []
+        for direct, support_e in zip(self._direct, self.support):
+            post_clean = [0] * n
+            for y, row in direct.items():
+                if is_nonsecret[y]:
+                    row &= nonsecret
+                    post_clean[y] = union(clean, row) if row & loud_mask else row
+            for x in bits(support_e & loud_nonsecret):
+                post_clean[x] = union(post_clean, clean[x])
+            avoid.append(post_clean)
+        return avoid
+
+    @cached_property
+    def avoid_steps(self) -> tuple[Callable[[int], int], ...]:
+        return tuple(map(set_step, self.avoid, self.support))
 
     def state_set(self, mask: int) -> StateSet:
         states = self.states
         out = []
         while mask:
-            low = mask & -mask
-            out.append(states[low.bit_length() - 1])
-            mask ^= low
+            top = mask.bit_length() - 1
+            out.append(states[top])
+            mask ^= 1 << top
+        out.reverse()
         return tuple(out)
 
 

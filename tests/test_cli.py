@@ -18,6 +18,7 @@ from opaq.crosscheck import BatchResult
 
 import reference
 from conftest import g2_dict, hidden_crossing_dict
+from test_crosscheck import mutated_g2
 
 G2 = os.path.join(os.path.dirname(__file__), "..", "models", "g2.json")
 G8FRAG = os.path.join(os.path.dirname(__file__), "..", "models", "g8frag.json")
@@ -253,6 +254,39 @@ def test_verify_builds_no_set_based_step_views(model):
             assert reference.step(nfa, [x], event) == nfa.state_set(direct)
             assert reference.observable_reach(nfa, [x], event) == table.state_set(table.reach[e][i])
     assert {"_step", "_silent"} <= vars(nfa).keys()
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_verify_builds_avoid_rows_only_for_strong_verdicts(monkeypatch, capsys, prop):
+    loaded = []
+
+    def load(path):
+        loaded.append(opaq.load_model(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(opaq.cli, "load_model", load)
+    run(capsys, "verify", "--property", prop, "--k", "2", G2)
+    table = opaq.core.row_table(loaded[0])
+    if prop in ("cs", "k-weak", "inf-weak"):
+        assert not {"avoid", "avoid_steps"} & vars(table).keys()
+    else:
+        # The verdict built them once; reading them again builds nothing.
+        assert {"avoid", "avoid_steps"} <= vars(table).keys()
+        built = vars(table)["avoid"], vars(table)["avoid_steps"]
+        assert table.avoid is built[0] and table.avoid_steps is built[1]
+
+
+def test_assigned_avoid_steps_replace_the_built_ones():
+    # The crosscheck's mutants assign avoid_steps after changing an avoid
+    # row in place; the assignment wins whether or not the built steps were
+    # read before it.  In g2, 7 steps to 8 on b and no secret lies between.
+    assert opaq.core.row_table(opaq.load_model(G2)).avoid_steps[1](1 << 7) == 1 << 8
+    assert opaq.core.row_table(mutated_g2("avoid", 1, 7, 0)).avoid_steps[1](1 << 7) == 0
+    table = opaq.core.row_table(opaq.load_model(G2))
+    table.avoid_steps
+    replaced = (lambda mask: 0,) * len(table.events)
+    table.avoid_steps = replaced
+    assert table.avoid_steps is replaced
 
 
 @pytest.mark.parametrize("prop", PROPERTIES)

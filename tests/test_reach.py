@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opaq import ModelError, OracleConfig, random_nfa
-from opaq.core import set_step, union
+from opaq import ModelError, OracleConfig, random_nfa, validate_model
+from opaq.core import TABLE_STEP_STATES, bits, row_table, set_step, union
 
 from reference import (
     observable_events_at,
@@ -179,3 +181,35 @@ def test_table_steps_serve_9_to_64_states():
     for n, tables in ((8, False), (9, True), (64, True), (65, False)):
         rows = [1 << i for i in range(n)]
         assert (set_step(rows, 0)(2**n - 1) != 0) is tables
+
+
+# -- the set-bit loops against a plain reading -----------------------------
+
+
+@pytest.mark.parametrize("n", [1, 8, 65, 130, 2401, 4100])
+def test_set_bit_loops_equal_a_plain_reading(n):
+    # None of these widths takes the byte tables, so set_step is the bit loop.
+    assert n not in TABLE_STEP_STATES
+    rng = random.Random(n)
+    full = 2**n - 1
+    rows = [rng.getrandbits(n) if rng.random() < 0.7 else 0 for _ in range(n)]
+    support = sum(1 << i for i, row in enumerate(rows) if row)
+    step = set_step(rows, support)
+    states = [f"s{i}" for i in range(n)]
+    table = row_table(validate_model({
+        "states": states,
+        "events": [{"name": "a", "observable": True}],
+        "initial": states[:1],
+        "secret": [],
+        "transitions": [],
+    }))
+    sparse = [sum(1 << i for i in rng.sample(range(n), rng.randint(1, min(n, 6)))) for _ in range(8)]
+    for mask in [0, 1, 1 << n - 1, full, rng.getrandbits(n)] + sparse:
+        members = [i for i in range(n) if mask >> i & 1]
+        expected = 0
+        for i in members:
+            expected |= rows[i]
+        assert bits(mask) == members
+        assert union(rows, mask) == expected
+        assert step(mask) == expected
+        assert table.state_set(mask) == tuple(states[i] for i in members)

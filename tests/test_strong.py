@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -401,6 +403,48 @@ def test_wide_chain_rows_equal_the_set_based_steps():
     sipa = build_sipa(nfa)
     assert sipa_state_count(nfa) == len(sipa.states)
     assert sipa_size(nfa) == (len(sipa.states), len(sipa.transitions))
+
+
+def cascading_wide_model(seed, n=150):
+    # Silent runs of 5 to 30 states spread over all n bits, some closed into
+    # cycles and joined where they share a state, with a fifth of the states
+    # secret: closures take many BFS rounds, and clean ones stop at secrets
+    # inside the runs.
+    rng = random.Random(seed)
+    states = [f"q{i}" for i in range(n)]
+    edges = set()
+    for _ in range(12):
+        run = rng.sample(range(n), rng.randint(5, 30))
+        event = rng.choice("uv")
+        edges.update((p, event, q) for p, q in zip(run, run[1:]))
+        if rng.random() < 0.5:
+            edges.add((run[-1], event, rng.choice(run)))
+    edges.update((rng.randrange(n), rng.choice("ab"), rng.randrange(n)) for _ in range(2 * n))
+    return validate_model({
+        "states": states,
+        "events": [{"name": e, "observable": e in "ab"} for e in "abuv"],
+        "initial": [states[i] for i in sorted(rng.sample(range(n), 3))],
+        "secret": [states[i] for i in sorted(rng.sample(range(n), n // 5))],
+        "transitions": [[states[p], e, states[q]] for p, e, q in sorted(edges)],
+    })
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_rows_through_cascading_silent_runs_equal_the_set_based_steps(seed):
+    nfa = cascading_wide_model(seed)
+    assert len(nfa.states) > TABLE_STEP_STATES[-1]
+    silent = {}
+    for src, ev, dst in nfa.transitions:
+        if ev in "uv":
+            silent.setdefault(src, set()).add(dst)
+    # Some closure runs past a state's direct silent successors, and some
+    # clean closure from a nonsecret state is cut short by a secret.
+    assert any(len(unobservable_reach(nfa, [x])) > 1 + len(silent.get(x, ())) for x in nfa.states)
+    assert any(
+        nonsecret_unobservable_reach(nfa, [x]) != unobservable_reach(nfa, [x])
+        for x in nfa.states if x not in nfa.secret_set
+    )
+    assert_rows_match_the_set_based_steps(nfa, nfa.states)
 
 
 @settings(max_examples=100, deadline=None)
