@@ -9,7 +9,6 @@ here is pure; ``Nfa`` instances are immutable after construction.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 # A canonical, duplicate-free tuple of state identifiers, sorted by
@@ -305,6 +304,32 @@ def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
     return step
 
 
+def persistent_core(rows: Sequence[Sequence[int]], support: Sequence[int], states: int) -> int:
+    """The greatest subset P of *states* whose every member has, under every event, a row that meets P.
+
+    ``rows[e][x]`` is state x's row under event e and ``support[e]`` the
+    states whose row under e is nonempty.  P is a greatest fixpoint: start
+    from the states in every ``support[e]``, then drop each member whose
+    row under some event misses the set, until nothing changes.  A member
+    dropped in a pass is already missing for the members tested after it;
+    that only drops sooner what a later pass would drop.  With no event, P
+    is *states*.
+    """
+    core = states
+    for movers in support:
+        core &= movers
+    dropped = True
+    while dropped:
+        dropped = False
+        for x in bits(core):
+            for event_rows in rows:
+                if not event_rows[x] & core:
+                    core ^= 1 << x
+                    dropped = True
+                    break
+    return core
+
+
 def _closure(succ: Sequence[int], x: int, allowed: int) -> int:
     # {x} plus every state reached from x along succ edges whose every
     # entered state lies in *allowed*; x itself is kept as given.
@@ -313,6 +338,28 @@ def _closure(succ: Sequence[int], x: int, allowed: int) -> int:
         frontier = union(succ, frontier) & allowed & ~reached
         reached |= frontier
     return reached
+
+
+class _built_on_read:
+    """A field that its method computes on first read and stores in the instance dict.
+
+    Later reads find the value there, since the descriptor defines no
+    ``__set__``, and an assignment replaces it.  Unlike
+    ``functools.cached_property`` on Python 3.10 and 3.11, the first read
+    takes no lock.
+    """
+
+    def __init__(self, build: Callable) -> None:
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: type | None = None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.build(obj)
+        return value
 
 
 class RowTable:
@@ -332,11 +379,17 @@ class RowTable:
     :func:`~opaq.projection.sipa_state_count` read it, to skip the members
     that cannot move.  ``initial`` is the unobservable
     closure of the initial states, ``clean`` the all-nonsecret closure of
-    the nonsecret initial states.
+    the nonsecret initial states.  ``reach_core`` and ``avoid_core`` are the
+    persistent cores (:func:`persistent_core`) of the reach and the avoid
+    rows: a set that meets one of them keeps meeting it along every
+    observation, so the pair searches prune there.  Secret states have
+    empty avoid rows, so the avoid core holds none while any event is
+    observable.
 
-    The reach rows are built with the table.  ``avoid`` and ``avoid_steps``
-    are built on first read: only the strong verdicts, the SIPA and the
-    crosscheck read them.
+    The reach rows are built with the table.  ``avoid``, ``avoid_steps``
+    and the two cores are built on first read: only the strong verdicts,
+    the SIPA and the crosscheck read the avoid rows, and only the pair
+    searches past K = 0 read the cores.
 
     Use :func:`row_table`, which builds the table once per model.
     """
@@ -406,7 +459,7 @@ class RowTable:
         self._clean_closure = clean
         self._loud_mask = loud_mask
 
-    @cached_property
+    @_built_on_read
     def avoid(self) -> list[list[int]]:
         # post_clean[y] is the clean closure of nonsecret y's nonsecret
         # direct e-successors (a clean closure from a nonsecret state holds
@@ -432,9 +485,17 @@ class RowTable:
             avoid.append(post_clean)
         return avoid
 
-    @cached_property
+    @_built_on_read
     def avoid_steps(self) -> tuple[Callable[[int], int], ...]:
         return tuple(map(set_step, self.avoid, self.support))
+
+    @_built_on_read
+    def reach_core(self) -> int:
+        return persistent_core(self.reach, self.support, (1 << len(self.states)) - 1)
+
+    @_built_on_read
+    def avoid_core(self) -> int:
+        return persistent_core(self.avoid, self.support, (1 << len(self.states)) - 1)
 
     def state_set(self, mask: int) -> StateSet:
         states = self.states

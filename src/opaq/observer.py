@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .core import (
     Nfa,
     ResourceLimitError,
     RowTable,
     StateSet,
+    _built_on_read,
     _Frozen,
     dot_graph,
     format_state_set,
@@ -40,15 +39,15 @@ class Observer(_Frozen):
     ) -> None:
         vars(self).update(events=events, masks=masks, moves=moves, parents=parents, table=table)
 
-    @cached_property
+    @_built_on_read
     def states(self) -> tuple[StateSet, ...]:
         return tuple(map(self.table.state_set, self.masks))
 
-    @cached_property
+    @_built_on_read
     def initial(self) -> StateSet:
         return self.states[0]
 
-    @cached_property
+    @_built_on_read
     def transitions(self) -> dict[tuple[StateSet, str], StateSet]:
         states, events = self.states, self.events
         return {
@@ -58,7 +57,7 @@ class Observer(_Frozen):
             if j >= 0
         }
 
-    @cached_property
+    @_built_on_read
     def index(self) -> dict[StateSet, int]:
         return {state: i for i, state in enumerate(self.states)}
 

@@ -88,11 +88,12 @@ def verify_k_step_strong(
     table = row_table(nfa)
     # Every estimate anchors a window, secret-free ones too: x2 is its
     # nonsecret part (secret visits before the window do not disqualify a
-    # state).
+    # state).  Past K = 0 the walk skips every node whose x2 meets the
+    # avoid core, which no window can empty (see opaq.weak).
     nonsecret = table.nonsecret
     walk, hit = _explore(
         obs, [m & nonsecret for m in obs.masks], table.avoid_steps, k, True,
-        max_states=max_states, search="k-step strong search",
+        core=table.avoid_core if k != 0 else 0, max_states=max_states, search="k-step strong search",
     )
     return _verdict(table, obs, walk, hit)
 

@@ -24,6 +24,20 @@ witnesses are those of the full walk.  The rule is weak-only: an SST or
 verifier pair whose ``x2`` is its whole estimate can still lose every state
 to a secret later.  Tree exports keep every node, ``x1`` included.
 
+The weak and SST searches past K = 0 also drop every root and child whose
+``x2`` meets the persistent core of their rows (``RowTable.reach_core`` and
+``avoid_core``): the greatest set P of states each of whose members has,
+under every observable event, a row that meets P.  Along a move x2 becomes
+``step(x2) & masks[j]``; the step distributes over union and lies within
+the target estimate, so the child holds the row of each P-member of x2,
+which meets P.  No descendant of such a node can empty x2, and no node
+without a P-state descends from one, so the kept nodes keep their BFS
+order, depths and parents, as with dead pairs.  On a model where one
+nonsecret state lies in every estimate and loops on every event, no pair is
+visited at all.  A K = 0 walk only seeds its roots, so it takes no core;
+neither do the verifier walk, which must meet every verifier state, nor
+the batch's refill walks, which look for edges out of empty nodes.
+
 Every walk takes its roots as one x2 per observer position, -1 where an
 estimate has no root, so each estimate roots at most one node.  The walk
 keeps, per estimate, the x2 of the first node met there: its root, or else
@@ -267,6 +281,7 @@ def _explore(
     stop_at_empty: bool,
     *,
     weak: bool = False,
+    core: int = 0,
     edges: list[tuple[int, int, int]] | None = None,
     max_states: int | None = None,
     search: str = "verifier",
@@ -295,10 +310,16 @@ def _explore(
     given.  More than *max_states* nodes raise ResourceLimitError, whose
     message names the *search*.  With *weak*, dead children (``x2`` equal
     to the estimate, see the module docstring) are neither queued, recorded
-    nor counted; weak roots must be live.
+    nor counted; weak roots must be live.  Roots and children whose ``x2``
+    meets *core*, the persistent core of the rows *steps* take (see the
+    module docstring), are dropped the same way and do not count against
+    *max_states* either; a dropped root leaves its position to the first
+    kept child that reaches it.  Callers pass no core to a K = 0 walk.
     """
     masks, moves = obs.masks, obs.moves
     limit = float("inf") if max_states is None else max_states
+    if core:
+        roots = [-1 if x2 & core else x2 for x2 in roots]
     if -1 in roots:
         estimate = [j for j, x2 in enumerate(roots) if x2 >= 0]
         x2s = [x2 for x2 in roots if x2 >= 0]
@@ -321,6 +342,8 @@ def _explore(
     seen: dict[int, int] = {}
     event_steps = tuple(enumerate(steps))
     first = roots[:]
+    # One test, false in the verifier and refill walks, skips both rules.
+    drops = weak or core
     node_at = None
     if edges is not None:
         node_at = [-1] * len(masks)
@@ -343,7 +366,7 @@ def _explore(
                     if edges is not None:
                         edges.append((n, e, node_at[j]))
                     continue
-                if weak and c2 == masks[j]:
+                if drops and (weak and c2 == masks[j] or c2 & core):
                     continue
                 if f < 0:
                     m = len(x2s)
@@ -411,7 +434,7 @@ def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int 
     table = row_table(nfa)
     walk, hit = _explore(
         obs, _secret_roots(table, obs), table.reach_steps, k, True, weak=True,
-        max_states=max_states, search=search,
+        core=table.reach_core if k != 0 else 0, max_states=max_states, search=search,
     )
     return _verdict(table, obs, walk, hit)
 

@@ -4,9 +4,9 @@ The constructions step through the row table (``opaq.core.RowTable``) and the
 oracle through its own ``MaskEngine``.  The functions here are a third,
 deliberately plain reading of the definitions over state names, kept for the
 tests alone: one-event steps, silent closures, the observable and
-secret-avoiding reaches, natural projection, and the observer read by event
-name.  All set-valued results are canonical ``StateSet`` tuples in
-declaration order.
+secret-avoiding reaches, natural projection, the persistent cores, and the
+observer read by event name.  All set-valued results are canonical
+``StateSet`` tuples in declaration order.
 
 A model's set-based step views are built on first use and kept in the
 model's instance dict under ``_step`` and ``_silent``, so a test can tell
@@ -148,6 +148,41 @@ def secret_avoiding_reach(nfa: Nfa, from_states: Iterable[str], event: str) -> S
     closed = nonsecret_unobservable_reach(nfa, from_states)
     after = [t for t in step(nfa, closed, event) if t not in secret]
     return nonsecret_unobservable_reach(nfa, after)
+
+
+# -- persistent cores ----------------------------------------------------
+
+
+def _greatest_core(nfa: Nfa, row) -> StateSet:
+    # Start from every state and drop, all at once, each state whose row
+    # under some observable event misses the current set, until a round
+    # drops nothing.
+    core = set(nfa.states)
+    while True:
+        dropped = {
+            x for x in core
+            if any(core.isdisjoint(row(x, event)) for event in nfa.observable_events)
+        }
+        if not dropped:
+            return nfa.state_set(core)
+        core -= dropped
+
+
+def reach_core(nfa: Nfa) -> StateSet:
+    """The greatest set of states each of which reaches the set under every observable event."""
+    return _greatest_core(nfa, lambda x, event: observable_reach(nfa, [x], event))
+
+
+def avoid_core(nfa: Nfa) -> StateSet:
+    """As :func:`reach_core`, over the secret-avoiding reach of each nonsecret state.
+
+    A secret state steps nowhere here, so it is in the core only when no
+    event is observable.
+    """
+    secret = nfa.secret_set
+    return _greatest_core(
+        nfa, lambda x, event: () if x in secret else secret_avoiding_reach(nfa, [x], event)
+    )
 
 
 # -- the observer read by event name -------------------------------------

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import json
 import os
+import random
 import subprocess
 import sys
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
+import opaq.core
 import opaq.crosscheck
 import opaq.strong
 import opaq.weak
@@ -29,7 +32,7 @@ from opaq.core import InvariantError, ResourceLimitError, row_table, union
 from opaq.weak import Verdict, Witness
 
 from conftest import structural_checks
-from reference import observer_state_after, successors
+from reference import avoid_core, observer_state_after, reach_core, successors
 from test_reach import small_models
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -277,15 +280,18 @@ def test_witness_prefix_is_the_shortest_access_string(nfa, k):
 
 # -- dead pairs ----------------------------------------------------------------
 #
-# The weak searches drop every child with x1 within x2.  The reference below
-# is the walk without that rule, written out from the row table for all
-# three families: a FIFO over (estimate, x1, x2) with one visited set, roots
-# in observer order, events in declaration order, stopping at the first
-# empty x2.  With *pruned* it is instead the walk the library takes: nodes
-# keyed on (estimate, x2) alone, and a weak walk drops its dead children.
+# The weak searches drop every child with x1 within x2, and the weak and SST
+# searches past K = 0 drop every root and child whose x2 meets the persistent
+# core.  The reference below is the walk without those rules, written out
+# from the row table for all three families: a FIFO over (estimate, x1, x2)
+# with one visited set, roots in observer order, events in declaration
+# order, stopping at the first empty x2.  With *pruned* it is instead the
+# walk the library takes: nodes keyed on (estimate, x2) alone, a weak walk
+# drops its dead children, and a search drops what meets the core, which
+# comes from the set-based reference.
 
 
-def full_walk(obs, roots, step, k, stop=True, weak=False, pruned=False):
+def full_walk(obs, roots, step, k, stop=True, weak=False, pruned=False, core=0):
     """Nodes, first empty-x2 position, level starts and edges of the BFS."""
 
     def key(node):
@@ -293,6 +299,8 @@ def full_walk(obs, roots, step, k, stop=True, weak=False, pruned=False):
 
     nodes, seen, levels, edges = [], {}, [0], []
     for root in roots:
+        if root[2] & core:
+            continue
         if key(root) not in seen:
             seen[key(root)] = len(nodes)
             nodes.append((*root, -1, -1, 0))
@@ -307,7 +315,7 @@ def full_walk(obs, roots, step, k, stop=True, weak=False, pruned=False):
             if j < 0:
                 continue
             child = (j, *step(e, j, x1, x2))
-            if pruned and weak and not child[1] & ~child[2]:
+            if pruned and weak and not child[1] & ~child[2] or child[2] & core:
                 continue
             if key(child) not in seen:
                 seen[key(child)] = len(nodes)
@@ -318,24 +326,32 @@ def full_walk(obs, roots, step, k, stop=True, weak=False, pruned=False):
     return nodes, None, levels, edges
 
 
+def state_mask(nfa, states):
+    return sum(1 << nfa.states.index(s) for s in states)
+
+
 def reference_walk(nfa, obs, family, k, stop=True, pruned=False, root=None):
     """The unpruned walk of a weak, SST or verifier search, or with *pruned*
     the library's.  With *root*, an SST walk starts at that estimate alone,
-    as the batch's refill walks do."""
+    as the batch's refill walks do; those, the verifier and every walk at
+    K = 0 prune nothing by the core."""
     table = row_table(nfa)
     reach, avoid, support, masks = table.reach, table.avoid, table.support, obs.masks
+    searched = pruned and k != 0 and root is None
     if family == "weak":
+        core = state_mask(nfa, reach_core(nfa) if searched else ())
         roots = [(i, m & table.secret, m & table.nonsecret) for i, m in enumerate(masks) if m & table.secret]
         return full_walk(obs, roots, lambda e, j, x1, x2: (
             union(reach[e], x1 & support[e]), union(reach[e], x2 & support[e])
-        ), k, stop, True, pruned)
+        ), k, stop, True, pruned, core)
+    core = state_mask(nfa, avoid_core(nfa) if searched and family == "sst" else ())
     if family == "sst":
         roots = [(i, m, m & table.nonsecret) for i, m in enumerate(masks) if root in (None, i)]
     else:
         roots = [(0, masks[0], table.clean & masks[0])]
     return full_walk(obs, roots, lambda e, j, x1, x2: (
         masks[j], union(avoid[e], x2 & support[e]) & masks[j]
-    ), k, stop, False, pruned)
+    ), k, stop, False, pruned, core)
 
 
 def reference(nfa, obs, family, k):
@@ -424,11 +440,32 @@ def walked_pairs(search):
     return [len(walk.x2) for walk, _, _ in recorded_walks(search)]
 
 
+def nth_last6_without_core():
+    """nth_last6 with one more observable event, ``c``, on which no state moves.
+
+    Its observer and its walks are nth_last6's without the core rule: ``c``
+    adds no move, but no state moves on every event any more, so both
+    persistent cores are empty.  Every estimate of nth_last6 holds ``0``,
+    which loops on ``a`` and ``b``, so its own weak and SST searches past
+    K = 0 visit no pair.
+    """
+    with open(os.path.join(FIXTURES, "nth_last6.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["events"].append({"name": "c", "observable": True})
+    nfa = validate_model(raw)
+    assert row_table(nfa).reach_core == row_table(nfa).avoid_core == 0
+    return nfa
+
+
 def test_weak_walks_visit_live_pairs_only(g2):
-    # nth_last6's secret state is a dead end, so its 32 roots are its only
-    # live pairs (the unpruned walks visit 96); every pair of g2 is live.
+    # nth_last6's secret state is a dead end, so without the core rule its
+    # 32 roots are its only live pairs (the unpruned walks visit 96); every
+    # pair of g2 is live.  With the rule, nth_last6's weak walks visit none.
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
-    for nfa, live, every in ((nth_last, 32, 96), (g2, 6, 6)):
+    obs = build_observer(nth_last)
+    assert walked_pairs(lambda: verify_k_step_weak(nth_last, 2, obs)) == [0]
+    assert walked_pairs(lambda: verify_infinite_step_weak(nth_last, obs)) == [0]
+    for nfa, live, every in ((nth_last6_without_core(), 32, 96), (g2, 6, 6)):
         obs = build_observer(nfa)
         assert walked_pairs(lambda: verify_k_step_weak(nfa, 2, obs)) == [live]
         assert walked_pairs(lambda: verify_infinite_step_weak(nfa, obs)) == [live]
@@ -443,9 +480,9 @@ def test_weak_walks_visit_live_pairs_only(g2):
 
 
 def test_dead_pairs_do_not_count_against_the_cap():
-    # nth_last6's 32 roots are its only live pairs; the unpruned walk has 96.
-    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
-    assert verify_infinite_step_weak(nth_last, max_states=32).opaque
+    # Without the core rule, nth_last6's 32 roots are its only live pairs;
+    # the unpruned walk has 96.
+    assert verify_infinite_step_weak(nth_last6_without_core(), max_states=32).opaque
     # The merging model's walk stops at its third live pair; the dead one
     # would have been the second.
     nfa = merging()
@@ -455,12 +492,20 @@ def test_dead_pairs_do_not_count_against_the_cap():
 
 
 def test_roots_count_against_the_cap():
-    # nth_last6's weak walk visits its 32 roots and nothing else, and its
-    # SST walk its 64 roots at K = 0: one fewer allowed pair stops each
-    # walk while it seeds the roots.
-    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    # Without the core rule, nth_last6's weak walk visits its 32 roots and
+    # nothing else, and its SST walk its 64 roots at K = 0: one fewer
+    # allowed pair stops each walk while it seeds the roots.
+    without_core = nth_last6_without_core()
     with pytest.raises(ResourceLimitError, match="infinite-step weak search exceeded 31 states"):
-        verify_infinite_step_weak(nth_last, max_states=31)
+        verify_infinite_step_weak(without_core, max_states=31)
+    with pytest.raises(ResourceLimitError, match="k-step strong search exceeded 63 states"):
+        verify_k_step_strong(without_core, 0, max_states=63)
+    assert verify_k_step_strong(without_core, 0, max_states=64).opaque
+    # nth_last6's own walks past K = 0 prune every root, and pruned roots
+    # count for nothing; at K = 0 the walk keeps all 64.
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    assert verify_infinite_step_weak(nth_last, max_states=0).opaque
+    assert verify_k_step_strong(nth_last, 2, max_states=0).opaque
     with pytest.raises(ResourceLimitError, match="k-step strong search exceeded 63 states"):
         verify_k_step_strong(nth_last, 0, max_states=63)
     assert verify_k_step_strong(nth_last, 0, max_states=64).opaque
@@ -535,11 +580,13 @@ def test_a_k0_walk_returns_its_roots_only():
 
 def test_sst_children_that_are_roots_add_no_pairs():
     # Every child of an SST root on nth_last6 is the root at its estimate,
-    # so the walk stays at its 64 roots at any K; its 128 edges end at them.
+    # so without the core rule the walk stays at its 64 roots at any K; its
+    # 128 edges end at them.  With the rule, nth_last6's SST walk visits none.
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     obs = build_observer(nth_last)
     assert len(obs.masks) == 64
-    assert walked_pairs(lambda: verify_k_step_strong(nth_last, 2)) == [64]
+    assert walked_pairs(lambda: verify_k_step_strong(nth_last6_without_core(), 2)) == [64]
+    assert walked_pairs(lambda: verify_k_step_strong(nth_last, 2)) == [0]
     table = row_table(nth_last)
     edges = []
     walk, _ = opaq.weak._explore(obs, [m & table.nonsecret for m in obs.masks], table.avoid_steps, 2, False, edges=edges)
@@ -568,8 +615,26 @@ def assert_walk_is_the_reference(recorded, expected):
         assert edges == expected_edges
 
 
+def into_the_core():
+    """A root whose ``a`` child meets the core that the root misses.
+
+    ``0`` loops on both events and is both cores; ``1`` steps into it on
+    ``a`` and the secret ``s`` loops on ``a``.  From {1,s} (x2 {1}), ``a``
+    leads to {0,s} with x2 {0}: the weak and SST searches past K = 0 skip
+    that child and the root at {0,s}, and the SST search the one at {0}.
+    """
+    return validate_model({
+        "states": ["0", "1", "s"],
+        "events": [{"name": e, "observable": True} for e in "ab"],
+        "initial": ["1", "s"],
+        "secret": ["s"],
+        "transitions": [["0", "a", "0"], ["0", "b", "0"], ["1", "a", "0"], ["s", "a", "s"]],
+    })
+
+
 @settings(max_examples=150, deadline=None)
 @given(nfa=small_models(), k=st.integers(0, 3))
+@example(nfa=into_the_core(), k=2)
 def test_every_pair_walk_is_the_reference_walk(nfa, k):
     obs = build_observer(nfa)
     # The searches stop at their first empty x2; the verifier walk runs to
@@ -732,3 +797,128 @@ def test_the_nth_last_verifier_has_one_node_per_estimate():
     assert len(edges) == 128
     # Each edge ends at the one node of its move's target estimate.
     assert all(walk.estimate[m] == obs.moves[walk.estimate[n]][e] for n, e, m in edges)
+
+
+# -- persistent cores -----------------------------------------------------------
+#
+# The weak and SST searches past K = 0 skip every root and child whose x2
+# meets the persistent core of their rows.  The row table's cores are pinned
+# against the set-based greatest fixpoint of tests/reference.py; the walks
+# that skip them are pinned by the reference walk above.
+
+
+def nothing_observable():
+    """Two states joined by a silent event: no event is observable, so every
+    state is in both cores, vacuously."""
+    return validate_model({
+        "states": ["0", "1"],
+        "events": [{"name": "u", "observable": False}],
+        "initial": ["0"],
+        "secret": ["1"],
+        "transitions": [["0", "u", "1"]],
+    })
+
+
+def leaves_on_b():
+    """``t`` moves on every event, but only into the core on ``a``.
+
+    From the initial {s,t} (``s`` secret), ``b`` leads to {v,w} with x2
+    {w}, and ``a`` from there to {v} with x2 empty: the weak and the strong
+    K-step properties fail at K = 2.  ``v`` loops on both events, and the
+    secret ``s`` steps to itself on ``a`` and to ``v`` on ``b``, so the
+    reach core is {s,v} and the avoid core {v}.  ``t`` moves on both
+    events, but its ``b`` row {w} misses the core, and ``w`` moves on
+    nothing.
+    """
+    return validate_model({
+        "states": ["s", "t", "v", "w"],
+        "events": [{"name": e, "observable": True} for e in "ab"],
+        "initial": ["s", "t"],
+        "secret": ["s"],
+        "transitions": [
+            ["s", "a", "s"], ["s", "b", "v"], ["v", "a", "v"], ["v", "b", "v"],
+            ["t", "a", "t"], ["t", "b", "w"],
+        ],
+    })
+
+
+def core_problems(nfa):
+    """Each row-table core that differs from the set-based one, by name."""
+    table = row_table(nfa)
+    return [
+        name for name, mask, expected in (
+            ("reach", table.reach_core, reach_core(nfa)),
+            ("avoid", table.avoid_core, avoid_core(nfa)),
+        )
+        if table.state_set(mask) != expected
+    ]
+
+
+def pruned_nodes(nfa, family, k=3):
+    """Roots that the *family* search at *k* skips by the core, and the
+    nodes that the walk from its other roots then skips: the children that
+    meet the core and their descendants."""
+    table = row_table(nfa)
+    obs = build_observer(nfa)
+    if family == "weak":
+        roots, steps, core = opaq.weak._secret_roots(table, obs), table.reach_steps, table.reach_core
+    else:
+        roots, steps, core = [m & table.nonsecret for m in obs.masks], table.avoid_steps, table.avoid_core
+    kept = [-1 if x2 & core else x2 for x2 in roots]
+    weak = family == "weak"
+    walk, _ = opaq.weak._explore(obs, roots, steps, k, False, weak=weak, core=core)
+    unpruned, _ = opaq.weak._explore(obs, kept, steps, k, False, weak=weak)
+    return kept.count(-1) - roots.count(-1), len(unpruned.x2) - len(walk.x2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa=small_models())
+@example(nfa=nothing_observable())
+@example(nfa=leaves_on_b())
+def test_the_row_table_cores_are_the_set_based_cores(nfa):
+    assert core_problems(nfa) == []
+    table = row_table(nfa)
+    if not table.events:
+        assert table.reach_core == table.avoid_core == (1 << len(nfa.states)) - 1
+    else:
+        assert not table.avoid_core & table.secret
+
+
+def test_the_core_examples():
+    table = row_table(leaves_on_b())
+    assert table.state_set(table.reach_core) == ("s", "v")
+    assert table.state_set(table.avoid_core) == ("v",)
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    assert row_table(nth_last).state_set(row_table(nth_last).reach_core) == ("0",)
+    assert row_table(nth_last).state_set(row_table(nth_last).avoid_core) == ("0",)
+    # The SST search also skips the b child of the skipped child, at {0}.
+    assert pruned_nodes(into_the_core(), "weak") == (1, 1)
+    assert pruned_nodes(into_the_core(), "sst") == (2, 2)
+
+
+def test_the_drawn_models_prune_roots_and_children():
+    # The hypothesis tests above pin the walks only on the models they
+    # draw; those include a weak search that skips a root and an SST search
+    # that skips a child by a nonempty core.  find raises NoSuchExample when
+    # no model drawn from its fixed generator qualifies.
+    drawn = settings(database=None, max_examples=2000, phases=[Phase.generate])
+    find(small_models(), lambda nfa: pruned_nodes(nfa, "weak")[0] > 0, settings=drawn, random=random.Random(0))
+    find(small_models(), lambda nfa: pruned_nodes(nfa, "sst")[1] > 0, settings=drawn, random=random.Random(0))
+
+
+def test_a_core_read_off_the_first_event_alone_is_caught(monkeypatch, tmp_path):
+    # The mutant keeps the states that move on every event but tests each
+    # one's row under the first event only.  The set-based core test above
+    # catches it on leaves_on_b, which keeps t in both cores: the searches
+    # then skip the root at {s,t} and report the model opaque, and a batch
+    # of that one model disagrees with the oracle five times.
+    nfa = leaves_on_b()
+    assert not verify_k_step_weak(nfa, 2).opaque and not verify_k_step_strong(nfa, 2).opaque
+    persistent_core = opaq.core.persistent_core
+    monkeypatch.setattr(opaq.core, "persistent_core", lambda rows, support, states: persistent_core(rows[:1], support, states))
+    assert core_problems(leaves_on_b()) == ["reach", "avoid"]
+    monkeypatch.setattr(opaq.crosscheck, "random_nfa", lambda cfg: leaves_on_b())
+    result = opaq.crosscheck.run_crosscheck(models=1, max_states=4, ks=(0, 1, 2, 3), seed=0, fixtures_dir=str(tmp_path))
+    assert [(row["property"], row["k"]) for row in result.disagreements] == [
+        ("k-weak", 2), ("k-strong", 2), ("k-weak", 3), ("k-strong", 3), ("inf-weak", None),
+    ]
