@@ -47,7 +47,6 @@ from .weak import (
     Verdict,
     Walk,
     _explore,
-    _secret_roots,
     verify_infinite_step_weak,
     verify_k_step_weak,
 )
@@ -216,12 +215,11 @@ def _node_counts(obs: Observer, top: int) -> Iterator[list[int]]:
         yield counts
 
 
-def _refill_depth(obs: Observer, steps: Steps, roots: list[int], top: int, max_states: int | None = None) -> int:
+def _refill_depth(obs: Observer, steps: Steps, i: int, x2: int, top: int, max_states: int | None = None) -> int:
     """Least depth of a tree edge from an empty x2 to a nonempty one (top + 1: none).
 
-    *roots* holds one tree's root x2 at its estimate's position and -1
-    everywhere else, as :func:`opaq.weak._explore` takes them.  A walk of
-    more than *max_states* pairs raises ResourceLimitError.
+    The tree is rooted at (observer position *i*, *x2*).  A walk of more
+    than *max_states* pairs raises ResourceLimitError.
 
     BFS meets each pair at its least depth and a child depends only on its
     parent pair, so a deduplicating walk's edges give that depth: an edge
@@ -229,9 +227,9 @@ def _refill_depth(obs: Observer, steps: Steps, roots: list[int], top: int, max_s
     among the level boundaries.
     """
     edges: list[tuple[int, int, int]] = []
-    walk, _ = _explore(obs, roots, steps, top, False, edges=edges, max_states=max_states, search="refill walk")
-    x2 = walk.x2
-    return min((bisect_right(walk.levels, n) for n, _, m in edges if x2[m] and not x2[n]), default=top + 1)
+    walk, _ = _explore(obs, [i], [x2], steps, top, False, edges=edges, max_states=max_states, search="refill walk")
+    x2s = walk.x2
+    return min((bisect_right(walk.levels, n) for n, _, m in edges if x2s[m] and not x2s[n]), default=top + 1)
 
 
 def _projection_problems(
@@ -335,12 +333,10 @@ def _structural_checks(
     # each k of *ks* is checked as the levels pass it.
     top = max(ks)
     table = row_table(nfa)
-    refills = []
-    for i, x2 in enumerate(_secret_roots(table, obs)):
-        if x2 >= 0:
-            roots = [-1] * len(obs.masks)
-            roots[i] = x2
-            refills.append((i, _refill_depth(obs, table.avoid_steps, roots, top, state_cap)))
+    refills = [
+        (i, _refill_depth(obs, table.avoid_steps, i, obs.masks[i] & table.nonsecret, top, state_cap))
+        for i in obs.secret_positions
+    ]
     wanted, failed = set(ks), {}
     cap = 1
     for k, counts in enumerate(_node_counts(obs, top)):

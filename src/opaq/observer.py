@@ -28,7 +28,8 @@ class Observer(_Frozen):
     observation reaching i.
 
     The named views (``states``, ``initial``, ``transitions`` keyed by
-    estimate and event name, and ``index``, an estimate's position) are
+    estimate and event name, ``index``, an estimate's position, and
+    ``secret_positions``, those of the estimates that meet a secret) are
     built on first access: the verdict searches read positions only.  The
     fields are fixed, so those views never go stale.
     """
@@ -56,6 +57,11 @@ class Observer(_Frozen):
             for e, j in enumerate(row)
             if j >= 0
         }
+
+    @_built_on_read
+    def secret_positions(self) -> tuple[int, ...]:
+        secret = self.table.secret
+        return tuple([i for i, m in enumerate(self.masks) if m & secret])
 
     @_built_on_read
     def index(self) -> dict[StateSet, int]:

@@ -43,18 +43,16 @@ class ProjectedAutomaton:
 class Sipa:
     """Secret-involved projected automaton.
 
-    ``trimmed`` indicates whether ``states`` and ``transitions`` hold only
-    the tagged states reachable from the initial set (the default) or the
-    full universe.  The N-to-N relation itself is the row table's avoid
+    ``states`` and ``transitions`` hold the tagged states reachable from
+    the initial set.  The N-to-N relation itself is the row table's avoid
     rows, which tree and verifier steps read directly.
     """
 
     def __init__(
         self, states: tuple[TaggedState, ...], initial: tuple[TaggedState, ...], events: tuple[str, ...],
-        transitions: tuple[tuple[TaggedState, str, TaggedState], ...], trimmed: bool,
+        transitions: tuple[tuple[TaggedState, str, TaggedState], ...],
     ) -> None:
         self.states, self.initial, self.events, self.transitions = states, initial, events, transitions
-        self.trimmed = trimmed
 
 
 def build_projected_automaton(nfa: Nfa) -> ProjectedAutomaton:
@@ -78,8 +76,8 @@ def build_projected_automaton(nfa: Nfa) -> ProjectedAutomaton:
     )
 
 
-def build_sipa(nfa: Nfa, trimmed: bool = True) -> Sipa:
-    """Tagged-state automaton over observable events.
+def build_sipa(nfa: Nfa) -> Sipa:
+    """Tagged-state automaton over observable events, trimmed to its reachable states.
 
     Transitions follow the two-case rule: from a nonsecret base x, a target
     x' reached secret-avoidingly yields (x_N,e,x'_N) and (x_Y,e,x'_N),
@@ -113,31 +111,22 @@ def build_sipa(nfa: Nfa, trimmed: bool = True) -> Sipa:
                 dst = 2 * t + (0 if avoiding >> t & 1 else 1)
                 edges += ((2 * x, e, dst), (2 * x + 1, e, dst))
 
-    if trimmed:
-        by_src: dict[int, list[int]] = {}
-        for src, _, dst in edges:
-            by_src.setdefault(src, []).append(dst)
-        reachable = set(initial_ids)
-        queue = deque(initial_ids)
-        while queue:
-            for dst in by_src.get(queue.popleft(), ()):
-                if dst not in reachable:
-                    reachable.add(dst)
-                    queue.append(dst)
-        edges = [edge for edge in edges if edge[0] in reachable]
-        tagged_states = tuple(tagged[i] for i in sorted(reachable))
-    else:
-        tagged_states = tuple(
-            [tagged[2 * x] for x in bits(table.nonsecret)]
-            + [tagged[2 * x + 1] for x in range(len(states))]
-        )
+    by_src: dict[int, list[int]] = {}
+    for src, _, dst in edges:
+        by_src.setdefault(src, []).append(dst)
+    reachable = set(initial_ids)
+    queue = deque(initial_ids)
+    while queue:
+        for dst in by_src.get(queue.popleft(), ()):
+            if dst not in reachable:
+                reachable.add(dst)
+                queue.append(dst)
     events = table.events
     return Sipa(
-        states=tagged_states,
+        states=tuple(tagged[i] for i in sorted(reachable)),
         initial=tuple(tagged[i] for i in initial_ids),
         events=events,
-        transitions=tuple((tagged[src], events[e], tagged[dst]) for src, e, dst in edges),
-        trimmed=trimmed,
+        transitions=tuple((tagged[src], events[e], tagged[dst]) for src, e, dst in edges if src in reachable),
     )
 
 
@@ -160,7 +149,7 @@ def _sipa_tags(table: RowTable) -> tuple[int, int]:
 
 
 def sipa_state_count(nfa: Nfa) -> int:
-    """Number of states of the trimmed :func:`build_sipa`, counted without building it.
+    """Number of states of :func:`build_sipa`, counted without building it.
 
     Every tagged state over a base reached by the projected automaton has
     that base's outgoing edges (a secret base has only its Y tag), so the
@@ -174,7 +163,7 @@ def sipa_state_count(nfa: Nfa) -> int:
 
 
 def sipa_size(nfa: Nfa) -> tuple[int, int]:
-    """States and transitions of the trimmed :func:`build_sipa`, counted without building it.
+    """States and transitions of :func:`build_sipa`, counted without building it.
 
     A tagged state has one edge per member of its base's reach row, so the
     transitions sum those members over the states :func:`sipa_state_count` counts.

@@ -23,6 +23,7 @@ from .weak import (
     Walk,
     _explore,
     _grow_tree,
+    _roots,
     _tree_root,
     _verdict,
 )
@@ -90,10 +91,10 @@ def verify_k_step_strong(
     # nonsecret part (secret visits before the window do not disqualify a
     # state).  Past K = 0 the walk skips every node whose x2 meets the
     # avoid core, which no window can empty (see opaq.weak).
-    nonsecret = table.nonsecret
+    core = table.avoid_core if k != 0 else 0
     walk, hit = _explore(
-        obs, [m & nonsecret for m in obs.masks], table.avoid_steps, k, True,
-        core=table.avoid_core if k != 0 else 0, max_states=max_states, search="k-step strong search",
+        obs, *_roots(obs, range(len(obs.masks)), table.nonsecret, core), table.avoid_steps, k, True,
+        core=core, max_states=max_states, search="k-step strong search",
     )
     return _verdict(table, obs, walk, hit)
 
@@ -123,9 +124,9 @@ def walk_verifier(
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
-    roots = [-1] * len(obs.masks)
-    roots[0] = table.clean & obs.masks[0]
-    walk, _ = _explore(obs, roots, table.avoid_steps, None, False, edges=edges, max_states=max_states)
+    walk, _ = _explore(
+        obs, [0], [table.clean & obs.masks[0]], table.avoid_steps, None, False, edges=edges, max_states=max_states
+    )
     hit = walk.x2.index(0) if 0 in walk.x2 else None
     return _verdict(table, obs, walk, hit), walk
 

@@ -38,8 +38,10 @@ visited at all.  A K = 0 walk only seeds its roots, so it takes no core;
 neither do the verifier walk, which must meet every verifier state, nor
 the batch's refill walks, which look for edges out of empty nodes.
 
-Every walk takes its roots as one x2 per observer position, -1 where an
-estimate has no root, so each estimate roots at most one node.  The walk
+Every walk takes its roots as observer positions and their x2s, at most
+one per estimate: the weak search's at the observer's
+``secret_positions``, the SST search's at every position, each less those
+that meet its core, dropped in one pass before the walk starts.  The walk
 keeps, per estimate, the x2 of the first node met there: its root, or else
 the first live child that reaches it.  A child whose x2 is that first x2 is
 that node, found by position, and a child at an estimate with no node yet
@@ -200,11 +202,8 @@ def _tree_root(nfa: Nfa, obs: Observer, root_state: StateSet, k: int, max_states
         raise ValueError(f"root {format_state_set(root_state)} is not a reachable observer state")
     if not obs.masks[i] & row_table(nfa).secret:
         raise ValueError("root estimate contains no secret state")
-    if max_states is not None:
-        paths = [0] * len(obs.masks)
-        paths[i] = 1
-        if _path_count(obs, paths, k, max_states) > max_states:
-            raise ResourceLimitError(f"state tree exceeded {max_states} nodes")
+    if max_states is not None and _path_count(obs, (i,), k, max_states) > max_states:
+        raise ResourceLimitError(f"state tree exceeded {max_states} nodes")
     return i
 
 
@@ -223,8 +222,8 @@ def build_weak_state_tree(
 
 
 def secret_intersecting_roots(nfa: Nfa, obs: Observer) -> tuple[StateSet, ...]:
-    secret = row_table(nfa).secret
-    return tuple(s for s, m in zip(obs.states, obs.masks) if m & secret)
+    states = obs.states
+    return tuple(states[i] for i in obs.secret_positions)
 
 
 def tree_node_count(nfa: Nfa, obs: Observer, k: int, cap: float = float("inf")) -> int:
@@ -233,24 +232,44 @@ def tree_node_count(nfa: Nfa, obs: Observer, k: int, cap: float = float("inf")) 
     See ``_path_count``: past *cap* the count stops, and the number it
     returns is above *cap* but not the count.
     """
-    secret = row_table(nfa).secret
-    return _path_count(obs, [1 if m & secret else 0 for m in obs.masks], k, cap)
+    return _path_count(obs, obs.secret_positions, k, cap)
 
 
-def _path_count(obs: Observer, paths: list[int], k: int, cap: float = float("inf")) -> int:
-    """Observer paths of length at most K from *paths* of length 0 per estimate.
+def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float("inf")) -> int:
+    """Observer paths of length at most K from the estimates at positions *roots*.
 
     A tree node stands for an observation string of length at most K that
     the observer accepts from the root, for weak trees and SSTs alike, so a
-    per-depth count of observer paths gives a tree's node count without
-    building it: the cost grows with K times the observer's transitions,
-    not with |Eo|^K.  Only estimates with a nonzero count propagate, and
-    the last level is the sum of each count times its estimate's moves, so
-    depth K needs K - 1 propagations.  The count stops early once a level
-    adds nothing or the total passes *cap*.
+    count of observer paths gives a tree's node count without building it.
+    Past K = 0 one pass reads each estimate's number of moves.  When all
+    have the same d, as on every complete observer, the count is
+    len(*roots*) * (1 + d + ... + d^K): direct for d <= 1, else summed
+    level by level, passing *cap* within log2(*cap*) levels.  Otherwise
+    counts propagate per estimate, at K times the observer's transitions,
+    not |Eo|^K: only nonzero counts propagate, and the last level is each
+    count times its estimate's moves, so depth K needs K - 1 propagations.
+    Either way the count stops once a level adds nothing or the total
+    passes *cap*.
     """
-    total = sum(paths)
+    total = len(roots)
     moves = obs.moves
+    if not k or not total:
+        return total
+    missing = {row.count(-1) for row in moves}
+    if len(missing) == 1:
+        degree = len(obs.events) - missing.pop()
+        if degree <= 1:
+            return total * (k + 1) if degree else total
+        level = total
+        for _ in range(k):
+            if total > cap:
+                break
+            level *= degree
+            total += level
+        return total
+    paths = [0] * len(moves)
+    for i in roots:
+        paths[i] = 1
     for depth in range(1, k + 1):
         if total > cap:
             break
@@ -275,7 +294,8 @@ def _path_count(obs: Observer, paths: list[int], k: int, cap: float = float("inf
 
 def _explore(
     obs: Observer,
-    roots: list[int],
+    estimate: Sequence[int],
+    x2s: Sequence[int],
     steps: Steps,
     k: int | None,
     stop_at_empty: bool,
@@ -289,12 +309,12 @@ def _explore(
     """Multi-source BFS over (estimate, x2) nodes, each visited once.
 
     This one walk is behind every verdict, the verifier and the batch's
-    refill check.  *roots* holds one x2 per observer position, -1 where that
-    estimate has no root; the roots seed the queue in position order, and
-    events expand in declaration order.  On move (e, j) a node's child is
-    (j, ``steps[e](x2) & masks[j]``).  ``first[j]`` holds the x2 of the
-    first node met at position j, seeded from *roots*, and an edge walk
-    keeps that node's position in ``node_at[j]``.  A child whose x2 is
+    refill check.  Root n is (observer position ``estimate[n]``, ``x2s[n]``),
+    at most one per estimate; the roots, copied, seed the queue in that
+    order, and events expand in declaration order.  On move (e, j) a node's
+    child is (j, ``steps[e](x2) & masks[j]``).  ``first[j]`` holds the x2
+    of the first node met at position j, seeded from the roots, and an edge
+    walk keeps that node's position in ``node_at[j]``.  A child whose x2 is
     ``first[j]`` is that node, found by one list read; a live child at a
     position with no node yet becomes its first node.  Only a second,
     different x2 at a position is keyed by the int ``x2 << w | j`` in the
@@ -310,21 +330,16 @@ def _explore(
     given.  More than *max_states* nodes raise ResourceLimitError, whose
     message names the *search*.  With *weak*, dead children (``x2`` equal
     to the estimate, see the module docstring) are neither queued, recorded
-    nor counted; weak roots must be live.  Roots and children whose ``x2``
-    meets *core*, the persistent core of the rows *steps* take (see the
-    module docstring), are dropped the same way and do not count against
-    *max_states* either; a dropped root leaves its position to the first
+    nor counted; weak roots must be live.  Children whose ``x2`` meets
+    *core*, the persistent core of the rows *steps* take (see the module
+    docstring), are dropped the same way and do not count against
+    *max_states* either; the searches drop the roots that meet it (see
+    :func:`_roots`), and a dropped root leaves its position to the first
     kept child that reaches it.  Callers pass no core to a K = 0 walk.
     """
     masks, moves = obs.masks, obs.moves
     limit = float("inf") if max_states is None else max_states
-    if core:
-        roots = [-1 if x2 & core else x2 for x2 in roots]
-    if -1 in roots:
-        estimate = [j for j, x2 in enumerate(roots) if x2 >= 0]
-        x2s = [x2 for x2 in roots if x2 >= 0]
-    else:
-        estimate, x2s = list(range(len(roots))), roots[:]
+    estimate, x2s = list(estimate), list(x2s)
     # The roots go in as a block, checked as if one at a time: an empty
     # root at position p is the hit when the p roots before it fit under
     # the cap, and the cap is passed otherwise.
@@ -335,13 +350,15 @@ def _explore(
         raise ResourceLimitError(f"{search} exceeded {max_states} states")
     walk = Walk(estimate, x2s, [-1] * len(x2s), [-1] * len(x2s), [0])
     # A K = 0 walk only seeds its roots.
-    if hit is not None or k == 0:
+    if hit is not None or k == 0 or not x2s:
         return walk, hit
     _, _, parent, event, levels = walk
     w = len(masks).bit_length()
     seen: dict[int, int] = {}
     event_steps = tuple(enumerate(steps))
-    first = roots[:]
+    first = [-1] * len(masks)
+    for j, x2 in zip(estimate, x2s):
+        first[j] = x2
     # One test, false in the verifier and refill walks, skips both rules.
     drops = weak or core
     node_at = None
@@ -417,24 +434,29 @@ def _verdict(table: RowTable, obs: Observer, walk: Walk, hit: int | None) -> Ver
     return Verdict(False, Witness(tuple(reversed(prefix)), tuple(reversed(continuation)), node))
 
 
-def _secret_roots(table: RowTable, obs: Observer) -> list[int]:
-    """Per observer position, the estimate's nonsecret part, or -1 without a secret.
+def _roots(obs: Observer, positions: Sequence[int], nonsecret: int, core: int) -> tuple[Sequence[int], list[int]]:
+    """The search roots at *positions* that keep clear of *core*, as :func:`_explore` takes them.
 
-    These are the roots of the weak walks and of the batch's refill check.
-    A root's secret part is nonempty and outside x2, so every weak root is
-    live.
+    A root's x2 is its estimate's *nonsecret* part.  One pass drops the
+    roots whose x2 meets *core*, and a second reads the kept roots' x2s,
+    so a walk whose roots all meet the core reads no x2.
     """
-    secret, nonsecret = table.secret, table.nonsecret
-    return [m & nonsecret if m & secret else -1 for m in obs.masks]
+    masks = obs.masks
+    if core:
+        drop = nonsecret & core
+        positions = [i for i in positions if not masks[i] & drop]
+    return positions, [masks[i] & nonsecret for i in positions]
 
 
 def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None = None, search: str = "") -> Verdict:
+    # A root's secret part is nonempty and outside x2, so every root is live.
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
+    core = table.reach_core if k != 0 else 0
     walk, hit = _explore(
-        obs, _secret_roots(table, obs), table.reach_steps, k, True, weak=True,
-        core=table.reach_core if k != 0 else 0, max_states=max_states, search=search,
+        obs, *_roots(obs, obs.secret_positions, table.nonsecret, core), table.reach_steps, k, True,
+        weak=True, core=core, max_states=max_states, search=search,
     )
     return _verdict(table, obs, walk, hit)
 

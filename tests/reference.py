@@ -4,8 +4,9 @@ The constructions step through the row table (``opaq.core.RowTable``) and the
 oracle through its own ``MaskEngine``.  The functions here are a third,
 deliberately plain reading of the definitions over state names, kept for the
 tests alone: one-event steps, silent closures, the observable and
-secret-avoiding reaches, natural projection, the persistent cores, and the
-observer read by event name.  All set-valued results are canonical
+secret-avoiding reaches, natural projection, the persistent cores, the
+tagged automaton over every tagged state, and the observer read by event
+name.  All set-valued results are canonical
 ``StateSet`` tuples in declaration order.
 
 A model's set-based step views are built on first use and kept in the
@@ -19,6 +20,7 @@ from typing import Iterable, Sequence
 
 from opaq import ModelError, Nfa, Observer
 from opaq.core import ObservationString, StateSet
+from opaq.projection import TAG_N, TAG_Y, Sipa, TaggedState
 
 
 def _step_view(nfa: Nfa) -> dict[tuple[str, str], tuple[str, ...]]:
@@ -182,6 +184,39 @@ def avoid_core(nfa: Nfa) -> StateSet:
     secret = nfa.secret_set
     return _greatest_core(
         nfa, lambda x, event: () if x in secret else secret_avoiding_reach(nfa, [x], event)
+    )
+
+
+# -- the tagged automaton over every base --------------------------------
+
+
+def untrimmed_sipa(nfa: Nfa) -> Sipa:
+    """The secret-involved projected automaton over every tagged state, reachable or not.
+
+    Its states are an N tag for each nonsecret state, then a Y tag for every
+    state.  From a nonsecret base x, each target x' of x's observable reach
+    under e gives (x_N,e,x'_N) and (x_Y,e,x'_N) when x' lies in x's
+    secret-avoiding reach, and (x_N,e,x'_Y) and (x_Y,e,x'_Y) otherwise;
+    from a secret base only (x_Y,e,x'_Y).  The initial states are the closed
+    initial estimate, each tagged N exactly when a nonsecret initial state
+    reaches it by an all-nonsecret unobservable run.
+    """
+    secret = nfa.secret_set
+    transitions = []
+    for x in nfa.states:
+        tags = (TAG_Y,) if x in secret else (TAG_N, TAG_Y)
+        for event in nfa.observable_events:
+            avoiding = () if x in secret else secret_avoiding_reach(nfa, [x], event)
+            for t in observable_reach(nfa, [x], event):
+                target = TaggedState(t, TAG_N if t in avoiding else TAG_Y)
+                transitions += [(TaggedState(x, tag), event, target) for tag in tags]
+    clean = nonsecret_unobservable_reach(nfa, [x for x in nfa.initial if x not in secret])
+    return Sipa(
+        states=tuple(TaggedState(x, TAG_N) for x in nfa.states if x not in secret)
+        + tuple(TaggedState(x, TAG_Y) for x in nfa.states),
+        initial=tuple(TaggedState(x, TAG_N if x in clean else TAG_Y) for x in unobservable_reach(nfa, nfa.initial)),
+        events=nfa.observable_events,
+        transitions=tuple(transitions),
     )
 
 

@@ -146,14 +146,6 @@ def test_structural_checks_equal_the_checks_on_built_trees(nfa):
     assert tree_failures(nfa, 5, KS, obs) == expected
 
 
-def only_root(obs, i, x2):
-    # Per-position roots, as the pair walk takes them: x2 at estimate i
-    # and -1 (no root) at every other estimate.
-    roots = [-1] * len(obs.masks)
-    roots[i] = x2
-    return roots
-
-
 def leaky(table):
     # A step table whose empty x2 refills with the target's nonsecret part
     # (the walk masks it by the estimate), so emptiness is not absorbing.
@@ -174,7 +166,7 @@ def test_counts_and_refill_equal_the_built_trees(nfa, k):
         m = obs.masks[i]
         for steps in (table.avoid_steps, leaky(table)):
             tree = _grow_tree(table, obs, (i, m, m & table.nonsecret), k, steps)
-            assert crosscheck._refill_depth(obs, steps, only_root(obs, i, m & table.nonsecret), k) == refill_of(tree, k)
+            assert crosscheck._refill_depth(obs, steps, i, m & table.nonsecret, k) == refill_of(tree, k)
 
 
 def test_a_leaky_step_table_refills_an_empty_x2(g2):
@@ -184,9 +176,9 @@ def test_a_leaky_step_table_refills_an_empty_x2(g2):
     table = row_table(g2)
     i = obs.index[("1", "4", "7")]
     m = obs.masks[i]
-    root = only_root(obs, i, m & table.nonsecret)
-    assert crosscheck._refill_depth(obs, table.avoid_steps, root, 3) == 4
-    assert crosscheck._refill_depth(obs, leaky(table), root, 3) == 3
+    x2 = m & table.nonsecret
+    assert crosscheck._refill_depth(obs, table.avoid_steps, i, x2, 3) == 4
+    assert crosscheck._refill_depth(obs, leaky(table), i, x2, 3) == 3
     tree = _grow_tree(table, obs, (i, m, m & table.nonsecret), 3, leaky(table))
     assert refill_of(tree, 3) == 3
 
@@ -255,7 +247,7 @@ def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, r
     )
     monkeypatch.setattr(
         crosscheck, "_refill_depth",
-        lambda obs, steps, roots, top, max_states=None: refill_of(broom((), top, sst_fan, refill), top),
+        lambda obs, steps, i, x2, top, max_states=None: refill_of(broom((), top, sst_fan, refill), top),
     )
     obs = build_observer(g2)
     roots = secret_intersecting_roots(g2, obs)

@@ -18,6 +18,7 @@ import io
 import json
 import os
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,7 @@ from opaq import (
     build_sst,
     build_verifier,
     build_weak_state_tree,
+    load_model,
     observer_dot,
     projected_dot,
     sipa_dot,
@@ -41,7 +43,9 @@ from opaq import (
 from opaq.cli import main
 from opaq.weak import secret_intersecting_roots
 
+from conftest import g2_dict
 from test_reach import small_models
+from test_weak import nth_last6_without_core
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "fixtures", "golden")
@@ -98,17 +102,84 @@ def dead_end_chain():
     )
 
 
-# K reaches 5 so that the last level, which the count takes in closed form,
-# comes after one or more propagated levels.
-@settings(max_examples=100, deadline=None)
-@given(nfa=small_models(), k=st.integers(0, 5))
-@example(nfa=dead_end_chain(), k=5)
-def test_tree_node_count_equals_materialized_trees(nfa, k):
+def looping_g2():
+    """g2 with a nonsecret initial state ``z`` that loops on every event.
+
+    Every estimate holds ``z``, so every estimate moves on all four events.
+    """
+    raw = g2_dict()
+    raw["states"].append("z")
+    raw["initial"].append("z")
+    raw["transitions"] += [["z", e, "z"] for e in "abcd"]
+    return validate_model(raw)
+
+
+def alternating():
+    """``0 -a-> s -b-> 0``: each of the two estimates moves on one event of two."""
+    return validate_model(
+        {
+            "states": ["0", "s"],
+            "events": [{"name": e, "observable": True} for e in "ab"],
+            "initial": ["0"],
+            "secret": ["s"],
+            "transitions": [["0", "a", "s"], ["s", "b", "0"]],
+        }
+    )
+
+
+def check_tree_node_count(nfa, k):
+    """The count is the built trees' node total, exact at a cap equal to
+    it, and above the cap at one below it."""
     obs = build_observer(nfa)
     roots = secret_intersecting_roots(nfa, obs)
     weak = sum(build_weak_state_tree(nfa, obs, root, k).node_count for root in roots)
     sst = sum(build_sst(nfa, obs, root, k).node_count for root in roots)
     assert tree_node_count(nfa, obs, k) == weak == sst
+    assert tree_node_count(nfa, obs, k, weak) == weak
+    assert tree_node_count(nfa, obs, k, weak - 1) > weak - 1
+
+
+# K reaches 5 so that the last level, which the propagation takes in closed
+# form, comes after one or more propagated levels.
+@settings(max_examples=100, deadline=None)
+@given(nfa=small_models(), k=st.integers(0, 5))
+@example(nfa=dead_end_chain(), k=5)
+def test_tree_node_count_equals_materialized_trees(nfa, k):
+    check_tree_node_count(nfa, k)
+
+
+# Observers whose estimates all have the same number of moves, d, are
+# counted in closed form.  Two have d below the number of events.
+DEGREE_UNIFORM = {
+    "nth_last6": (lambda: load_model(MODELS["nth_last6"]), 2),
+    "looping_g2": (looping_g2, 4),
+    "nth_last6_without_core": (nth_last6_without_core, 2),
+    "alternating": (alternating, 1),
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("name", DEGREE_UNIFORM)
+def test_degree_uniform_tree_node_counts_equal_materialized_trees(name, k):
+    make, degree = DEGREE_UNIFORM[name]
+    nfa = make()
+    moves = build_observer(nfa).moves
+    assert {len(row) - row.count(-1) for row in moves} == {degree}
+    check_tree_node_count(nfa, k)
+
+
+def test_a_huge_k_is_counted_in_closed_form(capsys):
+    # One secret estimate and one move from each: K + 1 nodes, read without
+    # a pass per level, so exact even far past the cap.  nth_last6's levels
+    # double, so its count passes the default cap of 2^20 within a few
+    # levels, at any K.
+    nfa = alternating()
+    assert tree_node_count(nfa, build_observer(nfa), 10**9, 2**20) == 10**9 + 1
+    start = time.perf_counter()
+    rc = main(["verify", "--format", "json", "--property", "k-weak", "--k", "1000000000", MODELS["nth_last6"]])
+    assert time.perf_counter() - start < 1
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["sizes"]["tree_nodes"] == ">1048576"
 
 
 def test_tree_nodes_are_counted_not_built(capsys):

@@ -51,6 +51,8 @@ def test_g2_observer_chain(g2):
     }
     # One row per estimate, one target per event a..d, -1 for no move.
     assert obs.moves == ((1, -1, -1, -1), (-1, 2, -1, -1), (-1, -1, 3, -1), (-1, -1, -1, 3))
+    # Each estimate past the first holds one of the secret states 1, 5, 9.
+    assert obs.secret_positions == (1, 2, 3)
 
 
 def test_an_observer_is_immutable(g2):
@@ -122,6 +124,14 @@ def test_each_estimate_has_one_dense_row(nfa):
             else:
                 assert j == obs.index[obs.transitions[(obs.states[i], obs.events[e])]]
     assert sum(j >= 0 for row in obs.moves for j in row) == len(obs.transitions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfa=small_models())
+def test_secret_positions_are_the_estimates_that_meet_a_secret(nfa):
+    obs = build_observer(nfa)
+    secret = set(nfa.secret)
+    assert obs.secret_positions == tuple(i for i, state in enumerate(obs.states) if secret & set(state))
 
 
 @settings(max_examples=100, deadline=None)

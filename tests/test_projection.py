@@ -15,6 +15,7 @@ from opaq import (
 from opaq.core import Nfa
 from opaq.projection import TAG_N, TAG_Y, sipa_size
 
+from reference import untrimmed_sipa
 from test_reach import small_models
 
 
@@ -103,8 +104,28 @@ def test_no_tagged_state_pairs_n_with_a_secret_base(nfa):
 
 @settings(max_examples=120, deadline=None)
 @given(nfa=small_models())
+def test_the_sipa_is_the_reachable_part_of_the_reference(nfa):
+    # The set-based tagged automaton over every tagged state, trimmed to
+    # the states its initial ones reach, in (declaration, tag) order.
+    reference = untrimmed_sipa(nfa)
+    reachable = set(reference.initial)
+    frontier = list(reachable)
+    while frontier:
+        src = frontier.pop()
+        for dst in (dst for s, _, dst in reference.transitions if s == src and dst not in reachable):
+            reachable.add(dst)
+            frontier.append(dst)
+    sipa = build_sipa(nfa)
+    assert sipa.states == tuple(sorted(reachable, key=lambda ts: (nfa.states.index(ts.base), ts.tag)))
+    assert sipa.initial == reference.initial
+    assert sipa.events == reference.events
+    assert sipa.transitions == tuple(t for t in reference.transitions if t[0] in reachable)
+
+
+@settings(max_examples=120, deadline=None)
+@given(nfa=small_models())
 def test_sipa_size_caps(nfa):
-    sipa = build_sipa(nfa, trimmed=False)
+    sipa = untrimmed_sipa(nfa)
     n = len(nfa.states)
     assert len(sipa.states) <= 2 * n
     assert len(sipa.transitions) <= 4 * n * n * len(nfa.observable_events)
@@ -121,7 +142,7 @@ def test_sipa_size_counts_the_built_automaton(nfa):
 @given(nfa=small_models())
 def test_branch_exclusivity_per_target(nfa):
     # From a nonsecret base the two branch families never mix for one target.
-    sipa = build_sipa(nfa, trimmed=False)
+    sipa = untrimmed_sipa(nfa)
     secret = set(nfa.secret)
     tags = {}
     for src, ev, dst in sipa.transitions:
@@ -135,7 +156,7 @@ def test_branch_exclusivity_per_target(nfa):
 @settings(max_examples=120, deadline=None)
 @given(nfa=small_models())
 def test_y_to_n_edges_need_a_nonsecret_source_base(nfa):
-    sipa = build_sipa(nfa, trimmed=False)
+    sipa = untrimmed_sipa(nfa)
     secret = set(nfa.secret)
     for src, _, dst in sipa.transitions:
         if src.tag == TAG_Y and dst.tag == TAG_N:
@@ -160,7 +181,7 @@ def _restrict_to_nonsecret(nfa: Nfa) -> Nfa | None:
 @settings(max_examples=120, deadline=None)
 @given(nfa=small_models())
 def test_n_fragment_equals_projected_automaton_of_nonsecret_subautomaton(nfa):
-    sipa = build_sipa(nfa, trimmed=False)
+    sipa = untrimmed_sipa(nfa)
     sub = _restrict_to_nonsecret(nfa)
     n_edges = {
         (src.base, ev, dst.base)

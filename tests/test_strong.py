@@ -32,6 +32,7 @@ from reference import (
     observable_reach,
     secret_avoiding_reach,
     unobservable_reach,
+    untrimmed_sipa,
 )
 from test_reach import small_models, subset_of_states
 from test_weak import chain
@@ -322,7 +323,7 @@ def test_row_steps_equal_the_set_based_steps(data):
     # automaton are the definitions those rows must reproduce on every subset.
     nfa = data.draw(small_models())
     table = row_table(nfa)
-    sipa = build_sipa(nfa, trimmed=False)
+    sipa = untrimmed_sipa(nfa)
     n_to_n = {}
     for src, event, dst in sipa.transitions:
         if src.tag == dst.tag == TAG_N:

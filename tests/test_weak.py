@@ -479,6 +479,21 @@ def test_weak_walks_visit_live_pairs_only(g2):
     assert named == [(("s",), ("t",)), (("u",), ("u",)), (("u", "v"), ("u",)), (("w",), ())]
 
 
+def test_a_search_whose_roots_all_meet_the_core_walks_nothing():
+    # Every estimate of nth_last6 holds 0, which is in both cores, so past
+    # K = 0 both searches drop every root before the walk reads an x2, and
+    # the verdict is the unpruned walk's.
+    nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    obs = build_observer(nth_last)
+    table = row_table(nth_last)
+    assert opaq.weak._roots(obs, obs.secret_positions, table.nonsecret, table.reach_core) == ([], [])
+    assert opaq.weak._roots(obs, range(64), table.nonsecret, table.avoid_core) == ([], [])
+    for search, family in ((verify_k_step_weak, "weak"), (verify_k_step_strong, "sst")):
+        [(walk, hit, _)] = recorded_walks(lambda: search(nth_last, 2, obs))
+        assert walk == ([], [], [], [], [0]) and hit is None
+        assert search(nth_last, 2, obs) == reference(nth_last, obs, family, 2) == Verdict(True)
+
+
 def test_dead_pairs_do_not_count_against_the_cap():
     # Without the core rule, nth_last6's 32 roots are its only live pairs;
     # the unpruned walk has 96.
@@ -513,15 +528,15 @@ def test_roots_count_against_the_cap():
 
 # -- root seeding ---------------------------------------------------------------
 #
-# ``_explore`` takes one root x2 per observer position, -1 where an estimate
-# has no root, and seeds the roots as one block.  The reference is the loop
+# ``_explore`` takes its roots as observer positions and their x2s, at most
+# one per estimate, and seeds them as one block.  The reference is the loop
 # it replaced, one root at a time: append the root, stop at it when its x2
 # is empty, then raise once more than *max_states* roots are in.
 
 
-def per_root(roots, stop_at_empty, max_states):
+def per_root(x2s, stop_at_empty, max_states):
     """The hit position, "cap" when the cap is passed first, or None."""
-    for p, x2 in enumerate(x2 for x2 in roots if x2 >= 0):
+    for p, x2 in enumerate(x2s):
         if stop_at_empty and not x2:
             return p
         if p + 1 > max_states:
@@ -536,45 +551,46 @@ def test_roots_keep_the_per_root_hit_and_cap_order(k, stop_at_empty):
     obs = build_observer(nth_last)
     steps = row_table(nth_last).avoid_steps
     n = 6
-    # Roots at every other estimate, -1 between them.
+    # Roots at every other estimate.
     picked = list(range(0, 2 * n, 2))
     # An empty root before, at and past each cap, or none at all.
     for empty in (None, *picked):
-        roots = [-1] * len(obs.masks)
-        for i in picked:
-            roots[i] = 0 if i == empty else obs.masks[i]
+        x2s = [0 if i == empty else obs.masks[i] for i in picked]
         for cap in range(n + 2):
-            expected = per_root(roots, stop_at_empty, cap)
+            expected = per_root(x2s, stop_at_empty, cap)
             if expected == "cap":
                 with pytest.raises(ResourceLimitError, match=f"search exceeded {cap} states"):
-                    opaq.weak._explore(obs, roots, steps, k, stop_at_empty, max_states=cap, search="search")
+                    opaq.weak._explore(obs, picked, x2s, steps, k, stop_at_empty, max_states=cap, search="search")
             elif expected is not None:
-                walk, hit = opaq.weak._explore(obs, roots, steps, k, stop_at_empty, max_states=cap)
+                walk, hit = opaq.weak._explore(obs, picked, x2s, steps, k, stop_at_empty, max_states=cap)
                 assert hit == expected
                 assert walk.estimate == picked[:hit + 1]
-                assert walk.x2 == [roots[i] for i in picked[:hit + 1]]
+                assert walk.x2 == x2s[:hit + 1]
                 assert walk.parent == walk.event == [-1] * (hit + 1)
             elif k == 0:
-                walk, hit = opaq.weak._explore(obs, roots, steps, k, stop_at_empty, max_states=cap)
+                walk, hit = opaq.weak._explore(obs, picked, x2s, steps, k, stop_at_empty, max_states=cap)
                 assert hit is None
-                assert walk == (picked, [roots[i] for i in picked], [-1] * n, [-1] * n, [0])
+                assert walk == (picked, x2s, [-1] * n, [-1] * n, [0])
 
 
 def test_a_k0_walk_returns_its_roots_only():
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     obs = build_observer(nth_last)
     table = row_table(nth_last)
+    positions = list(range(len(obs.masks)))
     roots = [m & table.nonsecret for m in obs.masks]
     edges = []
-    walk, hit = opaq.weak._explore(obs, roots, table.avoid_steps, 0, False, edges=edges)
+    walk, hit = opaq.weak._explore(obs, positions, roots, table.avoid_steps, 0, False, edges=edges)
     assert hit is None and edges == []
-    assert walk.estimate == list(range(len(obs.masks)))
+    assert walk.estimate == positions
+    assert walk.estimate is not positions
     assert walk.x2 == roots
     assert walk.x2 is not roots
     assert walk.levels == [0]
     # The same roots at K = 1 are expanded.
-    opaq.weak._explore(obs, roots, table.avoid_steps, 1, False, edges=edges)
+    opaq.weak._explore(obs, positions, roots, table.avoid_steps, 1, False, edges=edges)
     assert len(edges) == 2 * len(roots)
+    assert positions == list(range(len(obs.masks)))
     assert roots == [m & table.nonsecret for m in obs.masks]
 
 
@@ -589,7 +605,9 @@ def test_sst_children_that_are_roots_add_no_pairs():
     assert walked_pairs(lambda: verify_k_step_strong(nth_last, 2)) == [0]
     table = row_table(nth_last)
     edges = []
-    walk, _ = opaq.weak._explore(obs, [m & table.nonsecret for m in obs.masks], table.avoid_steps, 2, False, edges=edges)
+    walk, _ = opaq.weak._explore(
+        obs, range(64), [m & table.nonsecret for m in obs.masks], table.avoid_steps, 2, False, edges=edges
+    )
     assert walk.levels == [0, 64]
     assert len(edges) == 128 and all(m < 64 for _, _, m in edges)
 
@@ -766,8 +784,8 @@ def test_a_dead_first_child_leaves_the_estimate_to_a_live_one():
     assert verify_infinite_step_weak(nfa, obs).witness == Witness(("a",), ("c", "g"), (("w",), ()))
     # With edges: b's dead child is dropped, and d ends at the live node.
     edges = []
-    walk, _ = opaq.weak._explore(obs, opaq.weak._secret_roots(table, obs), table.reach_steps, None, False,
-                                 weak=True, edges=edges)
+    walk, _ = opaq.weak._explore(obs, *opaq.weak._roots(obs, obs.secret_positions, table.nonsecret, 0),
+                                 table.reach_steps, None, False, weak=True, edges=edges)
     assert len(walk.x2) == 3
     assert edges == [(0, 2, 1), (1, 3, 1), (1, 4, 2)]
     check_against_reference(nfa)
@@ -861,14 +879,15 @@ def pruned_nodes(nfa, family, k=3):
     table = row_table(nfa)
     obs = build_observer(nfa)
     if family == "weak":
-        roots, steps, core = opaq.weak._secret_roots(table, obs), table.reach_steps, table.reach_core
+        positions, steps, core = obs.secret_positions, table.reach_steps, table.reach_core
     else:
-        roots, steps, core = [m & table.nonsecret for m in obs.masks], table.avoid_steps, table.avoid_core
-    kept = [-1 if x2 & core else x2 for x2 in roots]
+        positions, steps, core = range(len(obs.masks)), table.avoid_steps, table.avoid_core
+    roots = opaq.weak._roots(obs, positions, table.nonsecret, 0)
+    kept = opaq.weak._roots(obs, positions, table.nonsecret, core)
     weak = family == "weak"
-    walk, _ = opaq.weak._explore(obs, roots, steps, k, False, weak=weak, core=core)
-    unpruned, _ = opaq.weak._explore(obs, kept, steps, k, False, weak=weak)
-    return kept.count(-1) - roots.count(-1), len(unpruned.x2) - len(walk.x2)
+    walk, _ = opaq.weak._explore(obs, *kept, steps, k, False, weak=weak, core=core)
+    unpruned, _ = opaq.weak._explore(obs, *kept, steps, k, False, weak=weak)
+    return len(roots[0]) - len(kept[0]), len(unpruned.x2) - len(walk.x2)
 
 
 @settings(max_examples=200, deadline=None)
