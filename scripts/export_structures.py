@@ -12,7 +12,6 @@ import sys
 
 from opaq import (
     build_observer,
-    build_projected_automaton,
     build_sipa,
     build_sst,
     build_verifier,
@@ -24,7 +23,6 @@ from opaq import (
     tree_dot,
     verifier_dot,
 )
-from opaq.weak import secret_intersecting_roots
 
 
 def main() -> int:
@@ -43,10 +41,10 @@ def main() -> int:
         print(path)
 
     write("observer.dot", observer_dot(obs))
-    write("projected.dot", projected_dot(build_projected_automaton(nfa)))
+    write("projected.dot", projected_dot(nfa))
     write("sipa.dot", sipa_dot(build_sipa(nfa)))
     write("verifier.dot", verifier_dot(build_verifier(nfa, obs)))
-    for i, root in enumerate(secret_intersecting_roots(nfa, obs)):
+    for i, root in enumerate(obs.states[j] for j in obs.secret_positions):
         write(f"weak_tree_{i}.dot", tree_dot(build_weak_state_tree(nfa, obs, root, 2), "weak_tree"))
         write(f"sst_{i}.dot", tree_dot(build_sst(nfa, obs, root, 2), "sst"))
     return 0

@@ -24,10 +24,8 @@ from .oracle import (
     random_nfa,
 )
 from .projection import (
-    ProjectedAutomaton,
     Sipa,
     TaggedState,
-    build_projected_automaton,
     build_sipa,
     projected_dot,
     sipa_dot,

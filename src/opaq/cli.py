@@ -25,7 +25,7 @@ import sys
 from .core import ModelError, ResourceLimitError, load_model
 from .crosscheck import run_crosscheck
 from .observer import build_observer, observer_dot
-from .projection import build_projected_automaton, build_sipa, projected_dot, sipa_dot, sipa_state_count
+from .projection import build_sipa, projected_dot, sipa_dot, sipa_state_count
 from .strong import build_sst, build_verifier, verifier_dot, verify_k_step_strong, walk_verifier
 from .weak import (
     build_weak_state_tree,
@@ -205,7 +205,7 @@ def _run_verify(args) -> int:
 def _run_export(args) -> int:
     nfa = load_model(args.model)
     if args.structure == "projected":
-        print(projected_dot(build_projected_automaton(nfa)), end="")
+        print(projected_dot(nfa), end="")
         return 0
     if args.structure == "sipa":
         print(sipa_dot(build_sipa(nfa)), end="")

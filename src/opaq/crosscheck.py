@@ -318,8 +318,9 @@ def _structural_checks(
         result.cap_failures.append(f"seed {seed}: tagged automaton exceeds 2|X| states")
     if sipa_transitions > 4 * n * n * n_eo:
         result.cap_failures.append(f"seed {seed}: tagged automaton exceeds 4|X|^2|Eo| transitions")
-    if len(verifier.x2) > 4**n:
-        result.cap_failures.append(f"seed {seed}: verifier exceeds 4^|X| states")
+    # Each state is outside the estimate, in it but not in x2, or in both.
+    if len(verifier.x2) > 3**n - 1:
+        result.cap_failures.append(f"seed {seed}: verifier exceeds 3^|X|-1 states")
 
     certificate = _projection_problems(obs, verifier, edges, eng)
     if certificate:
@@ -396,7 +397,7 @@ def run_crosscheck(
         obs = build_observer(nfa, max_states=state_cap)
         eng = MaskEngine(nfa)
         weak = verify_infinite_step_weak(nfa, obs, state_cap)
-        # One verifier walk with edges serves the inf-strong row, the 4^|X|
+        # One verifier walk with edges serves the inf-strong row, the 3^|X|-1
         # cap and the projection check.
         edges: list[tuple[int, int, int]] = []
         strong, verifier = walk_verifier(nfa, obs, state_cap, edges=edges)

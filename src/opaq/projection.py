@@ -1,5 +1,7 @@
 """Projected automaton over observable events, and its secret-involved variant.
 
+The projected automaton is the model's reach rows: an edge (x, e, x') is
+present exactly when x' lies in the observable reach of {x} under e.
 The secret-involved projected automaton (SIPA) tags each state with N or Y:
 a step into ``x'_N`` means the step can be realized by a run whose every
 post-event state is nonsecret, while ``x'_Y`` means a secret was definitely
@@ -9,10 +11,9 @@ constructions downstream.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .core import Nfa, RowTable, StateSet, bits, dot_graph, row_table
+from .core import Nfa, RowTable, bits, dot_graph, row_table
 
 TAG_N = "N"
 TAG_Y = "Y"
@@ -24,20 +25,6 @@ class TaggedState(NamedTuple):
 
     def label(self) -> str:
         return f"{self.base}_{self.tag}"
-
-
-class ProjectedAutomaton:
-    """NFA over observable events whose edges are observable-reach steps."""
-
-    def __init__(
-        self, states: tuple[str, ...], initial: StateSet, events: tuple[str, ...],
-        transitions: tuple[tuple[str, str, str], ...],
-    ) -> None:
-        self.states, self.initial, self.events, self.transitions = states, initial, events, transitions
-
-    @property
-    def transition_count(self) -> int:
-        return len(self.transitions)
 
 
 class Sipa:
@@ -55,27 +42,6 @@ class Sipa:
         self.states, self.initial, self.events, self.transitions = states, initial, events, transitions
 
 
-def build_projected_automaton(nfa: Nfa) -> ProjectedAutomaton:
-    """One observable-event NFA over the same state set.
-
-    An edge (x, e, x') is present exactly when x' lies in the observable
-    reach of {x} under e: the model's reach rows.
-    """
-    table = row_table(nfa)
-    states = nfa.states
-    transitions = []
-    for x, name in enumerate(states):
-        for event, rows in zip(table.events, table.reach):
-            for target in bits(rows[x]):
-                transitions.append((name, event, states[target]))
-    return ProjectedAutomaton(
-        states=states,
-        initial=table.state_set(table.initial),
-        events=table.events,
-        transitions=tuple(transitions),
-    )
-
-
 def build_sipa(nfa: Nfa) -> Sipa:
     """Tagged-state automaton over observable events, trimmed to its reachable states.
 
@@ -84,49 +50,33 @@ def build_sipa(nfa: Nfa) -> Sipa:
     otherwise (x_N,e,x'_Y) and (x_Y,e,x'_Y); from a secret base only
     (x_Y,e,x'_Y).  A tagged state with tag N therefore never has a secret
     base.  Targets come from the model's reach rows, N tags from its avoid
-    rows.
+    rows, which are empty at a secret base.
 
     The initial tagged states are the closed initial estimate, each base
     tagged N exactly when some nonsecret initial state reaches it by an
-    all-nonsecret unobservable run, and Y otherwise.
+    all-nonsecret unobservable run, and Y otherwise.  The reachable tagged
+    states are those :func:`sipa_state_count` counts; edges leave them by
+    base, event and target, the N source before the Y source.
     """
     table = row_table(nfa)
-    states = nfa.states
+    names, events = nfa.states, table.events
+    tag_n, tag_y = _sipa_tags(table)
     # Tagged state x_N has id 2x and x_Y id 2x+1, so ascending ids follow
     # (declaration order, tag) order.
-    tagged = [TaggedState(name, tag) for name in states for tag in (TAG_N, TAG_Y)]
-    initial_ids = [2 * x + (0 if table.clean >> x & 1 else 1) for x in bits(table.initial)]
-    edges: list[tuple[int, int, int]] = []
-    for x in range(len(states)):
-        secret_base = table.secret >> x & 1
-        for e, rows in enumerate(table.reach):
-            targets = rows[x]
-            if not targets:
-                continue
-            if secret_base:
-                edges.extend((2 * x + 1, e, 2 * t + 1) for t in bits(targets))
-                continue
-            avoiding = table.avoid[e][x]
-            for t in bits(targets):
-                dst = 2 * t + (0 if avoiding >> t & 1 else 1)
-                edges += ((2 * x, e, dst), (2 * x + 1, e, dst))
-
-    by_src: dict[int, list[int]] = {}
-    for src, _, dst in edges:
-        by_src.setdefault(src, []).append(dst)
-    reachable = set(initial_ids)
-    queue = deque(initial_ids)
-    while queue:
-        for dst in by_src.get(queue.popleft(), ()):
-            if dst not in reachable:
-                reachable.add(dst)
-                queue.append(dst)
-    events = table.events
+    tagged = {2 * x: TaggedState(names[x], TAG_N) for x in bits(tag_n)}
+    tagged.update((2 * x + 1, TaggedState(names[x], TAG_Y)) for x in bits(tag_y))
+    transitions = []
+    for x in bits(tag_n | tag_y):
+        sources = [tagged[i] for i in (2 * x, 2 * x + 1) if i in tagged]
+        for event, rows, avoid in zip(events, table.reach, table.avoid):
+            for t in bits(rows[x]):
+                dst = tagged[2 * t + (0 if avoid[x] >> t & 1 else 1)]
+                transitions += ((src, event, dst) for src in sources)
     return Sipa(
-        states=tuple(tagged[i] for i in sorted(reachable)),
-        initial=tuple(tagged[i] for i in initial_ids),
+        states=tuple(tagged[i] for i in sorted(tagged)),
+        initial=tuple(tagged[2 * x + (0 if table.clean >> x & 1 else 1)] for x in bits(table.initial)),
         events=events,
-        transitions=tuple((tagged[src], events[e], tagged[dst]) for src, e, dst in edges if src in reachable),
+        transitions=tuple(transitions),
     )
 
 
@@ -176,20 +126,27 @@ def sipa_size(nfa: Nfa) -> tuple[int, int]:
     return sum(t.bit_count() for t in tags), transitions
 
 
-def _automaton_dot(name: str, states: tuple, initial: tuple, transitions: tuple, label: Callable) -> str:
-    index = {state: i for i, state in enumerate(states)}
-    start = set(initial)
+def projected_dot(nfa: Nfa) -> str:
+    """DOT rendering of the projected automaton, read off the model's reach rows.
+
+    One node per state in declaration order, a double circle on each member
+    of the closed initial estimate, and one edge per member of each reach
+    row, by state, then event, then target.
+    """
+    table = row_table(nfa)
+    states = range(len(nfa.states))
     return dot_graph(
-        name, "LR",
-        [label(state) for state in states],
-        ["doublecircle" if state in start else "circle" for state in states],
-        [(index[src], event, index[dst]) for src, event, dst in transitions],
+        "projected", "LR", nfa.states,
+        ["doublecircle" if table.initial >> x & 1 else "circle" for x in states],
+        [(x, event, t) for x in states for event, rows in zip(table.events, table.reach) for t in bits(rows[x])],
     )
 
 
-def projected_dot(pa: ProjectedAutomaton) -> str:
-    return _automaton_dot("projected", pa.states, pa.initial, pa.transitions, str)
-
-
 def sipa_dot(sipa: Sipa) -> str:
-    return _automaton_dot("sipa", sipa.states, sipa.initial, sipa.transitions, TaggedState.label)
+    index = {state: i for i, state in enumerate(sipa.states)}
+    start = set(sipa.initial)
+    return dot_graph(
+        "sipa", "LR", [state.label() for state in sipa.states],
+        ["doublecircle" if state in start else "circle" for state in sipa.states],
+        [(index[src], event, index[dst]) for src, event, dst in sipa.transitions],
+    )

@@ -221,11 +221,6 @@ def build_weak_state_tree(
     return _grow_tree(table, obs, (i, m & table.secret, m & table.nonsecret), k, table.reach_steps)
 
 
-def secret_intersecting_roots(nfa: Nfa, obs: Observer) -> tuple[StateSet, ...]:
-    states = obs.states
-    return tuple(states[i] for i in obs.secret_positions)
-
-
 def tree_node_count(nfa: Nfa, obs: Observer, k: int, cap: float = float("inf")) -> int:
     """Summed node count of the depth-K trees over every secret-intersecting root.
 
@@ -248,6 +243,9 @@ def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float(
     counts propagate per estimate, at K times the observer's transitions,
     not |Eo|^K: only nonzero counts propagate, and the last level is each
     count times its estimate's moves, so depth K needs K - 1 propagations.
+    A propagated level whose per-estimate counts equal the level before is
+    a fixed point of the propagation, so it repeats at every later depth
+    and the rest of the count is that level's sum times the depths left.
     Either way the count stops once a level adds nothing or the total
     passes *cap*.
     """
@@ -288,6 +286,8 @@ def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float(
         if not level:
             break
         total += level
+        if nxt == paths:
+            return total + level * (k - depth)
         paths = nxt
     return total
 
@@ -489,8 +489,9 @@ def verify_infinite_step_weak(
 ) -> Verdict:
     """Unbounded pair-graph exploration with global deduplication.
 
-    Pairs number at most 4^|X|, so the search terminates without an explicit
-    depth bound; opaque iff no reachable pair has an empty second component.
+    Pairs number at most 3^|X| - 1 (x2 lies within its estimate, which is
+    never empty), so the search terminates without an explicit depth bound;
+    opaque iff no reachable pair has an empty second component.
     """
     return _weak_search(nfa, obs, None, max_states, "infinite-step weak search")
 

@@ -12,9 +12,9 @@ import opaq.strong
 
 PUBLIC = [
     "Event", "EventString", "ModelError", "Nfa", "ObservationString", "Observer", "OracleConfig",
-    "OracleVerdict", "ProjectedAutomaton", "ResourceLimitError", "Sipa", "StateSet", "StateTree",
+    "OracleVerdict", "ResourceLimitError", "Sipa", "StateSet", "StateTree",
     "TaggedState", "TreeNode", "Verdict", "VerifierAutomaton", "VerifierState", "Witness",
-    "build_observer", "build_projected_automaton", "build_sipa", "build_sst", "build_verifier",
+    "build_observer", "build_sipa", "build_sst", "build_verifier",
     "build_weak_state_tree", "core", "load_model", "model_to_dict", "observer", "observer_dot", "oracle",
     "oracle_current_state", "oracle_infinite_step_strong", "oracle_infinite_step_weak",
     "oracle_k_step_strong", "oracle_k_step_weak", "projected_dot", "projection", "random_nfa",

@@ -38,7 +38,7 @@ from opaq import (
 from opaq.core import ResourceLimitError, row_table, set_step
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
 from opaq.oracle import MaskEngine
-from opaq.weak import StateTree, TreeNode, Verdict, Witness, _grow_tree, secret_intersecting_roots
+from opaq.weak import StateTree, TreeNode, Verdict, Walk, Witness, _grow_tree
 
 from conftest import g2_dict, hidden_crossing_dict, structural_checks
 from test_reach import small_models
@@ -137,7 +137,7 @@ def refill_of(tree, top):
 @given(nfa=small_models())
 def test_structural_checks_equal_the_checks_on_built_trees(nfa):
     obs = build_observer(nfa)
-    roots = secret_intersecting_roots(nfa, obs)
+    roots = [obs.states[i] for i in obs.secret_positions]
     expected = per_k_failures(
         5, KS, len(nfa.observable_events), roots,
         lambda root, k: build_weak_state_tree(nfa, obs, root, k),
@@ -159,7 +159,7 @@ def test_counts_and_refill_equal_the_built_trees(nfa, k):
     table = row_table(nfa)
     counts = list(crosscheck._node_counts(obs, 3))
     assert len(counts) == 4
-    for root in secret_intersecting_roots(nfa, obs):
+    for root in (obs.states[i] for i in obs.secret_positions):
         i = obs.index[root]
         assert counts[k][i] == build_weak_state_tree(nfa, obs, root, k).node_count
         assert counts[k][i] == build_sst(nfa, obs, root, k).node_count
@@ -199,7 +199,7 @@ def shape(tree, k):
 @given(nfa=small_models(), k=st.integers(0, 3))
 def test_tree_at_k_is_the_depth_k_prefix_of_the_tree_at_3(nfa, k):
     obs = build_observer(nfa)
-    for root in secret_intersecting_roots(nfa, obs):
+    for root in (obs.states[i] for i in obs.secret_positions):
         weak = build_weak_state_tree(nfa, obs, root, k)
         assert shape(build_weak_state_tree(nfa, obs, root, 3), k) == shape(weak, k)
         sst = build_sst(nfa, obs, root, k)
@@ -250,7 +250,7 @@ def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, r
         lambda obs, steps, i, x2, top, max_states=None: refill_of(broom((), top, sst_fan, refill), top),
     )
     obs = build_observer(g2)
-    roots = secret_intersecting_roots(g2, obs)
+    roots = [obs.states[i] for i in obs.secret_positions]
     assert len(roots) == 3
     cap, absorbing = tree_failures(g2, 9, KS, obs)
     assert (cap, absorbing) == per_k_failures(
@@ -305,7 +305,7 @@ def test_the_batch_builds_no_tree(monkeypatch):
     result = run_crosscheck(models=100, max_states=8, ks=KS, seed=7)
     assert result.ok
     roots = sum(
-        len(secret_intersecting_roots(nfa, build_observer(nfa)))
+        len(build_observer(nfa).secret_positions)
         for nfa in (random_nfa(model_config(7, i, 8)) for i in range(100))
     )
     assert roots > 0
@@ -322,9 +322,28 @@ def test_the_batch_builds_no_sipa(monkeypatch):
     assert len(result.rows) == 100 * 11
 
 
+def test_a_verifier_walk_of_3_to_the_n_states_fails_the_cap():
+    # A one-state model has 3^1 - 1 = 2 (estimate, x2) pairs: ({0},{0}) and
+    # ({0},{}).  A walk of 2 nodes passes the cap and one of 3 fails it;
+    # such walks also fail the projection check, which this test leaves aside.
+    nfa = validate_model({
+        "states": ["0"], "events": [{"name": "a", "observable": True}], "initial": ["0"],
+        "secret": [], "transitions": [["0", "a", "0"]],
+    })
+    obs = build_observer(nfa)
+    infinite = verify_infinite_step_weak(nfa, obs)
+    caps = []
+    for nodes in (2, 3):
+        walk = Walk([0] * nodes, [1] * nodes, [-1] * nodes, [-1] * nodes, [0])
+        result = BatchResult()
+        crosscheck._structural_checks(nfa, 0, (0,), result, obs, infinite, MaskEngine(nfa), walk, [])
+        caps.append(result.cap_failures)
+    assert caps == [[], ["seed 0: verifier exceeds 3^|X|-1 states"]]
+
+
 def test_the_batch_builds_no_verifier_automaton(monkeypatch):
     # One verifier walk with edges per model gives the inf-strong row, the
-    # 4^|X| cap and the projection check.
+    # 3^|X|-1 cap and the projection check.
     def refuse(*args, **kwargs):
         raise AssertionError("crosscheck built a verifier automaton")
 

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from opaq import (
     build_observer,
-    build_projected_automaton,
     build_sipa,
     build_sst,
     build_verifier,
@@ -41,7 +40,6 @@ from opaq import (
     verifier_dot,
 )
 from opaq.cli import main
-from opaq.weak import secret_intersecting_roots
 
 from conftest import g2_dict
 from test_reach import small_models
@@ -127,11 +125,32 @@ def alternating():
     )
 
 
+def nth_last_with_sink(n):
+    """The n-th-from-last-symbol model (as in ``nth_last6.json``, unpermuted)
+    with a third event ``c`` into a secret sink: ``0 -c-> z -c-> z``.
+
+    ``z`` is the only secret, so {z} is the only secret-intersecting
+    estimate, and it moves on ``c`` to itself alone.  The estimates that hold
+    ``0`` move on all three events, so the observer is not degree-uniform.
+    """
+    transitions = [["0", "a", "0"], ["0", "b", "0"], ["0", "a", "1"]]
+    for i in range(1, n):
+        transitions += [[str(i), "a", str(i + 1)], [str(i), "b", str(i + 1)]]
+    transitions += [["0", "u", "s"], ["s", "a", "0"], ["0", "c", "z"], ["z", "c", "z"]]
+    return {
+        "states": [str(i) for i in range(n + 1)] + ["s", "z"],
+        "events": [{"name": e, "observable": True} for e in "abc"] + [{"name": "u", "observable": False}],
+        "initial": ["0"],
+        "secret": ["z"],
+        "transitions": transitions,
+    }
+
+
 def check_tree_node_count(nfa, k):
     """The count is the built trees' node total, exact at a cap equal to
     it, and above the cap at one below it."""
     obs = build_observer(nfa)
-    roots = secret_intersecting_roots(nfa, obs)
+    roots = [obs.states[i] for i in obs.secret_positions]
     weak = sum(build_weak_state_tree(nfa, obs, root, k).node_count for root in roots)
     sst = sum(build_sst(nfa, obs, root, k).node_count for root in roots)
     assert tree_node_count(nfa, obs, k) == weak == sst
@@ -144,6 +163,12 @@ def check_tree_node_count(nfa, k):
 @settings(max_examples=100, deadline=None)
 @given(nfa=small_models(), k=st.integers(0, 5))
 @example(nfa=dead_end_chain(), k=5)
+@example(nfa=validate_model(nth_last_with_sink(6)), k=0)
+@example(nfa=validate_model(nth_last_with_sink(6)), k=1)
+@example(nfa=validate_model(nth_last_with_sink(6)), k=2)
+@example(nfa=validate_model(nth_last_with_sink(6)), k=3)
+@example(nfa=validate_model(nth_last_with_sink(6)), k=4)
+@example(nfa=validate_model(nth_last_with_sink(6)), k=5)
 def test_tree_node_count_equals_materialized_trees(nfa, k):
     check_tree_node_count(nfa, k)
 
@@ -179,6 +204,23 @@ def test_a_huge_k_is_counted_in_closed_form(capsys):
     rc = main(["verify", "--format", "json", "--property", "k-weak", "--k", "1000000000", MODELS["nth_last6"]])
     assert time.perf_counter() - start < 1
     assert rc == 0
+    assert json.loads(capsys.readouterr().out)["sizes"]["tree_nodes"] == ">1048576"
+
+
+def test_a_huge_k_is_counted_when_a_level_repeats(tmp_path, capsys):
+    # The observer is not degree-uniform, so the count propagates level by
+    # level.  The one root, {z}, moves to itself alone, so level 1 equals
+    # level 0 and so does every later level: K + 1 nodes after one pass,
+    # not a pass per level until the total passes the cap.
+    raw = nth_last_with_sink(6)
+    nfa = validate_model(raw)
+    assert tree_node_count(nfa, build_observer(nfa), 10**9, 2**20) == 10**9 + 1
+    path = tmp_path / "nth_last6_sink.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    start = time.perf_counter()
+    rc = main(["verify", "--format", "json", "--property", "k-weak", "--k", "1000000000", str(path)])
+    assert time.perf_counter() - start < 1
+    assert rc == 1
     assert json.loads(capsys.readouterr().out)["sizes"]["tree_nodes"] == ">1048576"
 
 
@@ -251,7 +293,7 @@ def test_dot_quotes_names_with_quotes_and_backslashes():
     root = next(state for state in obs.states if "t\\1" in state)
     dots = [
         observer_dot(obs),
-        projected_dot(build_projected_automaton(nfa)),
+        projected_dot(nfa),
         sipa_dot(build_sipa(nfa)),
         verifier_dot(build_verifier(nfa, obs)),
         tree_dot(build_weak_state_tree(nfa, obs, root, 2), "weak_tree"),

@@ -9,7 +9,6 @@ import sys
 
 from opaq import build_observer, load_model
 from opaq.cli import main
-from opaq.weak import secret_intersecting_roots
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -60,7 +59,8 @@ def test_export_structures_writes_every_structure(tmp_path, capsys):
     # Each file is what `opaq export` writes, trees at K = 2 from the same roots.
     nfa = load_model(G2)
     exports = {f"{name}.dot": [name] for name in ("observer", "projected", "sipa", "verifier")}
-    for i, root in enumerate(secret_intersecting_roots(nfa, build_observer(nfa))):
+    obs = build_observer(nfa)
+    for i, root in enumerate(obs.states[j] for j in obs.secret_positions):
         for kind, structure in (("weak_tree", "weak-tree"), ("sst", "sst")):
             exports[f"{kind}_{i}.dot"] = [structure, "--root", json.dumps(list(root)), "--k", "2"]
     for name in names:

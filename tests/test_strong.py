@@ -295,7 +295,7 @@ def test_verifier_dot_lists_edges_by_state_then_event():
 @given(nfa=small_models())
 def test_verifier_size_and_projection(nfa):
     obs, walk, edges = walk_with_edges(nfa)
-    assert len(walk.x2) <= 4 ** len(nfa.states)
+    assert len(walk.x2) <= 3 ** len(nfa.states) - 1
     assert _projection_problems(obs, walk, edges, MaskEngine(nfa)) == []
 
 
