@@ -43,7 +43,6 @@ from .strong import (
 )
 from .weak import (
     StateTree,
-    TreeNode,
     Verdict,
     Witness,
     build_weak_state_tree,

@@ -540,13 +540,13 @@ def dot_graph(
     two labels collide (state names that hold commas can print alike), the
     nodes are named n0, n1, ... and each carries its label as an attribute.
     """
+    lines = [f"digraph {name} {{", f"  rankdir={rankdir};"]
     if numbered or len(set(labels)) != len(labels):
-        ids = [f"n{i}" for i in range(len(labels))]
-        nodes = [f"  {n} [shape={shape},label={dot_quote(label)}];" for n, shape, label in zip(ids, shapes, labels)]
+        lines += [f"  n{i} [shape={shape},label={dot_quote(label)}];" for i, (shape, label) in enumerate(zip(shapes, labels))]
+        lines += [f"  n{i} -> n{j} [label={dot_quote(event)}];" for i, event, j in edges]
     else:
         ids = [dot_quote(label) for label in labels]
-        nodes = [f"  {n} [shape={shape}];" for n, shape in zip(ids, shapes)]
-    lines = [f"digraph {name} {{", f"  rankdir={rankdir};", *nodes]
-    lines += [f"  {ids[i]} -> {ids[j]} [label={dot_quote(event)}];" for i, event, j in edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines += [f"  {n} [shape={shape}];" for n, shape in zip(ids, shapes)]
+        lines += [f"  {ids[i]} -> {ids[j]} [label={dot_quote(event)}];" for i, event, j in edges]
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -3,15 +3,7 @@
 from __future__ import annotations
 
 from .core import (
-    Nfa,
-    ResourceLimitError,
-    RowTable,
-    StateSet,
-    _built_on_read,
-    _Frozen,
-    dot_graph,
-    format_state_set,
-    row_table,
+    Nfa, ResourceLimitError, RowTable, StateSet, _built_on_read, _Frozen, dot_graph, format_state_set, row_table,
 )
 
 
@@ -28,9 +20,9 @@ class Observer(_Frozen):
     observation reaching i.
 
     The named views (``states``, ``initial``, ``transitions`` keyed by
-    estimate and event name, ``index``, an estimate's position, and
-    ``secret_positions``, those of the estimates that meet a secret) are
-    built on first access: the verdict searches read positions only.  The
+    estimate and event name, and ``secret_positions``, those of the
+    estimates that meet a secret) are built on first access: the verdict
+    searches and the tree exports read positions and masks only.  The
     fields are fixed, so those views never go stale.
     """
 
@@ -62,10 +54,6 @@ class Observer(_Frozen):
     def secret_positions(self) -> tuple[int, ...]:
         secret = self.table.secret
         return tuple([i for i, m in enumerate(self.masks) if m & secret])
-
-    @_built_on_read
-    def index(self) -> dict[StateSet, int]:
-        return {state: i for i, state in enumerate(self.states)}
 
 
 def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:

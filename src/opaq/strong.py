@@ -58,9 +58,7 @@ def build_sst(
     More than *max_states* nodes raise ResourceLimitError before anything
     is built.
     """
-    i = _tree_root(nfa, obs, root_state, k, max_states)
-    table = row_table(nfa)
-    m = obs.masks[i]
+    table, i, m = _tree_root(nfa, obs, root_state, k, max_states)
     return _grow_tree(table, obs, (i, m, m & table.nonsecret), k, table.avoid_steps)
 
 

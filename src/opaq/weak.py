@@ -55,6 +55,7 @@ estimate, costs one list read for a child that repeats a window's start.
 from __future__ import annotations
 
 from functools import cache
+from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -135,23 +136,23 @@ def verdict_to_dict(property_name: str, k: int | None, verdict: Verdict) -> dict
     return out
 
 
-class TreeNode:
-    def __init__(self, x1: StateSet, x2: StateSet, depth: int) -> None:
-        self.x1, self.x2, self.depth = x1, x2, depth
+class StateTree(NamedTuple):
+    """Rooted, edge-labeled tree of (x1, x2) pairs of depth at most K, as parallel lists.
 
+    Node n, in creation (BFS) order, holds (``x1[n]``, ``x2[n]``) at depth
+    ``depth[n]``; edge n - 1 is (``parent[n]``, ``event[n]``, n).  The root,
+    node 0, has parent -1 and event None.
+    """
 
-class StateTree:
-    """Rooted, edge-labeled tree of (x1, x2) pairs of depth at most K."""
-
-    def __init__(
-        self, root_state: StateSet, root: TreeNode, nodes: tuple[TreeNode, ...],
-        edges: tuple[tuple[TreeNode, str, TreeNode], ...],
-    ) -> None:
-        self.root_state, self.root, self.nodes, self.edges = root_state, root, nodes, edges
+    x1: list[StateSet]
+    x2: list[StateSet]
+    parent: list[int]
+    event: list[str | None]
+    depth: list[int]
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.x2)
 
 
 def _grow_tree(
@@ -165,46 +166,55 @@ def _grow_tree(
     # count stays within the structural cap 1+|Eo|+...+|Eo|^K.  Each mask
     # is named once per tree; nodes share the immutable StateSet tuples.
     # x1 follows the observation, x2 takes *steps* inside the new estimate.
+    # The frontier holds one level's (position, x1, x2) masks; its entry t
+    # is node start + t, since each level is appended in frontier order.
     name = cache(table.state_set)
-    reach, masks = table.reach_steps, obs.masks
-    i, x1, x2 = root
-    root_node = TreeNode(name(x1), name(x2), 0)
-    nodes = [root_node]
-    edges = []
-    frontier = [(root_node, i, x1, x2)]
+    reach, masks, moves, events = table.reach_steps, obs.masks, obs.moves, obs.events
+    _, x1, x2 = root
+    tree = StateTree([name(x1)], [name(x2)], [-1], [None], [0])
+    x1s, x2s, parents, labels, depths = tree
+    frontier = [root]
+    start = 0
     for depth in range(1, k + 1):
         if not frontier:
             break
         nxt = []
-        for node, i, x1, x2 in frontier:
-            for e, j in enumerate(obs.moves[i]):
+        for n, (i, x1, x2) in enumerate(frontier, start):
+            for e, j in enumerate(moves[i]):
                 if j < 0:
                     continue
                 c1, c2 = reach[e](x1), steps[e](x2) & masks[j]
-                new = TreeNode(name(c1), name(c2), depth)
-                nodes.append(new)
-                edges.append((node, obs.events[e], new))
-                nxt.append((new, j, c1, c2))
+                x1s.append(name(c1))
+                x2s.append(name(c2))
+                parents.append(n)
+                labels.append(events[e])
+                depths.append(depth)
+                nxt.append((j, c1, c2))
+        start += len(frontier)
         frontier = nxt
-    return StateTree(obs.states[root[0]], root_node, tuple(nodes), tuple(edges))
+    return tree
 
 
-def _tree_root(nfa: Nfa, obs: Observer, root_state: StateSet, k: int, max_states: int | None) -> int:
-    """Position of a valid tree root in ``obs.states``; ValueError otherwise.
+def _tree_root(nfa: Nfa, obs: Observer, root_state: StateSet, k: int, max_states: int | None) -> tuple[RowTable, int, int]:
+    """The row table, and the position and mask of a valid tree root; ValueError otherwise.
 
     A depth-K tree of more than *max_states* nodes raises ResourceLimitError
     before anything is built: ``_path_count`` counts its nodes.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    i = obs.index.get(root_state)
-    if i is None:
+    table, order = row_table(nfa), nfa._order
+    mask = sum(1 << order[s] for s in root_state if s in order)
+    # An unknown, repeated or misplaced name makes *root_state* other than
+    # its mask's canonical form.
+    if table.state_set(mask) != tuple(root_state) or mask not in obs.masks:
         raise ValueError(f"root {format_state_set(root_state)} is not a reachable observer state")
-    if not obs.masks[i] & row_table(nfa).secret:
+    if not mask & table.secret:
         raise ValueError("root estimate contains no secret state")
+    i = obs.masks.index(mask)
     if max_states is not None and _path_count(obs, (i,), k, max_states) > max_states:
         raise ResourceLimitError(f"state tree exceeded {max_states} nodes")
-    return i
+    return table, i, mask
 
 
 def build_weak_state_tree(
@@ -215,17 +225,15 @@ def build_weak_state_tree(
     More than *max_states* nodes raise ResourceLimitError before anything
     is built.
     """
-    i = _tree_root(nfa, obs, root_state, k, max_states)
-    table = row_table(nfa)
-    m = obs.masks[i]
+    table, i, m = _tree_root(nfa, obs, root_state, k, max_states)
     return _grow_tree(table, obs, (i, m & table.secret, m & table.nonsecret), k, table.reach_steps)
 
 
-def tree_node_count(nfa: Nfa, obs: Observer, k: int, cap: float = float("inf")) -> int:
+def tree_node_count(obs: Observer, k: int, cap: float = float("inf")) -> int:
     """Summed node count of the depth-K trees over every secret-intersecting root.
 
-    See ``_path_count``: past *cap* the count stops, and the number it
-    returns is above *cap* but not the count.
+    See ``_path_count``: past *cap* the count may stop, and the number it
+    returns is then above *cap* but need not be the count.
     """
     return _path_count(obs, obs.secret_positions, k, cap)
 
@@ -243,11 +251,12 @@ def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float(
     counts propagate per estimate, at K times the observer's transitions,
     not |Eo|^K: only nonzero counts propagate, and the last level is each
     count times its estimate's moves, so depth K needs K - 1 propagations.
-    A propagated level whose per-estimate counts equal the level before is
-    a fixed point of the propagation, so it repeats at every later depth
-    and the rest of the count is that level's sum times the depths left.
-    Either way the count stops once a level adds nothing or the total
-    passes *cap*.
+    The propagation is a fixed map, so a level equal to the one p depths
+    back repeats with period p.  Each level is compared with the one saved
+    at the last power-of-two depth (Brent's cycle detection); on a match
+    the rest of the count is its whole periods, each adding the last p
+    levels' sum, then the first levels of one more.  Either way the count
+    stops once a level adds nothing or the total passes *cap*.
     """
     total = len(roots)
     moves = obs.moves
@@ -268,6 +277,8 @@ def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float(
     paths = [0] * len(moves)
     for i in roots:
         paths[i] = 1
+    # The level saved at depth mark, and the totals from depth mark on.
+    saved, mark, totals = paths, 0, [total]
     for depth in range(1, k + 1):
         if total > cap:
             break
@@ -286,8 +297,12 @@ def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float(
         if not level:
             break
         total += level
-        if nxt == paths:
-            return total + level * (k - depth)
+        if nxt == saved:
+            period, rest = depth - mark, k - depth
+            return total + rest // period * (total - totals[0]) + totals[rest % period] - totals[0]
+        totals.append(total)
+        if not depth & depth - 1:
+            saved, mark, totals = nxt, depth, [total]
         paths = nxt
     return total
 
@@ -500,13 +515,8 @@ def tree_dot(tree: StateTree, name: str) -> str:
     """Deterministic DOT rendering of *tree* as the graph *name*.
 
     The exports name a weak tree ``weak_tree`` and an SST ``sst``; nodes are
-    numbered in creation order.
+    numbered in creation order, and edge n - 1 ends at node n.
     """
-    index = {id(node): i for i, node in enumerate(tree.nodes)}
-    return dot_graph(
-        name, "TB",
-        [format_pair(node.x1, node.x2) for node in tree.nodes],
-        ["box"] * len(tree.nodes),
-        [(index[id(src)], event, index[id(dst)]) for src, event, dst in tree.edges],
-        numbered=True,
-    )
+    n = tree.node_count
+    edges = zip(islice(tree.parent, 1, None), islice(tree.event, 1, None), range(1, n))
+    return dot_graph(name, "TB", list(map(format_pair, tree.x1, tree.x2)), ["box"] * n, edges, numbered=True)

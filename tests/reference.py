@@ -242,6 +242,6 @@ def successors(obs: Observer, state: StateSet) -> tuple[tuple[str, StateSet], ..
     states = obs.states
     return tuple(
         (event, states[j])
-        for event, j in zip(obs.events, obs.moves[obs.index[state]])
+        for event, j in zip(obs.events, obs.moves[obs.states.index(state)])
         if j >= 0
     )

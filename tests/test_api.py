@@ -13,7 +13,7 @@ import opaq.strong
 PUBLIC = [
     "Event", "EventString", "ModelError", "Nfa", "ObservationString", "Observer", "OracleConfig",
     "OracleVerdict", "ResourceLimitError", "Sipa", "StateSet", "StateTree",
-    "TaggedState", "TreeNode", "Verdict", "VerifierAutomaton", "VerifierState", "Witness",
+    "TaggedState", "Verdict", "VerifierAutomaton", "VerifierState", "Witness",
     "build_observer", "build_sipa", "build_sst", "build_verifier",
     "build_weak_state_tree", "core", "load_model", "model_to_dict", "observer", "observer_dot", "oracle",
     "oracle_current_state", "oracle_infinite_step_strong", "oracle_infinite_step_weak",

@@ -38,7 +38,7 @@ from opaq import (
 from opaq.core import ResourceLimitError, row_table, set_step
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
 from opaq.oracle import MaskEngine
-from opaq.weak import StateTree, TreeNode, Verdict, Walk, Witness, _grow_tree
+from opaq.weak import StateTree, Verdict, Walk, Witness, _grow_tree
 
 from conftest import g2_dict, hidden_crossing_dict, structural_checks
 from test_reach import small_models
@@ -93,16 +93,17 @@ def test_secret_chain_first_fails_at_its_length(n):
 
 def emptiness_absorbing(tree) -> bool:
     # Reference: no node with a nonempty x2 below a node with an empty one.
-    children: dict[int, list] = {}
-    for src, _, dst in tree.edges:
-        children.setdefault(id(src), []).append(dst)
-    stack = [(tree.root, False)]
+    children: dict[int, list[int]] = {}
+    for n in range(1, tree.node_count):
+        children.setdefault(tree.parent[n], []).append(n)
+    stack = [(0, False)]
     while stack:
-        node, saw_empty = stack.pop()
-        if saw_empty and node.x2:
+        n, saw_empty = stack.pop()
+        x2 = tree.x2[n]
+        if saw_empty and x2:
             return False
-        for child in children.get(id(node), ()):
-            stack.append((child, saw_empty or not node.x2))
+        for child in children.get(n, ()):
+            stack.append((child, saw_empty or not x2))
     return True
 
 
@@ -130,7 +131,10 @@ def tree_failures(nfa, seed, ks, obs):
 
 def refill_of(tree, top):
     """Least depth of a tree edge from an empty x2 to a nonempty one (top + 1: none)."""
-    return min((d.depth for s, _, d in tree.edges if d.x2 and not s.x2), default=top + 1)
+    x2, parent = tree.x2, tree.parent
+    return min(
+        (tree.depth[n] for n in range(1, tree.node_count) if x2[n] and not x2[parent[n]]), default=top + 1
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,7 +164,7 @@ def test_counts_and_refill_equal_the_built_trees(nfa, k):
     counts = list(crosscheck._node_counts(obs, 3))
     assert len(counts) == 4
     for root in (obs.states[i] for i in obs.secret_positions):
-        i = obs.index[root]
+        i = obs.states.index(root)
         assert counts[k][i] == build_weak_state_tree(nfa, obs, root, k).node_count
         assert counts[k][i] == build_sst(nfa, obs, root, k).node_count
         m = obs.masks[i]
@@ -174,7 +178,7 @@ def test_a_leaky_step_table_refills_an_empty_x2(g2):
     # it on the ``d`` at depth 3, which the SST steps never do.
     obs = build_observer(g2)
     table = row_table(g2)
-    i = obs.index[("1", "4", "7")]
+    i = obs.states.index(("1", "4", "7"))
     m = obs.masks[i]
     x2 = m & table.nonsecret
     assert crosscheck._refill_depth(obs, table.avoid_steps, i, x2, 3) == 4
@@ -185,14 +189,11 @@ def test_a_leaky_step_table_refills_an_empty_x2(g2):
 
 def shape(tree, k):
     """Nodes of depth <= k as (x1, x2, depth), and edges between them as (src, event, dst) positions."""
-    kept = [node for node in tree.nodes if node.depth <= k]
-    position = {id(node): i for i, node in enumerate(kept)}
-    edges = [
-        (position[id(src)], event, position[id(dst)])
-        for src, event, dst in tree.edges
-        if dst.depth <= k
-    ]
-    return [(node.x1, node.x2, node.depth) for node in kept], edges
+    # Nodes are in BFS order, so those of depth <= k come first and keep
+    # their positions.
+    kept = [n for n, depth in enumerate(tree.depth) if depth <= k]
+    edges = [(tree.parent[n], tree.event[n], n) for n in kept[1:]]
+    return [(tree.x1[n], tree.x2[n], tree.depth[n]) for n in kept], edges
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,29 +207,27 @@ def test_tree_at_k_is_the_depth_k_prefix_of_the_tree_at_3(nfa, k):
         assert shape(build_sst(nfa, obs, root, 3), k) == shape(sst, k)
 
 
-def broom(root_state, k, fan, refill):
+def broom(k, fan, refill):
     """Level-order tree of depth *k* with *fan* children per node.
 
     x2 is empty at depth ``refill - 1`` only, so edges from an empty x2 to a
     nonempty one end at depth *refill* (None: x2 is never empty).
     """
+    tree = StateTree([], [], [], [], [])
 
-    def node(depth):
+    def node(parent, event, depth):
         empty = refill is not None and depth == refill - 1
-        return TreeNode(("s",), () if empty else ("n",), depth)
+        tree.x1.append(("s",))
+        tree.x2.append(() if empty else ("n",))
+        tree.parent.append(parent)
+        tree.event.append(event)
+        tree.depth.append(depth)
+        return tree.node_count - 1
 
-    root = node(0)
-    nodes, edges, frontier = [root], [], [root]
+    frontier = [node(-1, None, 0)]
     for depth in range(1, k + 1):
-        nxt = []
-        for parent in frontier:
-            for _ in range(fan):
-                child = node(depth)
-                nodes.append(child)
-                edges.append((parent, "a", child))
-                nxt.append(child)
-        frontier = nxt
-    return StateTree(root_state, root, tuple(nodes), tuple(edges))
+        frontier = [node(parent, "a", depth) for parent in frontier for _ in range(fan)]
+    return tree
 
 
 # Both kinds of tree have the shape of the observer's paths from the root,
@@ -243,11 +242,11 @@ def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, r
     # The per-root count and the SST walk report the brooms' shape.
     monkeypatch.setattr(
         crosscheck, "_node_counts",
-        lambda obs, top: [[broom((), k, weak_fan, None).node_count] * len(obs.masks) for k in range(top + 1)],
+        lambda obs, top: [[broom(k, weak_fan, None).node_count] * len(obs.masks) for k in range(top + 1)],
     )
     monkeypatch.setattr(
         crosscheck, "_refill_depth",
-        lambda obs, steps, i, x2, top, max_states=None: refill_of(broom((), top, sst_fan, refill), top),
+        lambda obs, steps, i, x2, top, max_states=None: refill_of(broom(top, sst_fan, refill), top),
     )
     obs = build_observer(g2)
     roots = [obs.states[i] for i in obs.secret_positions]
@@ -255,8 +254,8 @@ def test_structural_failures_are_unchanged(g2, monkeypatch, weak_fan, sst_fan, r
     cap, absorbing = tree_failures(g2, 9, KS, obs)
     assert (cap, absorbing) == per_k_failures(
         9, KS, len(g2.observable_events), roots,
-        lambda root, k: broom(root, k, weak_fan, None),
-        lambda root, k: broom(root, k, sst_fan, refill),
+        lambda root, k: broom(k, weak_fan, None),
+        lambda root, k: broom(k, sst_fan, refill),
     )
 
     expected_cap = []

@@ -146,6 +146,23 @@ def nth_last_with_sink(n):
     }
 
 
+def nth_last_with_cycle(n, p):
+    """``nth_last_with_sink(n)`` with the sink ``z`` unrolled into a cycle of
+    *p* states: ``0 -c-> z1 -c-> ... -c-> zp -c-> z1``, secret {z1}.
+
+    {z1} is the only secret-intersecting estimate, and every path from it
+    walks the cycle, one estimate and one move per level, so the levels
+    repeat with period p and none equals the one before.
+    """
+    raw = nth_last_with_sink(n)
+    cycle = [f"z{i}" for i in range(1, p + 1)]
+    raw["states"] = [s for s in raw["states"] if s != "z"] + cycle
+    raw["secret"] = ["z1"]
+    raw["transitions"] = [t for t in raw["transitions"] if "z" not in t]
+    raw["transitions"] += [["0", "c", "z1"]] + [[a, "c", b] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return raw
+
+
 def check_tree_node_count(nfa, k):
     """The count is the built trees' node total, exact at a cap equal to
     it, and above the cap at one below it."""
@@ -153,9 +170,9 @@ def check_tree_node_count(nfa, k):
     roots = [obs.states[i] for i in obs.secret_positions]
     weak = sum(build_weak_state_tree(nfa, obs, root, k).node_count for root in roots)
     sst = sum(build_sst(nfa, obs, root, k).node_count for root in roots)
-    assert tree_node_count(nfa, obs, k) == weak == sst
-    assert tree_node_count(nfa, obs, k, weak) == weak
-    assert tree_node_count(nfa, obs, k, weak - 1) > weak - 1
+    assert tree_node_count(obs, k) == weak == sst
+    assert tree_node_count(obs, k, weak) == weak
+    assert tree_node_count(obs, k, weak - 1) > weak - 1
 
 
 # K reaches 5 so that the last level, which the propagation takes in closed
@@ -169,6 +186,18 @@ def check_tree_node_count(nfa, k):
 @example(nfa=validate_model(nth_last_with_sink(6)), k=3)
 @example(nfa=validate_model(nth_last_with_sink(6)), k=4)
 @example(nfa=validate_model(nth_last_with_sink(6)), k=5)
+@example(nfa=validate_model(nth_last_with_cycle(6, 2)), k=0)
+@example(nfa=validate_model(nth_last_with_cycle(6, 2)), k=1)
+@example(nfa=validate_model(nth_last_with_cycle(6, 2)), k=2)
+@example(nfa=validate_model(nth_last_with_cycle(6, 2)), k=3)
+@example(nfa=validate_model(nth_last_with_cycle(6, 2)), k=4)
+@example(nfa=validate_model(nth_last_with_cycle(6, 2)), k=5)
+@example(nfa=validate_model(nth_last_with_cycle(6, 3)), k=0)
+@example(nfa=validate_model(nth_last_with_cycle(6, 3)), k=1)
+@example(nfa=validate_model(nth_last_with_cycle(6, 3)), k=2)
+@example(nfa=validate_model(nth_last_with_cycle(6, 3)), k=3)
+@example(nfa=validate_model(nth_last_with_cycle(6, 3)), k=4)
+@example(nfa=validate_model(nth_last_with_cycle(6, 3)), k=5)
 def test_tree_node_count_equals_materialized_trees(nfa, k):
     check_tree_node_count(nfa, k)
 
@@ -199,7 +228,7 @@ def test_a_huge_k_is_counted_in_closed_form(capsys):
     # double, so its count passes the default cap of 2^20 within a few
     # levels, at any K.
     nfa = alternating()
-    assert tree_node_count(nfa, build_observer(nfa), 10**9, 2**20) == 10**9 + 1
+    assert tree_node_count(build_observer(nfa), 10**9, 2**20) == 10**9 + 1
     start = time.perf_counter()
     rc = main(["verify", "--format", "json", "--property", "k-weak", "--k", "1000000000", MODELS["nth_last6"]])
     assert time.perf_counter() - start < 1
@@ -214,8 +243,27 @@ def test_a_huge_k_is_counted_when_a_level_repeats(tmp_path, capsys):
     # not a pass per level until the total passes the cap.
     raw = nth_last_with_sink(6)
     nfa = validate_model(raw)
-    assert tree_node_count(nfa, build_observer(nfa), 10**9, 2**20) == 10**9 + 1
+    assert tree_node_count(build_observer(nfa), 10**9, 2**20) == 10**9 + 1
     path = tmp_path / "nth_last6_sink.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    start = time.perf_counter()
+    rc = main(["verify", "--format", "json", "--property", "k-weak", "--k", "1000000000", str(path)])
+    assert time.perf_counter() - start < 1
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["sizes"]["tree_nodes"] == ">1048576"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_huge_k_is_counted_when_the_levels_cycle(p, tmp_path, capsys):
+    # The one root, {z1}, walks a cycle of p estimates, so level d + p
+    # equals level d and no level equals the one before: the count finds
+    # the period within a few levels and adds the whole periods at once,
+    # not a pass per level until the total passes the cap.
+    raw = nth_last_with_cycle(8, p)
+    nfa = validate_model(raw)
+    assert tree_node_count(build_observer(nfa), 10**9, 2**20) == 10**9 + 1
+    assert tree_node_count(build_observer(nfa), 10**9 + p - 1) == 10**9 + p
+    path = tmp_path / f"nth_last8_cycle{p}.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     start = time.perf_counter()
     rc = main(["verify", "--format", "json", "--property", "k-weak", "--k", "1000000000", str(path)])

@@ -122,7 +122,7 @@ def test_each_estimate_has_one_dense_row(nfa):
                 assert j == -1
                 assert (obs.states[i], obs.events[e]) not in obs.transitions
             else:
-                assert j == obs.index[obs.transitions[(obs.states[i], obs.events[e])]]
+                assert j == obs.states.index(obs.transitions[(obs.states[i], obs.events[e])])
     assert sum(j >= 0 for row in obs.moves for j in row) == len(obs.transitions)
 
 

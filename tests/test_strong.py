@@ -176,15 +176,16 @@ def test_sst_emptiness_is_absorbing(nfa):
             continue
         tree = build_sst(nfa, obs, root, 3)
         children = {}
-        for src, _, dst in tree.edges:
-            children.setdefault(id(src), []).append(dst)
-        stack = [(tree.root, False)]
+        for n in range(1, tree.node_count):
+            children.setdefault(tree.parent[n], []).append(n)
+        stack = [(0, False)]
         while stack:
-            node, saw_empty = stack.pop()
-            assert not (saw_empty and node.x2), "second component revived after emptiness"
-            assert set(node.x2) <= set(node.x1) - secret
-            for child in children.get(id(node), ()):
-                stack.append((child, saw_empty or not node.x2))
+            n, saw_empty = stack.pop()
+            x1, x2 = tree.x1[n], tree.x2[n]
+            assert not (saw_empty and x2), "second component revived after emptiness"
+            assert set(x2) <= set(x1) - secret
+            for child in children.get(n, ()):
+                stack.append((child, saw_empty or not x2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -201,11 +202,11 @@ def test_sst_second_components_are_avoiding_chains(nfa):
         if not set(root) & secret:
             continue
         tree = build_sst(nfa, obs, root, 3)
-        masks = {id(tree.root): eng._mask(tree.root.x2)}
-        for src, ev, dst in tree.edges:
-            masks[id(dst)] = eng.avoid_reach(masks[id(src)], ev)
-        for node in tree.nodes:
-            assert eng._mask(node.x2) == masks[id(node)]
+        masks = [eng._mask(tree.x2[0])]
+        for n in range(1, tree.node_count):
+            masks.append(eng.avoid_reach(masks[tree.parent[n]], tree.event[n]))
+        for x2, mask in zip(tree.x2, masks):
+            assert eng._mask(x2) == mask
 
 
 def test_tree_stops_at_the_horizon():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -40,12 +41,12 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def chain(tree):
     # (x1, x2) pairs along the unique path of a linear tree.
-    out = [(tree.root.x1, tree.root.x2)]
-    node = tree.root
-    edges = {id(src): (ev, dst) for src, ev, dst in tree.edges}
-    while id(node) in edges:
-        ev, node = edges[id(node)]
-        out.append((node.x1, node.x2))
+    child = {p: n for n, p in enumerate(tree.parent) if p >= 0}
+    out = [(tree.x1[0], tree.x2[0])]
+    n = 0
+    while n in child:
+        n = child[n]
+        out.append((tree.x1[n], tree.x2[n]))
     return out
 
 
@@ -93,6 +94,20 @@ def test_tree_requires_secret_intersecting_reachable_root(g2):
     # The root is named as a set, not as a pair.
     with pytest.raises(ValueError, match=r"^root \{0,1\} is not a reachable observer state$"):
         build_weak_state_tree(g2, obs, ("0", "1"), 1)
+    # The root is found by its mask: an unknown name, or a tuple that is not
+    # its mask's canonical form, names no estimate.
+    for root in (("1", "4", "z"), ("4", "1", "7"), ("1", "4", "4", "7"), ()):
+        with pytest.raises(ValueError, match=r" is not a reachable observer state$"):
+            build_weak_state_tree(g2, obs, root, 1)
+    assert "states" not in vars(obs)
+
+
+def test_a_tree_names_only_its_own_nodes(g2):
+    # The trees find their root by mask, so no other estimate is named.
+    obs = build_observer(g2)
+    assert build_weak_state_tree(g2, obs, ("1", "4", "7"), 2).node_count == 3
+    assert opaq.strong.build_sst(g2, obs, ("1", "4", "7"), 2).node_count == 3
+    assert "states" not in vars(obs)
 
 
 def test_g2_weak_verdicts(g2):
@@ -148,6 +163,36 @@ def test_duplicate_pairs_in_one_tree_are_kept(g2):
     assert tree.node_count == 4
 
 
+@pytest.mark.parametrize("structure", ["weak_tree", "sst"])
+def test_a_tree_export_costs_a_few_hundred_bytes_per_node(structure):
+    # nth_last6's estimates each move on both events, so the depth-12 tree
+    # has 2^13 - 1 nodes.  Built and rendered, it peaked at 812-859 bytes
+    # per node under tracemalloc with one object and one edge tuple per node
+    # (Python 3.10-3.13), and at 390-430 with parallel lists and one line
+    # list for the DOT text.
+    nfa = load_model(os.path.join(FIXTURES, "nth_last6.json"))
+    obs = build_observer(nfa)
+    build = build_weak_state_tree if structure == "weak_tree" else opaq.strong.build_sst
+    root = ("0", "1", "2", "3", "4", "5", "6", "s")
+    # A first build reads the row table's lazily built rows.
+    build(nfa, obs, root, 1)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tree = build(nfa, obs, root, 12)
+        text = tree_dot(tree, structure)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert tree.node_count == 2**13 - 1
+    assert text.count("\n") == 2 * tree.node_count + 2
+    assert peak / tree.node_count < 600
+
+
 # -- properties --------------------------------------------------------------
 
 
@@ -183,15 +228,15 @@ def test_tree_nodes_partition_the_estimate(nfa):
         if not set(root) & secret:
             continue
         tree = build_weak_state_tree(nfa, obs, root, 3)
-        paths = {id(tree.root): ()}
-        for src, ev, dst in tree.edges:
-            paths[id(dst)] = paths[id(src)] + (ev,)
+        paths = [()]
+        for n in range(1, tree.node_count):
+            paths.append(paths[tree.parent[n]] + (tree.event[n],))
         access = next(
             w for w in _access_words(obs) if observer_state_after(obs, w) == root
         )
-        for node in tree.nodes:
-            estimate = observer_state_after(obs, access + paths[id(node)])
-            assert set(node.x1) | set(node.x2) == set(estimate)
+        for x1, x2, path in zip(tree.x1, tree.x2, paths):
+            estimate = observer_state_after(obs, access + path)
+            assert set(x1) | set(x2) == set(estimate)
 
 
 def _access_words(obs):
