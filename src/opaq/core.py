@@ -257,17 +257,36 @@ def union(rows: Sequence[int], mask: int) -> int:
 TABLE_STEP_STATES = range(9, 65)
 
 
+def byte_tables(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The two prefilled tables of 9 to 16 rows: ``lo[b]`` is the OR of the
+    rows of the bits of byte b, ``hi[b]`` of those bits shifted by 8.
+
+    Each entry is filled from the one without its lowest bit, so a mask's
+    step is ``lo[mask & 255] | hi[mask >> 8]``.
+    """
+    lo, hi = [0] * 256, [0] * (1 << len(rows) - 8)
+    for shift, table in ((0, lo), (8, hi)):
+        for byte in range(1, len(table)):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] | rows[shift + low.bit_length() - 1]
+    return lo, hi
+
+
+def _table_step(lo: list[int], hi: list[int]) -> Callable[[int], int]:
+    return lambda mask: lo[mask & 255] | hi[mask >> 8]
+
+
 def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
     """A step from a mask to the OR of its members' rows, ``union(rows, mask)``.
 
     *support* holds the members whose row is nonempty.  For a row count in
     :data:`TABLE_STEP_STATES`, each byte of the mask indexes a table of its
     own whose entry is the OR of the rows of that byte's bits.  With 9 to 16
-    rows both tables are filled up front, each entry from the one without
-    its lowest bit, and a mask steps in two lookups.  With 17 to 64 rows a
-    table entry is filled on first use.  A chunk's table has one slot per
-    value of its bits: 2^min(8, n - 8c) for chunk c of n rows.  Other models
-    loop over the set bits of ``mask & support``.
+    rows both tables are filled up front (:func:`byte_tables`), and a mask
+    steps in two lookups.  With 17 to 64 rows a table entry is filled on
+    first use.  A chunk's table has one slot per value of its bits:
+    2^min(8, n - 8c) for chunk c of n rows.  Other models loop over the set
+    bits of ``mask & support``.
     """
     n = len(rows)
     if n not in TABLE_STEP_STATES:
@@ -283,12 +302,7 @@ def set_step(rows: Sequence[int], support: int) -> Callable[[int], int]:
 
         return step
     if n <= 16:
-        lo, hi = [0] * 256, [0] * (1 << n - 8)
-        for shift, table in ((0, lo), (8, hi)):
-            for byte in range(1, len(table)):
-                low = byte & -byte
-                table[byte] = table[byte ^ low] | rows[shift + low.bit_length() - 1]
-        return lambda mask: lo[mask & 255] | hi[mask >> 8]
+        return _table_step(*byte_tables(rows))
     chunks = [(shift, [None] * (1 << min(8, n - shift))) for shift in range(0, n, 8)]
 
     def step(mask: int) -> int:
@@ -362,6 +376,13 @@ class _built_on_read:
         return value
 
 
+class _Positions(dict):
+    """Estimate positions by mask, None for a mask not yet found."""
+
+    def __missing__(self, mask: int) -> None:
+        return None
+
+
 class RowTable:
     """The two one-observation step relations of an Nfa, as bitmask rows.
 
@@ -373,7 +394,10 @@ class RowTable:
     N-to-N edges) and 0 for secret x.  Both steps distribute over union, so
     the step of a set is the OR of its members' rows.  ``reach_steps[e]``
     and ``avoid_steps[e]`` take that step (:func:`set_step`), through byte
-    tables for models of 9 to 64 states.  ``support[e]`` holds the states
+    tables for models of 9 to 64 states.  With 9 to 16 states,
+    ``reach_tables[e]`` holds the reach step's two prefilled tables
+    (:func:`byte_tables`), which :meth:`subsets` reads inline; otherwise
+    ``reach_tables`` is None.  ``support[e]`` holds the states
     whose reach row under e is nonempty (avoid rows are nonempty only there
     too); the bit loop of the steps that take no tables and
     :func:`~opaq.projection.sipa_state_count` read it, to skip the members
@@ -453,7 +477,12 @@ class RowTable:
         start = sum(1 << order[s] for s in nfa.initial)
         self.initial = union(closure, start)
         self.clean = union(clean, start & nonsecret)
-        self.reach_steps = tuple(map(set_step, reach, support))
+        if n in TABLE_STEP_STATES and n <= 16:
+            self.reach_tables = tuple(map(byte_tables, reach))
+            self.reach_steps = tuple(_table_step(lo, hi) for lo, hi in self.reach_tables)
+        else:
+            self.reach_tables = None
+            self.reach_steps = tuple(map(set_step, reach, support))
         # What the avoid rows are built from, on first read.
         self._direct = tuple(step.values())
         self._clean_closure = clean
@@ -497,6 +526,81 @@ class RowTable:
     def avoid_core(self) -> int:
         return persistent_core(self.avoid, self.support, (1 << len(self.states)) - 1)
 
+    def subsets(self, max_states: int | None = None) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+        """Subset construction over the reach rows from ``initial``: masks, moves and parents.
+
+        BFS with events in order and a FIFO frontier: ``masks`` lists the
+        nonempty reachable estimates in discovery order, ``moves[i]`` the
+        position each event takes estimate i to (-1 for an empty reach), and
+        ``parents[i]`` the estimate whose move first reached i (-1 for the
+        initial one).  More than *max_states* estimates raise
+        :class:`ResourceLimitError` at the first one past the cap.
+
+        With ``reach_tables`` (9 to 16 states) each event's step is read
+        inline, ``lo[mask & 255] | hi[mask >> 8]``, with the estimate's two
+        bytes taken once for every event, and the targets go to one flat
+        list that is cut into one tuple per estimate at the end.  Positions
+        are looked up by mask in a dict until 2^(n - 6) estimates are found,
+        then in a list of 2^n slots: a list reads faster, but filling it
+        costs more than a small observer's whole build.  Both answer None
+        for an unseen mask, so the loop subscripts either.  Other models
+        call ``reach_steps``.
+        """
+        masks = [self.initial]
+        # Plain ints, not tuples, so that recording them adds no GC-tracked objects.
+        parents = [-1]
+        # The empty mask maps to -1, so an empty reach needs no test of its
+        # own; the initial estimate is never empty.  The discovery list is
+        # the FIFO queue: estimate i is expanded when the walk reaches it.
+        if self.reach_tables is None:
+            steps = self.reach_steps
+            position = {0: -1, self.initial: 0}
+            moves = []
+            for i, current in enumerate(masks):
+                row = []
+                for step in steps:
+                    target = step(current)
+                    j = position.get(target)
+                    if j is None:
+                        j = position[target] = len(masks)
+                        masks.append(target)
+                        parents.append(i)
+                        if max_states is not None and j >= max_states:
+                            raise ResourceLimitError(f"observer exceeded {max_states} states")
+                    row.append(j)
+                moves.append(tuple(row))
+            return masks, moves, parents
+        n = len(self.states)
+        tables = self.reach_tables
+        position = _Positions({0: -1, self.initial: 0})
+        # A new estimate at position *watch* or past it either exceeds the
+        # cap or switches the index to the list; past the switch only the
+        # cap is left to watch.
+        dense = 1 << n - 6
+        watch = dense if max_states is None else min(dense, max_states)
+        targets = []
+        for i, current in enumerate(masks):
+            low, high = current & 255, current >> 8
+            for lo, hi in tables:
+                target = lo[low] | hi[high]
+                j = position[target]
+                if j is None:
+                    j = position[target] = len(masks)
+                    masks.append(target)
+                    parents.append(i)
+                    if j >= watch:
+                        if max_states is not None and j >= max_states:
+                            raise ResourceLimitError(f"observer exceeded {max_states} states")
+                        position = [None] * (1 << n)
+                        position[0] = -1
+                        for k, mask in enumerate(masks):
+                            position[mask] = k
+                        watch = 1 << n if max_states is None else max_states
+                targets.append(j)
+        if not tables:
+            return masks, [()], parents
+        return masks, list(zip(*[iter(targets)] * len(tables))), parents
+
     def state_set(self, mask: int) -> StateSet:
         states = self.states
         out = []
@@ -529,7 +633,7 @@ def dot_quote(text: str) -> str:
 
 
 def dot_graph(
-    name: str, rankdir: str, labels: Sequence[str], shapes: Sequence[str],
+    name: str, rankdir: str, labels: Iterable[str], shapes: Iterable[str],
     edges: Iterable[tuple[int, str, int]], numbered: bool = False,
 ) -> str:
     """The DOT text of every export: node lines in order, then edge lines.
@@ -539,6 +643,8 @@ def dot_graph(
     quoted label while every label is distinct.  With *numbered*, or when
     two labels collide (state names that hold commas can print alike), the
     nodes are named n0, n1, ... and each carries its label as an attribute.
+    A numbered graph only zips its labels and shapes, so they may be any
+    iterables, read once; otherwise the labels must be a sequence.
     """
     lines = [f"digraph {name} {{", f"  rankdir={rankdir};"]
     if numbered or len(set(labels)) != len(labels):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .core import (
-    Nfa, ResourceLimitError, RowTable, StateSet, _built_on_read, _Frozen, dot_graph, format_state_set, row_table,
+    Nfa, RowTable, StateSet, _built_on_read, _Frozen, dot_graph, format_state_set, row_table,
 )
 
 
@@ -17,7 +17,10 @@ class Observer(_Frozen):
     automaton is deterministic and partial.  ``parents[i]`` is the position
     of the estimate whose first move into i discovered i (-1 for the
     initial one): followed back, those moves spell the BFS-shortest
-    observation reaching i.
+    observation reaching i.  The fields come from
+    :meth:`~opaq.core.RowTable.subsets`; its byte-table loop (9 to 16
+    states) and its step loop give the same masks, moves and parents, and
+    ``moves`` holds one tuple per estimate either way.
 
     The named views (``states``, ``initial``, ``transitions`` keyed by
     estimate and event name, and ``secret_positions``, those of the
@@ -57,38 +60,17 @@ class Observer(_Frozen):
 
 
 def build_observer(nfa: Nfa, max_states: int | None = None) -> Observer:
-    """Subset construction from the closed initial estimate.
+    """Subset construction from the closed initial estimate (:meth:`RowTable.subsets`).
 
     BFS with events in declaration order and a FIFO frontier fixes the
     state numbering for DOT export and witness extraction.  Empty-reach
-    targets are never materialized.
+    targets are never materialized.  More than *max_states* estimates raise
+    :class:`ResourceLimitError`.  Models of 9 to 16 states read their byte
+    tables inline and find positions by mask in a list once the observer
+    grows large; the estimates and their numbering are the same either way.
     """
     table = row_table(nfa)
-    steps = table.reach_steps
-    masks = [table.initial]
-    # The empty mask maps to -1, so an empty reach needs no test of its own;
-    # the initial estimate is never empty.
-    position = {0: -1, table.initial: 0}
-    moves = []
-    # Plain ints, not tuples, so that recording them adds no GC-tracked objects.
-    parents = [-1]
-    # The discovery list is the FIFO queue: estimate i is expanded when the
-    # walk reaches position i.
-    for i, current in enumerate(masks):
-        row = []
-        for step in steps:
-            target = step(current)
-            j = position.get(target)
-            if j is None:
-                j = position[target] = len(masks)
-                masks.append(target)
-                parents.append(i)
-                if max_states is not None and len(masks) > max_states:
-                    raise ResourceLimitError(
-                        f"observer exceeded {max_states} states"
-                    )
-            row.append(j)
-        moves.append(tuple(row))
+    masks, moves, parents = table.subsets(max_states)
     return Observer(
         events=table.events,
         masks=tuple(masks),

@@ -55,7 +55,7 @@ estimate, costs one list read for a child that repeats a window's start.
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -519,4 +519,4 @@ def tree_dot(tree: StateTree, name: str) -> str:
     """
     n = tree.node_count
     edges = zip(islice(tree.parent, 1, None), islice(tree.event, 1, None), range(1, n))
-    return dot_graph(name, "TB", list(map(format_pair, tree.x1, tree.x2)), ["box"] * n, edges, numbered=True)
+    return dot_graph(name, "TB", map(format_pair, tree.x1, tree.x2), repeat("box", n), edges, numbered=True)

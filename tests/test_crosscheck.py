@@ -35,7 +35,7 @@ from opaq import (
     verify_k_step_strong,
     verify_k_step_weak,
 )
-from opaq.core import ResourceLimitError, row_table, set_step
+from opaq.core import ResourceLimitError, byte_tables, row_table, set_step
 from opaq.crosscheck import BatchResult, model_config, run_crosscheck
 from opaq.oracle import MaskEngine
 from opaq.weak import StateTree, Verdict, Walk, Witness, _grow_tree
@@ -406,6 +406,9 @@ def mutated_g2(family, e, x, row):
     table = row_table(nfa)
     getattr(table, family)[e][x] = row
     setattr(table, f"{family}_steps", tuple(map(set_step, getattr(table, family), table.support)))
+    if family == "reach":
+        # g2 has 10 states, so the observer reads the reach rows' byte tables.
+        table.reach_tables = tuple(map(byte_tables, table.reach))
     return nfa
 
 

@@ -52,6 +52,7 @@ MODELS = {
     "g8frag": os.path.join(HERE, "..", "models", "g8frag.json"),
     "hidden_crossing": None,  # the "model" member of fixtures/hidden_crossing.json
     "nth_last6": os.path.join(HERE, "fixtures", "nth_last6.json"),
+    "nth_last12": os.path.join(HERE, "fixtures", "nth_last12.json"),
 }
 
 with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as _fh:
@@ -85,6 +86,27 @@ def test_golden_set_covers_every_structure_and_property():
         (p, "--k", "1") for p in ("cs", "inf-weak", "inf-strong")
     }
     assert {c["model"] for c in CASES} == set(MODELS)
+
+
+def test_nth_last12_sizes_follow_the_closed_forms():
+    # 14 states, so its observer is built from the byte tables read inline,
+    # past the switch to the list index: 2^12 estimates, 2^11 secret ones,
+    # 14 tagged states, 2^12 verifier states, and 2^11 (2^(K+1) - 1) tree
+    # nodes at K (0 for cs).
+    sizes = {}
+    for case in CASES:
+        if case["model"] == "nth_last12":
+            with open(os.path.join(GOLDEN, case["file"]), encoding="utf-8") as fh:
+                out = json.load(fh)
+            sizes[out["property"], out["k"]] = out["sizes"]
+    trees = {k: 2048 * (2 ** (k + 1) - 1) for k in (0, 1, 2)}
+    assert sizes == {
+        ("cs", None): {"observer_states": 4096, "tree_nodes": trees[0]},
+        ("inf-weak", None): {"observer_states": 4096},
+        ("inf-strong", None): {"observer_states": 4096, "sipa_states": 14, "verifier_states": 4096},
+        **{("k-weak", k): {"observer_states": 4096, "tree_nodes": trees[k]} for k in (1, 2)},
+        **{("k-strong", k): {"observer_states": 4096, "sipa_states": 14, "tree_nodes": trees[k]} for k in (1, 2)},
+    }
 
 
 def dead_end_chain():

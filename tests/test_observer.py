@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opaq.core
 from opaq import build_observer, observer_dot, validate_model
-from opaq.core import row_table
+from opaq.core import ResourceLimitError, model_to_dict, row_table
+from opaq.oracle import OracleConfig, random_nfa
 
 from reference import observer_state_after
 from test_reach import small_models
@@ -155,3 +157,83 @@ def test_observer_replay_is_deterministic(nfa, data):
         return
     w = tuple(data.draw(st.lists(st.sampled_from(nfa.observable_events), max_size=4)))
     assert observer_state_after(obs, w) == observer_state_after(obs, w)
+
+
+# -- the byte-table loop against the bit loop --------------------------------
+
+
+def nth_last_dict(n, loop=False):
+    """The n-th-from-last-symbol model of ``fixtures/nth_last12.json`` for any
+    n: n + 2 states and 2^n estimates.
+
+    With *loop*, a third event ``c`` loops on n alone, so every estimate
+    without n has an empty reach under ``c``, and {n} one under ``a`` and
+    ``b``.
+    """
+    transitions = [["0", "a", "0"], ["0", "b", "0"], ["0", "a", "1"]]
+    for i in range(1, n):
+        transitions += [[str(i), "a", str(i + 1)], [str(i), "b", str(i + 1)]]
+    transitions += [["0", "u", "s"], ["s", "a", "0"]]
+    return {
+        "states": [str(i) for i in range(n + 1)] + ["s"],
+        "events": [{"name": e, "observable": True} for e in "abc"[:3 if loop else 2]]
+        + [{"name": "u", "observable": False}],
+        "initial": ["0"],
+        "secret": [str(n)],
+        "transitions": transitions + ([[str(n), "c", str(n)]] if loop else []),
+    }
+
+
+def silent_chain_dict(n=12):
+    """n states on a chain of unobservable moves: one estimate, no event."""
+    return {
+        "states": [f"q{i}" for i in range(n)],
+        "events": [{"name": "u", "observable": False}],
+        "initial": ["q0"],
+        "secret": [f"q{n - 1}"],
+        "transitions": [[f"q{i}", "u", f"q{i + 1}"] for i in range(n - 1)],
+    }
+
+
+@st.composite
+def random_table_model_dicts(draw):
+    cfg = OracleConfig(
+        n_states=draw(st.integers(9, 16)),
+        n_events=draw(st.integers(1, 4)),
+        unobservable_fraction=draw(st.sampled_from([0.0, 0.3, 0.6])),
+        secret_fraction=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        density=draw(st.sampled_from([1.0, 1.5, 2.0, 2.5])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return model_to_dict(random_nfa(cfg))
+
+
+def observer_fields(obs):
+    return obs.masks, obs.moves, obs.parents
+
+
+# nth-last for n = 7..14 has 9 to 16 states and crosses the switch from the
+# dict index to the list at 2^(n - 4) of its 2^n estimates; with the c loop
+# it meets empty reaches on both sides of the switch.
+@settings(max_examples=60, deadline=None)
+@given(raw=st.one_of(
+    random_table_model_dicts(), st.builds(nth_last_dict, st.integers(7, 14), st.booleans()),
+    st.just(silent_chain_dict()),
+))
+def test_the_table_loop_builds_the_bit_loops_observer(raw):
+    nfa = validate_model(raw)
+    assert row_table(nfa).reach_tables is not None
+    obs = build_observer(nfa)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(opaq.core, "TABLE_STEP_STATES", range(0))
+        by_bits = validate_model(raw)
+        assert row_table(by_bits).reach_tables is None
+        assert observer_fields(build_observer(by_bits)) == observer_fields(obs)
+    assert type(obs.moves) is tuple and all(type(row) is tuple for row in obs.moves)
+    # Both loops stop at the same estimate: the first one past the cap.
+    n = len(obs.masks)
+    for model in (nfa, by_bits):
+        assert observer_fields(build_observer(model, max_states=n)) == observer_fields(obs)
+        if n > 1:
+            with pytest.raises(ResourceLimitError, match=f"^observer exceeded {n - 1} states$"):
+                build_observer(model, max_states=n - 1)

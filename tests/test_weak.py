@@ -168,8 +168,9 @@ def test_a_tree_export_costs_a_few_hundred_bytes_per_node(structure):
     # nth_last6's estimates each move on both events, so the depth-12 tree
     # has 2^13 - 1 nodes.  Built and rendered, it peaked at 812-859 bytes
     # per node under tracemalloc with one object and one edge tuple per node
-    # (Python 3.10-3.13), and at 390-430 with parallel lists and one line
-    # list for the DOT text.
+    # (Python 3.10-3.13), at 390-431 with parallel lists and a list of every
+    # label for the DOT text, and at 317-342 with the labels streamed into
+    # the node lines.
     nfa = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     obs = build_observer(nfa)
     build = build_weak_state_tree if structure == "weak_tree" else opaq.strong.build_sst
@@ -190,7 +191,7 @@ def test_a_tree_export_costs_a_few_hundred_bytes_per_node(structure):
             tracemalloc.stop()
     assert tree.node_count == 2**13 - 1
     assert text.count("\n") == 2 * tree.node_count + 2
-    assert peak / tree.node_count < 600
+    assert peak / tree.node_count < 370
 
 
 # -- properties --------------------------------------------------------------
