@@ -256,13 +256,20 @@ def union(rows: Sequence[int], mask: int) -> int:
 # they saved there.
 TABLE_STEP_STATES = range(9, 65)
 
+# Each event's two prefilled byte tables (:func:`byte_tables`), in event order.
+EventTables = tuple[tuple[list[int], list[int]], ...]
+
 
 def byte_tables(rows: Sequence[int]) -> tuple[list[int], list[int]]:
     """The two prefilled tables of 9 to 16 rows: ``lo[b]`` is the OR of the
     rows of the bits of byte b, ``hi[b]`` of those bits shifted by 8.
 
     Each entry is filled from the one without its lowest bit, so a mask's
-    step is ``lo[mask & 255] | hi[mask >> 8]``.
+    step is ``lo[mask & 255] | hi[mask >> 8]``: its low byte indexes
+    ``lo``, and the rest, below 2^(n - 8), indexes ``hi``.  The observer's
+    subset construction (:meth:`RowTable.subsets`) and the pair walks
+    (``opaq.weak._explore``) read the two entries inline, with a mask's two
+    bytes taken once for all events.
     """
     lo, hi = [0] * 256, [0] * (1 << len(rows) - 8)
     for shift, table in ((0, lo), (8, hi)):
@@ -354,6 +361,20 @@ def _closure(succ: Sequence[int], x: int, allowed: int) -> int:
     return reached
 
 
+def _prefilled(rows: Sequence[Sequence[int]], n: int) -> EventTables | None:
+    # Each event's two prefilled byte tables for 9 to 16 states, else None.
+    return tuple(map(byte_tables, rows)) if n in TABLE_STEP_STATES and n <= 16 else None
+
+
+def _steps(
+    rows: Sequence[Sequence[int]], support: Sequence[int], tables: EventTables | None,
+) -> tuple[Callable[[int], int], ...]:
+    # Each event's step, read from *tables* when they were prefilled.
+    if tables is None:
+        return tuple(map(set_step, rows, support))
+    return tuple(_table_step(lo, hi) for lo, hi in tables)
+
+
 class _built_on_read:
     """A field that its method computes on first read and stores in the instance dict.
 
@@ -395,25 +416,25 @@ class RowTable:
     the step of a set is the OR of its members' rows.  ``reach_steps[e]``
     and ``avoid_steps[e]`` take that step (:func:`set_step`), through byte
     tables for models of 9 to 64 states.  With 9 to 16 states,
-    ``reach_tables[e]`` holds the reach step's two prefilled tables
-    (:func:`byte_tables`), which :meth:`subsets` reads inline; otherwise
-    ``reach_tables`` is None.  ``support[e]`` holds the states
-    whose reach row under e is nonempty (avoid rows are nonempty only there
-    too); the bit loop of the steps that take no tables and
+    ``reach_tables[e]`` and ``avoid_tables[e]`` hold the two prefilled
+    tables of the reach and the avoid rows under e (:func:`byte_tables`),
+    from which the steps are built too; :meth:`subsets` and the pair walks
+    read them inline.  Otherwise both are None.  ``support[e]`` holds the
+    states whose reach row under e is nonempty (avoid rows are nonempty
+    only there too); the bit loop of the steps that take no tables and
     :func:`~opaq.projection.sipa_state_count` read it, to skip the members
-    that cannot move.  ``initial`` is the unobservable
-    closure of the initial states, ``clean`` the all-nonsecret closure of
-    the nonsecret initial states.  ``reach_core`` and ``avoid_core`` are the
-    persistent cores (:func:`persistent_core`) of the reach and the avoid
-    rows: a set that meets one of them keeps meeting it along every
-    observation, so the pair searches prune there.  Secret states have
-    empty avoid rows, so the avoid core holds none while any event is
-    observable.
+    that cannot move.  ``initial`` is the unobservable closure of the
+    initial states, ``clean`` the all-nonsecret closure of the nonsecret
+    initial states.  ``reach_core`` and ``avoid_core`` are the persistent
+    cores (:func:`persistent_core`) of the reach and the avoid rows: a set
+    that meets one of them keeps meeting it along every observation, so the
+    pair searches prune there.  Secret states have empty avoid rows, so the
+    avoid core holds none while any event is observable.
 
-    The reach rows are built with the table.  ``avoid``, ``avoid_steps``
-    and the two cores are built on first read: only the strong verdicts,
-    the SIPA and the crosscheck read the avoid rows, and only the pair
-    searches past K = 0 read the cores.
+    The reach rows are built with the table.  ``avoid``, ``avoid_tables``,
+    ``avoid_steps`` and the two cores are built on first read: only the
+    strong verdicts, the SIPA and the crosscheck read the avoid rows, and
+    only the pair searches past K = 0 read the cores.
 
     Use :func:`row_table`, which builds the table once per model.
     """
@@ -477,12 +498,8 @@ class RowTable:
         start = sum(1 << order[s] for s in nfa.initial)
         self.initial = union(closure, start)
         self.clean = union(clean, start & nonsecret)
-        if n in TABLE_STEP_STATES and n <= 16:
-            self.reach_tables = tuple(map(byte_tables, reach))
-            self.reach_steps = tuple(_table_step(lo, hi) for lo, hi in self.reach_tables)
-        else:
-            self.reach_tables = None
-            self.reach_steps = tuple(map(set_step, reach, support))
+        self.reach_tables = _prefilled(reach, n)
+        self.reach_steps = _steps(reach, support, self.reach_tables)
         # What the avoid rows are built from, on first read.
         self._direct = tuple(step.values())
         self._clean_closure = clean
@@ -515,8 +532,12 @@ class RowTable:
         return avoid
 
     @_built_on_read
+    def avoid_tables(self) -> EventTables | None:
+        return _prefilled(self.avoid, len(self.states))
+
+    @_built_on_read
     def avoid_steps(self) -> tuple[Callable[[int], int], ...]:
-        return tuple(map(set_step, self.avoid, self.support))
+        return _steps(self.avoid, self.support, self.avoid_tables)
 
     @_built_on_read
     def reach_core(self) -> int:

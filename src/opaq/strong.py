@@ -92,7 +92,7 @@ def verify_k_step_strong(
     core = table.avoid_core if k != 0 else 0
     walk, hit = _explore(
         obs, *_roots(obs, range(len(obs.masks)), table.nonsecret, core), table.avoid_steps, k, True,
-        core=core, max_states=max_states, search="k-step strong search",
+        tables=table.avoid_tables, core=core, max_states=max_states, search="k-step strong search",
     )
     return _verdict(table, obs, walk, hit)
 
@@ -115,15 +115,18 @@ def walk_verifier(
     declaration-ordered events numbers the states deterministically: node n
     is the verifier state (``obs.states[walk.estimate[n]]``, ``walk.x2[n]``).
     The walk runs to exhaustion, appending its edges to *edges* when given.
-    Its first state whose second component is empty gives the verdict and
-    its witness, the observation reaching it.  More than *max_states* states
-    raise ResourceLimitError.
+    On a model of 9 to 16 states it reads the avoid rows' byte tables
+    (``RowTable.avoid_tables``) inline instead of calling ``avoid_steps``,
+    as the K-step strong search does.  Its first state whose second
+    component is empty gives the verdict and its witness, the observation
+    reaching it.  More than *max_states* states raise ResourceLimitError.
     """
     if obs is None:
         obs = build_observer(nfa)
     table = row_table(nfa)
     walk, _ = _explore(
-        obs, [0], [table.clean & obs.masks[0]], table.avoid_steps, None, False, edges=edges, max_states=max_states
+        obs, [0], [table.clean & obs.masks[0]], table.avoid_steps, None, False,
+        tables=table.avoid_tables, edges=edges, max_states=max_states,
     )
     hit = walk.x2.index(0) if 0 in walk.x2 else None
     return _verdict(table, obs, walk, hit), walk

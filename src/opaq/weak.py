@@ -59,7 +59,7 @@ from itertools import islice, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
-    InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_graph, format_pair,
+    EventTables, InvariantError, Nfa, ResourceLimitError, RowTable, StateSet, dot_graph, format_pair,
     format_state_set, row_table,
 )
 from .observer import Observer, build_observer
@@ -315,6 +315,7 @@ def _explore(
     k: int | None,
     stop_at_empty: bool,
     *,
+    tables: EventTables | None = None,
     weak: bool = False,
     core: int = 0,
     edges: list[tuple[int, int, int]] | None = None,
@@ -327,7 +328,12 @@ def _explore(
     refill check.  Root n is (observer position ``estimate[n]``, ``x2s[n]``),
     at most one per estimate; the roots, copied, seed the queue in that
     order, and events expand in declaration order.  On move (e, j) a node's
-    child is (j, ``steps[e](x2) & masks[j]``).  ``first[j]`` holds the x2
+    child is (j, ``steps[e](x2) & masks[j]``).  With *tables*, the prefilled
+    byte tables of the rows *steps* take (``RowTable.reach_tables`` or
+    ``avoid_tables``, 9 to 16 states; see :func:`~opaq.core.byte_tables`),
+    a second node loop reads each child's step inline, from the node's two
+    bytes taken once for all events; it is the step loop line for line
+    otherwise, so both give the same walk.  ``first[j]`` holds the x2
     of the first node met at position j, seeded from the roots, and an edge
     walk keeps that node's position in ``node_at[j]``.  A child whose x2 is
     ``first[j]`` is that node, found by one list read; a live child at a
@@ -370,7 +376,7 @@ def _explore(
     _, _, parent, event, levels = walk
     w = len(masks).bit_length()
     seen: dict[int, int] = {}
-    event_steps = tuple(enumerate(steps))
+    by_event = tuple(enumerate(steps if tables is None else tables))
     first = [-1] * len(masks)
     for j, x2 in zip(estimate, x2s):
         first[j] = x2
@@ -386,43 +392,85 @@ def _explore(
     while start < len(x2s) and (k is None or len(levels) <= k):
         end = len(x2s)
         levels.append(end)
-        for n in range(start, end):
-            x2, row = x2s[n], moves[estimate[n]]
-            for e, step in event_steps:
-                j = row[e]
-                if j < 0:
-                    continue
-                c2 = step(x2) & masks[j]
-                f = first[j]
-                if c2 == f:
-                    if edges is not None:
-                        edges.append((n, e, node_at[j]))
-                    continue
-                if drops and (weak and c2 == masks[j] or c2 & core):
-                    continue
-                if f < 0:
-                    m = len(x2s)
-                    first[j] = c2
-                    if node_at is not None:
-                        node_at[j] = m
-                else:
-                    key = c2 << w | j
-                    m = seen.get(key)
-                    if m is not None:
-                        if edges is not None:
-                            edges.append((n, e, m))
+        if tables is None:
+            for n in range(start, end):
+                x2, row = x2s[n], moves[estimate[n]]
+                for e, step in by_event:
+                    j = row[e]
+                    if j < 0:
                         continue
-                    m = seen[key] = len(x2s)
-                estimate.append(j)
-                x2s.append(c2)
-                parent.append(n)
-                event.append(e)
-                if stop_at_empty and not c2:
-                    return walk, m
-                if m >= limit:
-                    raise ResourceLimitError(f"{search} exceeded {max_states} states")
-                if edges is not None:
-                    edges.append((n, e, m))
+                    c2 = step(x2) & masks[j]
+                    f = first[j]
+                    if c2 == f:
+                        if edges is not None:
+                            edges.append((n, e, node_at[j]))
+                        continue
+                    if drops and (weak and c2 == masks[j] or c2 & core):
+                        continue
+                    if f < 0:
+                        m = len(x2s)
+                        first[j] = c2
+                        if node_at is not None:
+                            node_at[j] = m
+                    else:
+                        key = c2 << w | j
+                        m = seen.get(key)
+                        if m is not None:
+                            if edges is not None:
+                                edges.append((n, e, m))
+                            continue
+                        m = seen[key] = len(x2s)
+                    estimate.append(j)
+                    x2s.append(c2)
+                    parent.append(n)
+                    event.append(e)
+                    if stop_at_empty and not c2:
+                        return walk, m
+                    if m >= limit:
+                        raise ResourceLimitError(f"{search} exceeded {max_states} states")
+                    if edges is not None:
+                        edges.append((n, e, m))
+        else:
+            # The step loop above with each step read inline from the
+            # node's two bytes; every other line is the same.
+            for n in range(start, end):
+                x2, row = x2s[n], moves[estimate[n]]
+                low, high = x2 & 255, x2 >> 8
+                for e, (lo, hi) in by_event:
+                    j = row[e]
+                    if j < 0:
+                        continue
+                    c2 = (lo[low] | hi[high]) & masks[j]
+                    f = first[j]
+                    if c2 == f:
+                        if edges is not None:
+                            edges.append((n, e, node_at[j]))
+                        continue
+                    if drops and (weak and c2 == masks[j] or c2 & core):
+                        continue
+                    if f < 0:
+                        m = len(x2s)
+                        first[j] = c2
+                        if node_at is not None:
+                            node_at[j] = m
+                    else:
+                        key = c2 << w | j
+                        m = seen.get(key)
+                        if m is not None:
+                            if edges is not None:
+                                edges.append((n, e, m))
+                            continue
+                        m = seen[key] = len(x2s)
+                    estimate.append(j)
+                    x2s.append(c2)
+                    parent.append(n)
+                    event.append(e)
+                    if stop_at_empty and not c2:
+                        return walk, m
+                    if m >= limit:
+                        raise ResourceLimitError(f"{search} exceeded {max_states} states")
+                    if edges is not None:
+                        edges.append((n, e, m))
         start = end
     return walk, None
 
@@ -471,7 +519,7 @@ def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int 
     core = table.reach_core if k != 0 else 0
     walk, hit = _explore(
         obs, *_roots(obs, obs.secret_positions, table.nonsecret, core), table.reach_steps, k, True,
-        weak=True, core=core, max_states=max_states, search=search,
+        tables=table.reach_tables, weak=True, core=core, max_states=max_states, search=search,
     )
     return _verdict(table, obs, walk, hit)
 

@@ -280,6 +280,9 @@ def test_assigned_avoid_steps_replace_the_built_ones():
     # The crosscheck's mutants assign avoid_steps after changing an avoid
     # row in place; the assignment wins whether or not the built steps were
     # read before it.  In g2, 7 steps to 8 on b and no secret lies between.
+    # g2 has 10 states, so its verifier and K-step strong walks read
+    # avoid_tables instead, which the mutants rebuild too; the SSTs and the
+    # batch's refill walks call avoid_steps.
     assert opaq.core.row_table(opaq.load_model(G2)).avoid_steps[1](1 << 7) == 1 << 8
     assert opaq.core.row_table(mutated_g2("avoid", 1, 7, 0)).avoid_steps[1](1 << 7) == 0
     table = opaq.core.row_table(opaq.load_model(G2))

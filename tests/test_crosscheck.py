@@ -406,9 +406,9 @@ def mutated_g2(family, e, x, row):
     table = row_table(nfa)
     getattr(table, family)[e][x] = row
     setattr(table, f"{family}_steps", tuple(map(set_step, getattr(table, family), table.support)))
-    if family == "reach":
-        # g2 has 10 states, so the observer reads the reach rows' byte tables.
-        table.reach_tables = tuple(map(byte_tables, table.reach))
+    # g2 has 10 states, so the observer reads the reach rows' byte tables,
+    # and the verifier walk the avoid rows'.
+    setattr(table, f"{family}_tables", tuple(map(byte_tables, getattr(table, family))))
     return nfa
 
 

@@ -14,6 +14,7 @@ any ``--k`` or none), and ``k-weak`` and ``k-strong`` run at K = 1 and K = 2.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import opaq.core
 from opaq import (
     build_observer,
     build_sipa,
@@ -107,6 +109,22 @@ def test_nth_last12_sizes_follow_the_closed_forms():
         **{("k-weak", k): {"observer_states": 4096, "tree_nodes": trees[k]} for k in (1, 2)},
         **{("k-strong", k): {"observer_states": 4096, "sipa_states": 14, "tree_nodes": trees[k]} for k in (1, 2)},
     }
+
+
+def test_the_nth_last12_verifier_export_is_pinned(capsys, monkeypatch):
+    # 14 states, so the verifier walk reads the avoid rows' byte tables
+    # inline: two header lines, 4,096 states, 8,192 edges and the closing
+    # line.  The walk that calls the steps writes the same bytes.
+    argv = ["export", "--structure", "verifier", MODELS["nth_last12"]]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 12291
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c38f2cb707816a35b96c77ef9e78bb6ced6caccab37ca9ea07db825e410ef50c"
+    )
+    monkeypatch.setattr(opaq.core, "TABLE_STEP_STATES", range(0))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def dead_end_chain():

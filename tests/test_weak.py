@@ -29,11 +29,13 @@ from opaq import (
     verify_k_step_strong,
     verify_k_step_weak,
 )
-from opaq.core import InvariantError, ResourceLimitError, row_table, union
+from opaq.core import InvariantError, ResourceLimitError, model_to_dict, row_table, union
+from opaq.oracle import OracleConfig, random_nfa
 from opaq.weak import Verdict, Witness
 
 from conftest import structural_checks
 from reference import avoid_core, observer_state_after, reach_core, successors
+from test_observer import nth_last_dict, random_table_model_dicts
 from test_reach import small_models
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -987,3 +989,87 @@ def test_a_core_read_off_the_first_event_alone_is_caught(monkeypatch, tmp_path):
     assert [(row["property"], row["k"]) for row in result.disagreements] == [
         ("k-weak", 2), ("k-strong", 2), ("k-weak", 3), ("k-strong", 3), ("inf-weak", None),
     ]
+
+
+# -- the table loop against the step loop ---------------------------------------
+#
+# For 9 to 16 states the verifier, SST and weak walks read their rows' byte
+# tables inline; other walks call the steps.  The two node loops must give
+# the same walks, hits, edges and caps.
+
+
+def pair_walk_runs(nfa):
+    """Each walk of a verdict on *nfa*: roots, steps, tables, K, and the
+    keyword arguments, with the cores the searches pass past K = 0."""
+    table, obs = row_table(nfa), build_observer(nfa)
+    runs = [([0], [table.clean & obs.masks[0]], table.avoid_steps, table.avoid_tables, None, {})]
+    for k in (0, 1, 2, 3, None):
+        if k is not None:
+            core = table.avoid_core if k else 0
+            runs.append((*opaq.weak._roots(obs, range(len(obs.masks)), table.nonsecret, core),
+                         table.avoid_steps, table.avoid_tables, k, {"core": core}))
+        core = table.reach_core if k != 0 else 0
+        runs.append((*opaq.weak._roots(obs, obs.secret_positions, table.nonsecret, core),
+                     table.reach_steps, table.reach_tables, k, {"weak": True, "core": core}))
+    return obs, runs
+
+
+def explore_both_ways(obs, run, stop_at_empty, max_states=None):
+    """(walk, hit, edges) of *run* through its tables, then through its steps."""
+    positions, x2s, steps, tables, k, kwargs = run
+    out = []
+    for by_tables in (tables, None):
+        edges = []
+        walk, hit = opaq.weak._explore(
+            obs, positions, x2s, steps, k, stop_at_empty, tables=by_tables, edges=edges,
+            max_states=max_states, search="pair walk", **kwargs,
+        )
+        out.append((walk, hit, edges))
+    return out
+
+
+def verdicts(nfa):
+    return (
+        verify_current_state_opacity(nfa), verify_infinite_step_weak(nfa), verify_infinite_step_strong(nfa),
+        *(verify(nfa, k) for verify in (verify_k_step_weak, verify_k_step_strong) for k in (1, 2, 3)),
+    )
+
+
+# A 9-state model whose SST walk at K = 3 meets an estimate with two x2s.
+TWO_X2S_AT_A_POSITION = model_to_dict(random_nfa(OracleConfig(
+    n_states=9, n_events=2, unobservable_fraction=0.3, secret_fraction=0.25, density=1.5, seed=0,
+)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=st.one_of(random_table_model_dicts(), st.builds(nth_last_dict, st.integers(7, 14), st.booleans())))
+@example(raw=TWO_X2S_AT_A_POSITION)
+def test_the_table_walk_is_the_step_walk(raw):
+    nfa = validate_model(raw)
+    table = row_table(nfa)
+    assert table.reach_tables is not None and table.avoid_tables is not None
+    obs, runs = pair_walk_runs(nfa)
+    repeats = False
+    for run in runs:
+        for stop_at_empty in (False, True):
+            both = explore_both_ways(obs, run, stop_at_empty)
+            assert both[0] == both[1]
+            walk, hit, _ = both[0]
+            repeats |= len(set(walk.estimate)) < len(walk.estimate)
+            # Both loops stop at the same node: the first one past the cap.
+            n = len(walk.x2)
+            if n:
+                assert explore_both_ways(obs, run, stop_at_empty, n) == both
+            if n and hit is None:
+                positions, x2s, steps, tables, k, kwargs = run
+                for by_tables in (tables, None):
+                    with pytest.raises(ResourceLimitError, match=f"^pair walk exceeded {n - 1} states$"):
+                        opaq.weak._explore(obs, positions, x2s, steps, k, stop_at_empty, tables=by_tables,
+                                           max_states=n - 1, search="pair walk", **kwargs)
+    if raw is TWO_X2S_AT_A_POSITION:
+        assert repeats
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(opaq.core, "TABLE_STEP_STATES", range(0))
+        by_bits = validate_model(raw)
+        assert verdicts(by_bits) == verdicts(nfa)
+        assert row_table(by_bits).reach_tables is row_table(by_bits).avoid_tables is None
