@@ -9,7 +9,8 @@ here is pure; ``Nfa`` instances are immutable after construction.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from collections.abc import Mapping
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 # A canonical, duplicate-free tuple of state identifiers, sorted by
 # declaration order of the owning Nfa.
@@ -426,15 +427,19 @@ class RowTable:
     that cannot move.  ``initial`` is the unobservable closure of the
     initial states, ``clean`` the all-nonsecret closure of the nonsecret
     initial states.  ``reach_core`` and ``avoid_core`` are the persistent
-    cores (:func:`persistent_core`) of the reach and the avoid rows: a set
-    that meets one of them keeps meeting it along every observation, so the
-    pair searches prune there.  Secret states have empty avoid rows, so the
-    avoid core holds none while any event is observable.
+    cores (:func:`persistent_core`) of the reach and the avoid rows over the
+    nonsecret states: a set that meets one of them keeps meeting it along
+    every observation, so the pair searches prune there, and a search whose
+    ``initial`` meets its core answers opaque before it walks (see
+    ``opaq.weak``).  Neither holds a secret state, so an estimate that
+    meets a core has a nonsecret part that meets it too.  Secret states
+    have empty avoid rows, so while any event is observable the avoid core
+    is also the persistent core over all states.
 
     The reach rows are built with the table.  ``avoid``, ``avoid_tables``,
     ``avoid_steps`` and the two cores are built on first read: only the
     strong verdicts, the SIPA and the crosscheck read the avoid rows, and
-    only the pair searches past K = 0 read the cores.
+    only the pair searches and the tree counts past K = 0 read the cores.
 
     Use :func:`row_table`, which builds the table once per model.
     """
@@ -541,11 +546,11 @@ class RowTable:
 
     @_built_on_read
     def reach_core(self) -> int:
-        return persistent_core(self.reach, self.support, (1 << len(self.states)) - 1)
+        return persistent_core(self.reach, self.support, self.nonsecret)
 
     @_built_on_read
     def avoid_core(self) -> int:
-        return persistent_core(self.avoid, self.support, (1 << len(self.states)) - 1)
+        return persistent_core(self.avoid, self.support, self.nonsecret)
 
     def subsets(self, max_states: int | None = None) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
         """Subset construction over the reach rows from ``initial``: masks, moves and parents.

@@ -82,14 +82,19 @@ def verify_k_step_strong(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    table = row_table(nfa)
+    # Past K = 0 the walk skips every node whose x2 meets the avoid core,
+    # which no window can empty, and when the initial estimate meets it
+    # every root does, so the search is certified before it walks (see
+    # opaq.weak).
+    core = table.avoid_core if k != 0 else 0
+    if table.initial & core:
+        return Verdict(True)
     if obs is None:
         obs = build_observer(nfa)
-    table = row_table(nfa)
     # Every estimate anchors a window, secret-free ones too: x2 is its
     # nonsecret part (secret visits before the window do not disqualify a
-    # state).  Past K = 0 the walk skips every node whose x2 meets the
-    # avoid core, which no window can empty (see opaq.weak).
-    core = table.avoid_core if k != 0 else 0
+    # state).
     walk, hit = _explore(
         obs, *_roots(obs, range(len(obs.masks)), table.nonsecret, core), table.avoid_steps, k, True,
         tables=table.avoid_tables, core=core, max_states=max_states, search="k-step strong search",

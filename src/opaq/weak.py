@@ -26,17 +26,31 @@ to a secret later.  Tree exports keep every node, ``x1`` included.
 
 The weak and SST searches past K = 0 also drop every root and child whose
 ``x2`` meets the persistent core of their rows (``RowTable.reach_core`` and
-``avoid_core``): the greatest set P of states each of whose members has,
-under every observable event, a row that meets P.  Along a move x2 becomes
-``step(x2) & masks[j]``; the step distributes over union and lies within
-the target estimate, so the child holds the row of each P-member of x2,
-which meets P.  No descendant of such a node can empty x2, and no node
-without a P-state descends from one, so the kept nodes keep their BFS
-order, depths and parents, as with dead pairs.  On a model where one
-nonsecret state lies in every estimate and loops on every event, no pair is
-visited at all.  A K = 0 walk only seeds its roots, so it takes no core;
-neither do the verifier walk, which must meet every verifier state, nor
-the batch's refill walks, which look for edges out of empty nodes.
+``avoid_core``): the greatest set P of nonsecret states each of whose
+members has, under every observable event, a row that meets P.  Along a
+move x2 becomes ``step(x2) & masks[j]``; the step distributes over union
+and lies within the target estimate, so the child holds the row of each
+P-member of x2, which meets P.  No descendant of such a node can empty x2,
+and no node without a P-state descends from one, so the kept nodes keep
+their BFS order, depths and parents, as with dead pairs.  A K = 0 walk only
+seeds its roots, so it takes no core; neither do the verifier walk, which
+must meet every verifier state, nor the batch's refill walks, which look
+for edges out of empty nodes.
+
+The same cores certify opacity before any walk.  A search that prunes by
+a core P first tests whether the initial estimate meets P.  If it does,
+every reachable estimate meets P, since a P-member's row under each event
+meets P and lies within the next estimate.  P holds nonsecret states only,
+so every root's x2, its estimate's nonsecret part, meets P as well, and
+the walk would drop every root and visit nothing.  The search returns
+opaque at once instead: before it builds an observer when the caller
+passed none, reads ``secret_positions`` or takes a pass over the roots.
+No walk would have run, so no cap could have been passed.  A core over all
+states would not do: a secret member keeps every estimate nonempty while
+their nonsecret parts may empty, as in ``p -a-> q -a-> p`` with ``q``
+secret.  On a model where one nonsecret state lies in the initial estimate
+and loops on every event, as nth-last's ``0`` does, the K-step weak and
+strong and the infinite-step weak searches read no estimate.
 
 Every walk takes its roots as observer positions and their x2s, at most
 one per estimate: the weak search's at the observer's
@@ -244,8 +258,11 @@ def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float(
     A tree node stands for an observation string of length at most K that
     the observer accepts from the root, for weak trees and SSTs alike, so a
     count of observer paths gives a tree's node count without building it.
-    Past K = 0 one pass reads each estimate's number of moves.  When all
-    have the same d, as on every complete observer, the count is
+    Past K = 0, when the initial estimate meets the reach core, every
+    reachable estimate holds a core member, which lies in every event's
+    support, so every estimate moves under every event and d = |Eo| with
+    no pass over the estimates.  Otherwise one pass reads each estimate's
+    number of moves.  When all have the same d, the count is
     len(*roots*) * (1 + d + ... + d^K): direct for d <= 1, else summed
     level by level, passing *cap* within log2(*cap*) levels.  Otherwise
     counts propagate per estimate, at K times the observer's transitions,
@@ -262,7 +279,8 @@ def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float(
     moves = obs.moves
     if not k or not total:
         return total
-    missing = {row.count(-1) for row in moves}
+    table = obs.table
+    missing = {0} if table.initial & table.reach_core else {row.count(-1) for row in moves}
     if len(missing) == 1:
         degree = len(obs.events) - missing.pop()
         if degree <= 1:
@@ -500,23 +518,25 @@ def _verdict(table: RowTable, obs: Observer, walk: Walk, hit: int | None) -> Ver
 def _roots(obs: Observer, positions: Sequence[int], nonsecret: int, core: int) -> tuple[Sequence[int], list[int]]:
     """The search roots at *positions* that keep clear of *core*, as :func:`_explore` takes them.
 
-    A root's x2 is its estimate's *nonsecret* part.  One pass drops the
-    roots whose x2 meets *core*, and a second reads the kept roots' x2s,
-    so a walk whose roots all meet the core reads no x2.
+    A root's x2 is its estimate's *nonsecret* part.  The core holds no
+    secret state, so one pass drops the roots whose estimate meets it, and
+    a second reads the kept roots' x2s.
     """
     masks = obs.masks
     if core:
-        drop = nonsecret & core
-        positions = [i for i in positions if not masks[i] & drop]
+        positions = [i for i in positions if not masks[i] & core]
     return positions, [masks[i] & nonsecret for i in positions]
 
 
 def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None = None, search: str = "") -> Verdict:
     # A root's secret part is nonempty and outside x2, so every root is live.
-    if obs is None:
-        obs = build_observer(nfa)
     table = row_table(nfa)
     core = table.reach_core if k != 0 else 0
+    # The certificate: every root would meet the core (see the module docstring).
+    if table.initial & core:
+        return Verdict(True)
+    if obs is None:
+        obs = build_observer(nfa)
     walk, hit = _explore(
         obs, *_roots(obs, obs.secret_positions, table.nonsecret, core), table.reach_steps, k, True,
         tables=table.reach_tables, weak=True, core=core, max_states=max_states, search=search,

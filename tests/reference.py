@@ -156,10 +156,10 @@ def secret_avoiding_reach(nfa: Nfa, from_states: Iterable[str], event: str) -> S
 
 
 def _greatest_core(nfa: Nfa, row) -> StateSet:
-    # Start from every state and drop, all at once, each state whose row
-    # under some observable event misses the current set, until a round
-    # drops nothing.
-    core = set(nfa.states)
+    # Start from every nonsecret state and drop, all at once, each state
+    # whose row under some observable event misses the current set, until a
+    # round drops nothing.
+    core = set(nfa.nonsecret)
     while True:
         dropped = {
             x for x in core
@@ -171,20 +171,17 @@ def _greatest_core(nfa: Nfa, row) -> StateSet:
 
 
 def reach_core(nfa: Nfa) -> StateSet:
-    """The greatest set of states each of which reaches the set under every observable event."""
+    """The greatest set of nonsecret states each of which reaches the set under every observable event.
+
+    Only nonsecret states count: an estimate that meets the core then has a
+    nonsecret part that meets it too, which the searches' certificate reads.
+    """
     return _greatest_core(nfa, lambda x, event: observable_reach(nfa, [x], event))
 
 
 def avoid_core(nfa: Nfa) -> StateSet:
-    """As :func:`reach_core`, over the secret-avoiding reach of each nonsecret state.
-
-    A secret state steps nowhere here, so it is in the core only when no
-    event is observable.
-    """
-    secret = nfa.secret_set
-    return _greatest_core(
-        nfa, lambda x, event: () if x in secret else secret_avoiding_reach(nfa, [x], event)
-    )
+    """As :func:`reach_core`, over the secret-avoiding reach of each nonsecret state."""
+    return _greatest_core(nfa, lambda x, event: secret_avoiding_reach(nfa, [x], event))
 
 
 # -- the tagged automaton over every base --------------------------------

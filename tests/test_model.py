@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import pytest
 
 from opaq import ModelError, OracleConfig, validate_model
@@ -14,6 +16,14 @@ def test_g2_loads(g2):
     assert g2.initial == ("0",)
     assert g2.secret == ("1", "5", "9")
     assert g2.nonsecret == ("0", "2", "3", "4", "6", "7", "8")
+
+
+def test_any_mapping_is_a_model_and_a_list_is_not(g2):
+    raw = g2_dict()
+    raw["events"] = [MappingProxyType(event) for event in raw["events"]]
+    assert validate_model(MappingProxyType(raw)) == g2
+    with pytest.raises(ModelError, match="^model must be a JSON object$"):
+        validate_model(list(raw.items()))
 
 
 def test_transition_from_undeclared_state_names_it():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
+import opaq.cli
 import opaq.core
 import opaq.crosscheck
 import opaq.strong
@@ -508,11 +509,13 @@ def nth_last6_without_core():
 def test_weak_walks_visit_live_pairs_only(g2):
     # nth_last6's secret state is a dead end, so without the core rule its
     # 32 roots are its only live pairs (the unpruned walks visit 96); every
-    # pair of g2 is live.  With the rule, nth_last6's weak walks visit none.
+    # pair of g2 is live.  nth_last6's initial estimate meets its core, so
+    # its weak searches are certified and run no walk.
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     obs = build_observer(nth_last)
-    assert walked_pairs(lambda: verify_k_step_weak(nth_last, 2, obs)) == [0]
-    assert walked_pairs(lambda: verify_infinite_step_weak(nth_last, obs)) == [0]
+    assert walked_pairs(lambda: verify_k_step_weak(nth_last, 2, obs)) == []
+    assert walked_pairs(lambda: verify_infinite_step_weak(nth_last, obs)) == []
+    assert verify_k_step_weak(nth_last, 2, obs) == verify_infinite_step_weak(nth_last, obs) == Verdict(True)
     for nfa, live, every in ((nth_last6_without_core(), 32, 96), (g2, 6, 6)):
         obs = build_observer(nfa)
         assert walked_pairs(lambda: verify_k_step_weak(nfa, 2, obs)) == [live]
@@ -529,16 +532,16 @@ def test_weak_walks_visit_live_pairs_only(g2):
 
 def test_a_search_whose_roots_all_meet_the_core_walks_nothing():
     # Every estimate of nth_last6 holds 0, which is in both cores, so past
-    # K = 0 both searches drop every root before the walk reads an x2, and
-    # the verdict is the unpruned walk's.
+    # K = 0 every root meets the core.  The initial estimate holds 0 too, so
+    # both searches are certified and run no walk, and the verdict is the
+    # unpruned walk's.
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     obs = build_observer(nth_last)
     table = row_table(nth_last)
     assert opaq.weak._roots(obs, obs.secret_positions, table.nonsecret, table.reach_core) == ([], [])
     assert opaq.weak._roots(obs, range(64), table.nonsecret, table.avoid_core) == ([], [])
     for search, family in ((verify_k_step_weak, "weak"), (verify_k_step_strong, "sst")):
-        [(walk, hit, _)] = recorded_walks(lambda: search(nth_last, 2, obs))
-        assert walk == ([], [], [], [], [0]) and hit is None
+        assert recorded_walks(lambda: search(nth_last, 2, obs)) == []
         assert search(nth_last, 2, obs) == reference(nth_last, obs, family, 2) == Verdict(True)
 
 
@@ -645,12 +648,13 @@ def test_a_k0_walk_returns_its_roots_only():
 def test_sst_children_that_are_roots_add_no_pairs():
     # Every child of an SST root on nth_last6 is the root at its estimate,
     # so without the core rule the walk stays at its 64 roots at any K; its
-    # 128 edges end at them.  With the rule, nth_last6's SST walk visits none.
+    # 128 edges end at them.  nth_last6's own SST search is certified by the
+    # core and runs no walk.
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     obs = build_observer(nth_last)
     assert len(obs.masks) == 64
     assert walked_pairs(lambda: verify_k_step_strong(nth_last6_without_core(), 2)) == [64]
-    assert walked_pairs(lambda: verify_k_step_strong(nth_last, 2)) == [0]
+    assert walked_pairs(lambda: verify_k_step_strong(nth_last, 2)) == []
     table = row_table(nth_last)
     edges = []
     walk, _ = opaq.weak._explore(
@@ -698,38 +702,68 @@ def into_the_core():
     })
 
 
+def search_walk(nfa, obs, family, k):
+    """(walk, hit, None) of the weak or SST search at *k*: roots from
+    ``_roots``, then ``_explore``, as the search runs them past its
+    certificate, and run here whether or not the search is certified."""
+    table = row_table(nfa)
+    if family == "weak":
+        positions, steps, tables, core = obs.secret_positions, table.reach_steps, table.reach_tables, table.reach_core
+    else:
+        positions, steps, tables, core = range(len(obs.masks)), table.avoid_steps, table.avoid_tables, table.avoid_core
+    core = core if k != 0 else 0
+    walk, hit = opaq.weak._explore(
+        obs, *opaq.weak._roots(obs, positions, table.nonsecret, core), steps, k, True,
+        tables=tables, weak=family == "weak", core=core,
+    )
+    return walk, hit, None
+
+
+def certified(nfa, family, k):
+    """Whether the weak or SST search at *k* answers opaque before it walks."""
+    table = row_table(nfa)
+    return k != 0 and bool(table.initial & (table.reach_core if family == "weak" else table.avoid_core))
+
+
 @settings(max_examples=150, deadline=None)
 @given(nfa=small_models(), k=st.integers(0, 3))
 @example(nfa=into_the_core(), k=2)
 def test_every_pair_walk_is_the_reference_walk(nfa, k):
     obs = build_observer(nfa)
-    # The searches stop at their first empty x2; the verifier walk runs to
-    # exhaustion and its verdict reads that node off the whole walk.
+    # Each search's walk is compared on every model, certified or not; a
+    # certified search runs none.  The verifier walk runs to exhaustion and
+    # its verdict reads the first empty x2 off the whole walk.
     searches = (
-        (lambda: verify_current_state_opacity(nfa, obs), "weak", 0, True),
-        (lambda: verify_k_step_weak(nfa, k, obs), "weak", k, True),
-        (lambda: verify_k_step_strong(nfa, k, obs), "sst", k, True),
-        (lambda: verify_infinite_step_weak(nfa, obs), "weak", None, True),
-        (lambda: verify_infinite_step_strong(nfa, obs), "verifier", None, False),
+        (lambda: verify_current_state_opacity(nfa, obs), "weak", 0),
+        (lambda: verify_k_step_weak(nfa, k, obs), "weak", k),
+        (lambda: verify_k_step_strong(nfa, k, obs), "sst", k),
+        (lambda: verify_infinite_step_weak(nfa, obs), "weak", None),
     )
-    for search, family, depth, stop in searches:
-        [recorded] = recorded_walks(search)
-        assert_walk_is_the_reference(recorded, reference_walk(nfa, obs, family, depth, stop, pruned=True))
+    for search, family, depth in searches:
+        walk = search_walk(nfa, obs, family, depth)
+        assert_walk_is_the_reference(walk, reference_walk(nfa, obs, family, depth, pruned=True))
+        if certified(nfa, family, depth):
+            assert walk[1] is None
+            assert recorded_walks(search) == [] and search() == Verdict(True)
+        else:
+            assert recorded_walks(search) == [walk]
+    [recorded] = recorded_walks(lambda: verify_infinite_step_strong(nfa, obs))
+    assert_walk_is_the_reference(recorded, reference_walk(nfa, obs, "verifier", None, False, True))
     # The batch walks the verifier with edges; its structural checks then
     # walk one refill SST per secret-intersecting root, then the weak walk
-    # at K = 2^|X| - 2.
+    # at K = 2^|X| - 2 unless that search is certified.
     result, infinite = opaq.crosscheck.BatchResult(), verify_infinite_step_weak(nfa, obs)
     calls = recorded_walks(lambda: structural_checks(nfa, 0, (k,), result, obs, infinite))
     secret = row_table(nfa).secret
     refill_roots = [i for i, m in enumerate(obs.masks) if m & secret]
-    assert len(calls) == 2 + len(refill_roots)
-    verifier, *refills, weak = calls
+    bound = 2 ** len(nfa.states) - 2
+    assert len(calls) == 1 + len(refill_roots) + (not certified(nfa, "weak", bound))
+    verifier, *refills = calls[:1 + len(refill_roots)]
     assert verifier[2] is not None and all(edges is not None for _, _, edges in refills)
     assert_walk_is_the_reference(verifier, reference_walk(nfa, obs, "verifier", None, False, True))
     for recorded, i in zip(refills, refill_roots):
         assert_walk_is_the_reference(recorded, reference_walk(nfa, obs, "sst", k, False, True, root=i))
-    bound = 2 ** len(nfa.states) - 2
-    assert_walk_is_the_reference(weak, reference_walk(nfa, obs, "weak", bound, pruned=True))
+    assert calls[1 + len(refill_roots):] in ([], [search_walk(nfa, obs, "weak", bound)])
 
 
 # -- first nodes --------------------------------------------------------------
@@ -868,14 +902,16 @@ def test_the_nth_last_verifier_has_one_node_per_estimate():
 # -- persistent cores -----------------------------------------------------------
 #
 # The weak and SST searches past K = 0 skip every root and child whose x2
-# meets the persistent core of their rows.  The row table's cores are pinned
+# meets the persistent core of their rows, and answer opaque before any walk
+# when the initial estimate meets it.  The row table's cores are pinned
 # against the set-based greatest fixpoint of tests/reference.py; the walks
-# that skip them are pinned by the reference walk above.
+# that skip them are pinned by the reference walk above, and the
+# certificate by the walks without a core below.
 
 
 def nothing_observable():
     """Two states joined by a silent event: no event is observable, so every
-    state is in both cores, vacuously."""
+    nonsecret state is in both cores, vacuously."""
     return validate_model({
         "states": ["0", "1"],
         "events": [{"name": "u", "observable": False}],
@@ -891,10 +927,10 @@ def leaves_on_b():
     From the initial {s,t} (``s`` secret), ``b`` leads to {v,w} with x2
     {w}, and ``a`` from there to {v} with x2 empty: the weak and the strong
     K-step properties fail at K = 2.  ``v`` loops on both events, and the
-    secret ``s`` steps to itself on ``a`` and to ``v`` on ``b``, so the
-    reach core is {s,v} and the avoid core {v}.  ``t`` moves on both
-    events, but its ``b`` row {w} misses the core, and ``w`` moves on
-    nothing.
+    secret ``s`` steps to itself on ``a`` and to ``v`` on ``b``, so a
+    reach core over all states would be {s,v}; both cores, which hold
+    nonsecret states only, are {v}.  ``t`` moves on both events, but its
+    ``b`` row {w} misses the core, and ``w`` moves on nothing.
     """
     return validate_model({
         "states": ["s", "t", "v", "w"],
@@ -945,16 +981,21 @@ def pruned_nodes(nfa, family, k=3):
 def test_the_row_table_cores_are_the_set_based_cores(nfa):
     assert core_problems(nfa) == []
     table = row_table(nfa)
+    assert not (table.reach_core | table.avoid_core) & table.secret
     if not table.events:
-        assert table.reach_core == table.avoid_core == (1 << len(nfa.states)) - 1
+        assert table.reach_core == table.avoid_core == table.nonsecret
     else:
-        assert not table.avoid_core & table.secret
+        # Secret states have empty avoid rows, so the avoid core is the one
+        # over all states.
+        every = (1 << len(nfa.states)) - 1
+        assert table.avoid_core == opaq.core.persistent_core(table.avoid, table.support, every)
 
 
 def test_the_core_examples():
     table = row_table(leaves_on_b())
-    assert table.state_set(table.reach_core) == ("s", "v")
-    assert table.state_set(table.avoid_core) == ("v",)
+    assert table.state_set(table.reach_core) == table.state_set(table.avoid_core) == ("v",)
+    every = (1 << len(table.states)) - 1
+    assert table.state_set(opaq.core.persistent_core(table.reach, table.support, every)) == ("s", "v")
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     assert row_table(nth_last).state_set(row_table(nth_last).reach_core) == ("0",)
     assert row_table(nth_last).state_set(row_table(nth_last).avoid_core) == ("0",)
@@ -976,9 +1017,10 @@ def test_the_drawn_models_prune_roots_and_children():
 def test_a_core_read_off_the_first_event_alone_is_caught(monkeypatch, tmp_path):
     # The mutant keeps the states that move on every event but tests each
     # one's row under the first event only.  The set-based core test above
-    # catches it on leaves_on_b, which keeps t in both cores: the searches
-    # then skip the root at {s,t} and report the model opaque, and a batch
-    # of that one model disagrees with the oracle five times.
+    # catches it on leaves_on_b, which keeps t in both cores: the initial
+    # estimate {s,t} then certifies the searches past K = 0, which report
+    # the model opaque, and a batch of that one model disagrees with the
+    # oracle five times.
     nfa = leaves_on_b()
     assert not verify_k_step_weak(nfa, 2).opaque and not verify_k_step_strong(nfa, 2).opaque
     persistent_core = opaq.core.persistent_core
@@ -989,6 +1031,113 @@ def test_a_core_read_off_the_first_event_alone_is_caught(monkeypatch, tmp_path):
     assert [(row["property"], row["k"]) for row in result.disagreements] == [
         ("k-weak", 2), ("k-strong", 2), ("k-weak", 3), ("k-strong", 3), ("inf-weak", None),
     ]
+
+
+# -- certificates ---------------------------------------------------------------
+#
+# A search past K = 0 whose initial estimate meets its core answers opaque
+# before it walks.  Without the core, its walk must then find no empty x2,
+# and every estimate must move under every event, which tree counts read.
+
+
+def nth_last(n, loop=False):
+    return validate_model(nth_last_dict(n, loop))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nfa=st.one_of(small_models(max_states=16), st.builds(nth_last, st.integers(7, 14), st.booleans())))
+@example(nfa=nth_last(9))
+def test_a_certified_search_finds_no_empty_x2_without_the_core(nfa):
+    table, obs = row_table(nfa), build_observer(nfa)
+    searches = (
+        (table.reach_core, obs.secret_positions, table.reach_steps, True, verify_k_step_weak),
+        (table.avoid_core, range(len(obs.masks)), table.avoid_steps, False, verify_k_step_strong),
+    )
+    for core, positions, steps, weak, verify in searches:
+        if not table.initial & core:
+            continue
+        assert all(j >= 0 for row in obs.moves for j in row)
+        roots = opaq.weak._roots(obs, positions, table.nonsecret, 0)
+        for k in (1, 2, 3, None):
+            _, hit = opaq.weak._explore(obs, *roots, steps, k, True, weak=weak)
+            assert hit is None
+            if k is not None:
+                assert verify(nfa, k, obs) == Verdict(True)
+        if weak:
+            assert verify_infinite_step_weak(nfa, obs) == Verdict(True)
+
+
+def two_cycle():
+    """``p -a-> q -a-> p`` with ``q`` secret: the estimate {q} is all secret.
+
+    The reach core over all states is {p,q}, and the initial {p} meets it,
+    but over the nonsecret states both cores are empty: ``p``'s row {q}
+    misses {p}.
+    """
+    return validate_model({
+        "states": ["p", "q"],
+        "events": [{"name": "a", "observable": True}],
+        "initial": ["p"],
+        "secret": ["q"],
+        "transitions": [["p", "a", "q"], ["q", "a", "p"]],
+    })
+
+
+def secret_start_unobserved():
+    """No observable event, and the one estimate, {s}, is all secret."""
+    return validate_model({
+        "states": ["s"],
+        "events": [{"name": "u", "observable": False}],
+        "initial": ["s"],
+        "secret": ["s"],
+        "transitions": [],
+    })
+
+
+def test_a_core_over_all_states_would_certify_a_violation():
+    nfa = two_cycle()
+    table = row_table(nfa)
+    every = (1 << len(nfa.states)) - 1
+    assert table.initial & opaq.core.persistent_core(table.reach, table.support, every)
+    assert table.reach_core == table.avoid_core == 0
+    witness = Witness(("a",), (), (("q",), ()))
+    assert verify_k_step_weak(nfa, 1) == verify_infinite_step_weak(nfa) == Verdict(False, witness)
+    assert verify_k_step_strong(nfa, 1) == Verdict(False, witness)
+    # With no observable event every state is in a core over all states,
+    # vacuously; over the nonsecret states the core here is empty.
+    nfa = secret_start_unobserved()
+    table = row_table(nfa)
+    assert table.initial & opaq.core.persistent_core(table.avoid, table.support, every)
+    assert table.reach_core == table.avoid_core == 0
+    for k in (1, 2, 3):
+        assert verify_k_step_strong(nfa, k) == Verdict(False, Witness((), (), (("s",), ())))
+
+
+class ObserverBuilt(Exception):
+    pass
+
+
+def test_a_certified_search_builds_no_observer(monkeypatch, capsys, g2):
+    # nth_last28's observer has 2^28 estimates; its initial estimate holds
+    # 0, which lies in both cores.
+    path = os.path.join(FIXTURES, "nth_last28.json")
+    nth_last = load_model(path)
+
+    def refuse(nfa, max_states=None):
+        raise ObserverBuilt
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (opaq.weak, opaq.strong):
+            patch.setattr(module, "build_observer", refuse)
+        assert verify_k_step_weak(nth_last, 3) == Verdict(True)
+        assert verify_k_step_strong(nth_last, 3) == Verdict(True)
+        assert verify_infinite_step_weak(nth_last) == Verdict(True)
+        # g2 is not certified, so its searches build the observer.
+        with pytest.raises(ObserverBuilt):
+            verify_k_step_weak(g2, 3)
+    # The CLI builds the observer for its sizes, as before.
+    assert opaq.cli.main(["verify", "--property", "k-weak", "--k", "3", "--state-cap", "1000", path]) == 3
+    assert capsys.readouterr().err == "error: observer exceeded 1000 states\n"
 
 
 # -- the table loop against the step loop ---------------------------------------
