@@ -429,17 +429,15 @@ class RowTable:
     initial states.  ``reach_core`` and ``avoid_core`` are the persistent
     cores (:func:`persistent_core`) of the reach and the avoid rows over the
     nonsecret states: a set that meets one of them keeps meeting it along
-    every observation, so the pair searches prune there, and a search whose
-    ``initial`` meets its core answers opaque before it walks (see
-    ``opaq.weak``).  Neither holds a secret state, so an estimate that
-    meets a core has a nonsecret part that meets it too.  Secret states
-    have empty avoid rows, so while any event is observable the avoid core
-    is also the persistent core over all states.
+    every observation, so the pair searches prune there and certify opacity
+    by them (see ``opaq.weak``).  Secret states have empty avoid rows, so
+    while any event is observable the avoid core is also the persistent
+    core over all states.
 
     The reach rows are built with the table.  ``avoid``, ``avoid_tables``,
     ``avoid_steps`` and the two cores are built on first read: only the
     strong verdicts, the SIPA and the crosscheck read the avoid rows, and
-    only the pair searches and the tree counts past K = 0 read the cores.
+    only the pair searches past K = 0 read the cores.
 
     Use :func:`row_table`, which builds the table once per model.
     """

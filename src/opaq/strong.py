@@ -84,9 +84,7 @@ def verify_k_step_strong(
         raise ValueError("k must be nonnegative")
     table = row_table(nfa)
     # Past K = 0 the walk skips every node whose x2 meets the avoid core,
-    # which no window can empty, and when the initial estimate meets it
-    # every root does, so the search is certified before it walks (see
-    # opaq.weak).
+    # which no window can empty.  Certified by the core; see opaq.weak.
     core = table.avoid_core if k != 0 else 0
     if table.initial & core:
         return Verdict(True)

@@ -258,11 +258,8 @@ def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float(
     A tree node stands for an observation string of length at most K that
     the observer accepts from the root, for weak trees and SSTs alike, so a
     count of observer paths gives a tree's node count without building it.
-    Past K = 0, when the initial estimate meets the reach core, every
-    reachable estimate holds a core member, which lies in every event's
-    support, so every estimate moves under every event and d = |Eo| with
-    no pass over the estimates.  Otherwise one pass reads each estimate's
-    number of moves.  When all have the same d, the count is
+    Past K = 0 one pass reads each estimate's number of moves.  When all
+    have the same d, as on every complete observer, the count is
     len(*roots*) * (1 + d + ... + d^K): direct for d <= 1, else summed
     level by level, passing *cap* within log2(*cap*) levels.  Otherwise
     counts propagate per estimate, at K times the observer's transitions,
@@ -279,8 +276,7 @@ def _path_count(obs: Observer, roots: Sequence[int], k: int, cap: float = float(
     moves = obs.moves
     if not k or not total:
         return total
-    table = obs.table
-    missing = {0} if table.initial & table.reach_core else {row.count(-1) for row in moves}
+    missing = {row.count(-1) for row in moves}
     if len(missing) == 1:
         degree = len(obs.events) - missing.pop()
         if degree <= 1:
@@ -532,7 +528,7 @@ def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int 
     # A root's secret part is nonempty and outside x2, so every root is live.
     table = row_table(nfa)
     core = table.reach_core if k != 0 else 0
-    # The certificate: every root would meet the core (see the module docstring).
+    # Certified by the core; see the module docstring.
     if table.initial & core:
         return Verdict(True)
     if obs is None:
