@@ -437,7 +437,7 @@ class RowTable:
     The reach rows are built with the table.  ``avoid``, ``avoid_tables``,
     ``avoid_steps`` and the two cores are built on first read: only the
     strong verdicts, the SIPA and the crosscheck read the avoid rows, and
-    only the pair searches past K = 0 read the cores.
+    only the pair searches read the cores.
 
     Use :func:`row_table`, which builds the table once per model.
     """

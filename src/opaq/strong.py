@@ -83,9 +83,9 @@ def verify_k_step_strong(
     if k < 0:
         raise ValueError("k must be nonnegative")
     table = row_table(nfa)
-    # Past K = 0 the walk skips every node whose x2 meets the avoid core,
-    # which no window can empty.  Certified by the core; see opaq.weak.
-    core = table.avoid_core if k != 0 else 0
+    # The walk skips every node whose x2 meets the avoid core, which no
+    # window can empty.  Certified by the core; see opaq.weak.
+    core = table.avoid_core
     if table.initial & core:
         return Verdict(True)
     if obs is None:

@@ -24,18 +24,17 @@ witnesses are those of the full walk.  The rule is weak-only: an SST or
 verifier pair whose ``x2`` is its whole estimate can still lose every state
 to a secret later.  Tree exports keep every node, ``x1`` included.
 
-The weak and SST searches past K = 0 also drop every root and child whose
-``x2`` meets the persistent core of their rows (``RowTable.reach_core`` and
+The weak and SST searches also drop every root and child whose ``x2``
+meets the persistent core of their rows (``RowTable.reach_core`` and
 ``avoid_core``): the greatest set P of nonsecret states each of whose
 members has, under every observable event, a row that meets P.  Along a
 move x2 becomes ``step(x2) & masks[j]``; the step distributes over union
 and lies within the target estimate, so the child holds the row of each
-P-member of x2, which meets P.  No descendant of such a node can empty x2,
-and no node without a P-state descends from one, so the kept nodes keep
-their BFS order, depths and parents, as with dead pairs.  A K = 0 walk only
-seeds its roots, so it takes no core; neither do the verifier walk, which
-must meet every verifier state, nor the batch's refill walks, which look
-for edges out of empty nodes.
+P-member of x2, which meets P.  Neither such a node nor a descendant can
+empty x2, and no node without a P-state descends from one, so the kept
+nodes keep their BFS order, depths and parents, as with dead pairs.  The
+verifier walk, which must meet every verifier state, takes no core, nor do
+the batch's refill walks, which look for edges out of empty nodes.
 
 The same cores certify opacity before any walk.  A search that prunes by
 a core P first tests whether the initial estimate meets P.  If it does,
@@ -49,8 +48,8 @@ No walk would have run, so no cap could have been passed.  A core over all
 states would not do: a secret member keeps every estimate nonempty while
 their nonsecret parts may empty, as in ``p -a-> q -a-> p`` with ``q``
 secret.  On a model where one nonsecret state lies in the initial estimate
-and loops on every event, as nth-last's ``0`` does, the K-step weak and
-strong and the infinite-step weak searches read no estimate.
+and loops on every event, as nth-last's ``0`` does, the current-state,
+K-step weak and strong and infinite-step weak searches read no estimate.
 
 Every walk takes its roots as observer positions and their x2s, at most
 one per estimate: the weak search's at the observer's
@@ -370,7 +369,7 @@ def _explore(
     docstring), are dropped the same way and do not count against
     *max_states* either; the searches drop the roots that meet it (see
     :func:`_roots`), and a dropped root leaves its position to the first
-    kept child that reaches it.  Callers pass no core to a K = 0 walk.
+    kept child that reaches it.
     """
     masks, moves = obs.masks, obs.moves
     limit = float("inf") if max_states is None else max_states
@@ -527,7 +526,7 @@ def _roots(obs: Observer, positions: Sequence[int], nonsecret: int, core: int) -
 def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None = None, search: str = "") -> Verdict:
     # A root's secret part is nonempty and outside x2, so every root is live.
     table = row_table(nfa)
-    core = table.reach_core if k != 0 else 0
+    core = table.reach_core
     # Certified by the core; see the module docstring.
     if table.initial & core:
         return Verdict(True)

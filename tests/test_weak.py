@@ -330,11 +330,11 @@ def test_witness_prefix_is_the_shortest_access_string(nfa, k):
 # -- dead pairs ----------------------------------------------------------------
 #
 # The weak searches drop every child with x1 within x2, and the weak and SST
-# searches past K = 0 drop every root and child whose x2 meets the persistent
-# core.  The reference below is the walk without those rules, written out
-# from the row table for all three families: a FIFO over (estimate, x1, x2)
-# with one visited set, roots in observer order, events in declaration
-# order, stopping at the first empty x2.  With *pruned* it is instead the
+# searches drop every root and child whose x2 meets the persistent core.
+# The reference below is the walk without those rules, written out from the
+# row table for all three families: a FIFO over (estimate, x1, x2) with one
+# visited set, roots in observer order, events in declaration order,
+# stopping at the first empty x2.  With *pruned* it is instead the
 # walk the library takes: nodes keyed on (estimate, x2) alone, a weak walk
 # drops its dead children, and a search drops what meets the core, which
 # comes from the set-based reference.
@@ -382,11 +382,11 @@ def state_mask(nfa, states):
 def reference_walk(nfa, obs, family, k, stop=True, pruned=False, root=None):
     """The unpruned walk of a weak, SST or verifier search, or with *pruned*
     the library's.  With *root*, an SST walk starts at that estimate alone,
-    as the batch's refill walks do; those, the verifier and every walk at
-    K = 0 prune nothing by the core."""
+    as the batch's refill walks do; those and the verifier prune nothing by
+    the core."""
     table = row_table(nfa)
     reach, avoid, support, masks = table.reach, table.avoid, table.support, obs.masks
-    searched = pruned and k != 0 and root is None
+    searched = pruned and root is None
     if family == "weak":
         core = state_mask(nfa, reach_core(nfa) if searched else ())
         roots = [(i, m & table.secret, m & table.nonsecret) for i, m in enumerate(masks) if m & table.secret]
@@ -495,8 +495,8 @@ def nth_last6_without_core():
     Its observer and its walks are nth_last6's without the core rule: ``c``
     adds no move, but no state moves on every event any more, so both
     persistent cores are empty.  Every estimate of nth_last6 holds ``0``,
-    which loops on ``a`` and ``b``, so its own weak and SST searches past
-    K = 0 visit no pair.
+    which loops on ``a`` and ``b``, so its own weak and SST searches visit
+    no pair.
     """
     with open(os.path.join(FIXTURES, "nth_last6.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -531,9 +531,9 @@ def test_weak_walks_visit_live_pairs_only(g2):
 
 
 def test_a_search_whose_roots_all_meet_the_core_walks_nothing():
-    # Every estimate of nth_last6 holds 0, which is in both cores, so past
-    # K = 0 every root meets the core.  The initial estimate holds 0 too, so
-    # both searches are certified and run no walk, and the verdict is the
+    # Every estimate of nth_last6 holds 0, which is in both cores, so every
+    # root meets the core.  The initial estimate holds 0 too, so both
+    # searches are certified and run no walk, and the verdict is the
     # unpruned walk's.
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     obs = build_observer(nth_last)
@@ -567,14 +567,49 @@ def test_roots_count_against_the_cap():
     with pytest.raises(ResourceLimitError, match="k-step strong search exceeded 63 states"):
         verify_k_step_strong(without_core, 0, max_states=63)
     assert verify_k_step_strong(without_core, 0, max_states=64).opaque
-    # nth_last6's own walks past K = 0 prune every root, and pruned roots
-    # count for nothing; at K = 0 the walk keeps all 64.
+    # nth_last6's own searches are certified by the core at every K, K = 0
+    # included, so they walk nothing and no cap is passed.
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     assert verify_infinite_step_weak(nth_last, max_states=0).opaque
-    assert verify_k_step_strong(nth_last, 2, max_states=0).opaque
-    with pytest.raises(ResourceLimitError, match="k-step strong search exceeded 63 states"):
-        verify_k_step_strong(nth_last, 0, max_states=63)
-    assert verify_k_step_strong(nth_last, 0, max_states=64).opaque
+    for k in (0, 2):
+        assert verify_k_step_weak(nth_last, k, max_states=0).opaque
+        assert verify_k_step_strong(nth_last, k, max_states=0).opaque
+
+
+def nth_last6_behind_p():
+    """nth_last6 behind a fresh nonsecret initial state ``p`` whose only move is ``p -a-> 0``.
+
+    Both cores stay {0}, but ``p`` has no ``b`` move, so it is in neither,
+    and the initial estimate {p} misses them: no search is certified.
+    Every other estimate holds ``0``.
+    """
+    with open(os.path.join(FIXTURES, "nth_last6.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["states"].insert(0, "p")
+    raw["initial"] = ["p"]
+    raw["transitions"].append(["p", "a", "0"])
+    return validate_model(raw)
+
+
+def test_the_core_prunes_the_searches_it_cannot_certify():
+    # Every weak root meets the core, and so does every SST root but {p},
+    # whose one child {0} meets it too.  The unpruned walks visit 96 weak
+    # and 65 SST pairs.
+    nfa = nth_last6_behind_p()
+    obs, table = build_observer(nfa), row_table(nfa)
+    assert len(obs.masks) == 65
+    assert table.reach_core == table.avoid_core == state_mask(nfa, ["0"])
+    assert not certified(nfa, "weak") and not certified(nfa, "sst")
+    searches = [(lambda: verify_current_state_opacity(nfa, obs), "weak", 0, 0),
+                (lambda: verify_infinite_step_weak(nfa, obs), "weak", None, 0)]
+    for k in range(4):
+        searches.append((lambda k=k: verify_k_step_weak(nfa, k, obs), "weak", k, 0))
+        searches.append((lambda k=k: verify_k_step_strong(nfa, k, obs), "sst", k, 1))
+    for search, family, k, pairs in searches:
+        assert walked_pairs(search) == [pairs]
+        assert search() == reference(nfa, obs, family, k) == Verdict(True)
+    assert len(reference_walk(nfa, obs, "weak", None)[0]) == 96
+    assert len(reference_walk(nfa, obs, "sst", 3)[0]) == 65
 
 
 # -- root seeding ---------------------------------------------------------------
@@ -690,8 +725,8 @@ def into_the_core():
 
     ``0`` loops on both events and is both cores; ``1`` steps into it on
     ``a`` and the secret ``s`` loops on ``a``.  From {1,s} (x2 {1}), ``a``
-    leads to {0,s} with x2 {0}: the weak and SST searches past K = 0 skip
-    that child and the root at {0,s}, and the SST search the one at {0}.
+    leads to {0,s} with x2 {0}: the weak and SST searches skip that child
+    and the root at {0,s}, and the SST search the one at {0}.
     """
     return validate_model({
         "states": ["0", "1", "s"],
@@ -711,7 +746,6 @@ def search_walk(nfa, obs, family, k):
         positions, steps, tables, core = obs.secret_positions, table.reach_steps, table.reach_tables, table.reach_core
     else:
         positions, steps, tables, core = range(len(obs.masks)), table.avoid_steps, table.avoid_tables, table.avoid_core
-    core = core if k != 0 else 0
     walk, hit = opaq.weak._explore(
         obs, *opaq.weak._roots(obs, positions, table.nonsecret, core), steps, k, True,
         tables=tables, weak=family == "weak", core=core,
@@ -719,10 +753,10 @@ def search_walk(nfa, obs, family, k):
     return walk, hit, None
 
 
-def certified(nfa, family, k):
-    """Whether the weak or SST search at *k* answers opaque before it walks."""
+def certified(nfa, family):
+    """Whether the weak or SST search answers opaque before it walks, at any K."""
     table = row_table(nfa)
-    return k != 0 and bool(table.initial & (table.reach_core if family == "weak" else table.avoid_core))
+    return bool(table.initial & (table.reach_core if family == "weak" else table.avoid_core))
 
 
 @settings(max_examples=150, deadline=None)
@@ -742,7 +776,7 @@ def test_every_pair_walk_is_the_reference_walk(nfa, k):
     for search, family, depth in searches:
         walk = search_walk(nfa, obs, family, depth)
         assert_walk_is_the_reference(walk, reference_walk(nfa, obs, family, depth, pruned=True))
-        if certified(nfa, family, depth):
+        if certified(nfa, family):
             assert walk[1] is None
             assert recorded_walks(search) == [] and search() == Verdict(True)
         else:
@@ -757,7 +791,7 @@ def test_every_pair_walk_is_the_reference_walk(nfa, k):
     secret = row_table(nfa).secret
     refill_roots = [i for i, m in enumerate(obs.masks) if m & secret]
     bound = 2 ** len(nfa.states) - 2
-    weak_certified = certified(nfa, "weak", bound)
+    weak_certified = certified(nfa, "weak")
     assert len(calls) == 1 + len(refill_roots) + (not weak_certified)
     verifier, *refills = calls[:1 + len(refill_roots)]
     assert verifier[2] is not None and all(edges is not None for _, _, edges in refills)
@@ -905,12 +939,12 @@ def test_the_nth_last_verifier_has_one_node_per_estimate():
 
 # -- persistent cores -----------------------------------------------------------
 #
-# The weak and SST searches past K = 0 skip every root and child whose x2
-# meets the persistent core of their rows, and answer opaque before any walk
-# when the initial estimate meets it.  The row table's cores are pinned
-# against the set-based greatest fixpoint of tests/reference.py; the walks
-# that skip them are pinned by the reference walk above, and the
-# certificate by the walks without a core below.
+# The weak and SST searches skip every root and child whose x2 meets the
+# persistent core of their rows, and answer opaque before any walk when the
+# initial estimate meets it.  The row table's cores are pinned against the
+# set-based greatest fixpoint of tests/reference.py; the walks that skip
+# them are pinned by the reference walk above, and the certificate by the
+# walks without a core below.
 
 
 def nothing_observable():
@@ -1022,9 +1056,9 @@ def test_a_core_read_off_the_first_event_alone_is_caught(monkeypatch, tmp_path):
     # The mutant keeps the states that move on every event but tests each
     # one's row under the first event only.  The set-based core test above
     # catches it on leaves_on_b, which keeps t in both cores: the initial
-    # estimate {s,t} then certifies the searches past K = 0, which report
-    # the model opaque, and a batch of that one model disagrees with the
-    # oracle five times.
+    # estimate {s,t} then certifies the searches, which report the model
+    # opaque, and a batch of that one model disagrees with the oracle five
+    # times.
     nfa = leaves_on_b()
     assert not verify_k_step_weak(nfa, 2).opaque and not verify_k_step_strong(nfa, 2).opaque
     persistent_core = opaq.core.persistent_core
@@ -1039,9 +1073,9 @@ def test_a_core_read_off_the_first_event_alone_is_caught(monkeypatch, tmp_path):
 
 # -- certificates ---------------------------------------------------------------
 #
-# A search past K = 0 whose initial estimate meets its core answers opaque
-# before it walks.  Without the core, its walk must then find no empty x2,
-# and every estimate must move under every event.
+# A search whose initial estimate meets its core answers opaque before it
+# walks.  Without the core, its walk must then find no empty x2, and every
+# estimate must move under every event.
 
 
 def nth_last(n, loop=False):
@@ -1133,15 +1167,18 @@ def test_a_certified_search_builds_no_observer(monkeypatch, capsys, g2):
     with pytest.MonkeyPatch.context() as patch:
         for module in (opaq.weak, opaq.strong):
             patch.setattr(module, "build_observer", refuse)
-        assert verify_k_step_weak(nth_last, 3) == Verdict(True)
-        assert verify_k_step_strong(nth_last, 3) == Verdict(True)
+        for k in (0, 3):
+            assert verify_k_step_weak(nth_last, k) == Verdict(True)
+            assert verify_k_step_strong(nth_last, k) == Verdict(True)
+        assert verify_current_state_opacity(nth_last) == Verdict(True)
         assert verify_infinite_step_weak(nth_last) == Verdict(True)
         # g2 is not certified, so its searches build the observer.
         with pytest.raises(ObserverBuilt):
             verify_k_step_weak(g2, 3)
     # The CLI builds the observer for its sizes, as before.
-    assert opaq.cli.main(["verify", "--property", "k-weak", "--k", "3", "--state-cap", "1000", path]) == 3
-    assert capsys.readouterr().err == "error: observer exceeded 1000 states\n"
+    for args in (["--property", "k-weak", "--k", "3"], ["--property", "cs"]):
+        assert opaq.cli.main(["verify", *args, "--state-cap", "1000", path]) == 3
+        assert capsys.readouterr().err == "error: observer exceeded 1000 states\n"
 
 
 # -- the table loop against the step loop ---------------------------------------
@@ -1153,15 +1190,15 @@ def test_a_certified_search_builds_no_observer(monkeypatch, capsys, g2):
 
 def pair_walk_runs(nfa):
     """Each walk of a verdict on *nfa*: roots, steps, tables, K, and the
-    keyword arguments, with the cores the searches pass past K = 0."""
+    keyword arguments, with the cores the searches pass."""
     table, obs = row_table(nfa), build_observer(nfa)
     runs = [([0], [table.clean & obs.masks[0]], table.avoid_steps, table.avoid_tables, None, {})]
     for k in (0, 1, 2, 3, None):
         if k is not None:
-            core = table.avoid_core if k else 0
+            core = table.avoid_core
             runs.append((*opaq.weak._roots(obs, range(len(obs.masks)), table.nonsecret, core),
                          table.avoid_steps, table.avoid_tables, k, {"core": core}))
-        core = table.reach_core if k != 0 else 0
+        core = table.reach_core
         runs.append((*opaq.weak._roots(obs, obs.secret_positions, table.nonsecret, core),
                      table.reach_steps, table.reach_tables, k, {"weak": True, "core": core}))
     return obs, runs
