@@ -23,7 +23,7 @@ from .weak import (
     Walk,
     _explore,
     _grow_tree,
-    _roots,
+    _search,
     _tree_root,
     _verdict,
 )
@@ -80,24 +80,11 @@ def verify_k_step_strong(
     the definition.  The witness may therefore start at a secret-free
     estimate, which :func:`build_sst` does not accept as a root.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    table = row_table(nfa)
-    # The walk skips every node whose x2 meets the avoid core, which no
-    # window can empty.  Certified by the core; see opaq.weak.
-    core = table.avoid_core
-    if table.initial & core:
-        return Verdict(True)
-    if obs is None:
-        obs = build_observer(nfa)
-    # Every estimate anchors a window, secret-free ones too: x2 is its
-    # nonsecret part (secret visits before the window do not disqualify a
-    # state).
-    walk, hit = _explore(
-        obs, *_roots(obs, range(len(obs.masks)), table.nonsecret, core), table.avoid_steps, k, True,
-        tables=table.avoid_tables, core=core, max_states=max_states, search="k-step strong search",
-    )
-    return _verdict(table, obs, walk, hit)
+    # The weak searches' walk, by the same root rule: every estimate roots
+    # a window at its nonsecret part (secret visits before the window do
+    # not disqualify a state), and a root is dropped exactly when a child
+    # would be.  No SST pair is dead, so only the avoid core drops any.
+    return _search(nfa, obs, k, False, max_states, "k-step strong search")
 
 
 def walk_verifier(

@@ -43,7 +43,7 @@ meets P and lies within the next estimate.  P holds nonsecret states only,
 so every root's x2, its estimate's nonsecret part, meets P as well, and
 the walk would drop every root and visit nothing.  The search returns
 opaque at once instead: before it builds an observer when the caller
-passed none, reads ``secret_positions`` or takes a pass over the roots.
+passed none or takes a pass over the roots.
 No walk would have run, so no cap could have been passed.  A core over all
 states would not do: a secret member keeps every estimate nonempty while
 their nonsecret parts may empty, as in ``p -a-> q -a-> p`` with ``q``
@@ -52,17 +52,22 @@ and loops on every event, as nth-last's ``0`` does, the current-state,
 K-step weak and strong and infinite-step weak searches read no estimate.
 
 Every walk takes its roots as observer positions and their x2s, at most
-one per estimate: the weak search's at the observer's
-``secret_positions``, the SST search's at every position, each less those
-that meet its core, dropped in one pass before the walk starts.  The walk
-keeps, per estimate, the x2 of the first node met there: its root, or else
-the first live child that reaches it.  A child whose x2 is that first x2 is
-that node, found by position, and a child at an estimate with no node yet
-becomes its first node; only a second, different x2 at an estimate is
-hashed into the walk's visited dict.  So a walk that meets each estimate
-with one x2, as the verifier does when every estimate carries one
-secret-avoiding subset, hashes nothing, and an SST walk, which roots every
-estimate, costs one list read for a child that repeats a window's start.
+one per estimate.  The weak and SST searches root every estimate at its
+nonsecret part, and the walk drops a root exactly when it would drop a
+child there: when it is dead (weak only) or meets the core, in one pass
+before any root counts against the cap.  A root at a secret-free estimate
+has x2 equal to its estimate, so it is dead from the start, which is why
+the paper's weak trees start at secret-intersecting estimates only; an SST
+root there is kept, since a window may open before the secret it loses
+to.  The walk keeps, per estimate, the x2 of the first node met there: its
+root, or else the first live child that reaches it.  A child whose x2 is
+that first x2 is that node, found by position, and a child at an estimate
+with no node yet becomes its first node; only a second, different x2 at an
+estimate is hashed into the walk's visited dict.  So a walk that meets
+each estimate with one x2, as the verifier does when every estimate
+carries one secret-avoiding subset, hashes nothing, and an SST walk, which
+roots every estimate, costs one list read for a child that repeats a
+window's start.
 """
 
 from __future__ import annotations
@@ -339,11 +344,11 @@ def _explore(
 
     This one walk is behind every verdict, the verifier and the batch's
     refill check.  Root n is (observer position ``estimate[n]``, ``x2s[n]``),
-    at most one per estimate; the roots, copied, seed the queue in that
-    order, and events expand in declaration order.  On move (e, j) a node's
-    child is (j, ``steps[e](x2) & masks[j]``).  With *tables*, the prefilled
-    byte tables of the rows *steps* take (``RowTable.reach_tables`` or
-    ``avoid_tables``, 9 to 16 states; see :func:`~opaq.core.byte_tables`),
+    at most one per estimate; the roots it keeps, copied, seed the queue in
+    that order, and events expand in declaration order.  On move (e, j) a
+    node's child is (j, ``steps[e](x2) & masks[j]``).  With *tables*, the
+    prefilled byte tables of the rows *steps* take (``RowTable.reach_tables``
+    or ``avoid_tables``, 9 to 16 states; see :func:`~opaq.core.byte_tables`),
     a second node loop reads each child's step inline, from the node's two
     bytes taken once for all events; it is the step loop line for line
     otherwise, so both give the same walk.  ``first[j]`` holds the x2
@@ -362,18 +367,19 @@ def _explore(
     least by construction) witness.  Otherwise it runs to exhaustion,
     appending every (node, event position, node) edge to *edges* when
     given.  More than *max_states* nodes raise ResourceLimitError, whose
-    message names the *search*.  With *weak*, dead children (``x2`` equal
-    to the estimate, see the module docstring) are neither queued, recorded
-    nor counted; weak roots must be live.  Children whose ``x2`` meets
+    message names the *search*.  With *weak*, dead roots and children
+    (``x2`` equal to the estimate, see the module docstring) are neither
+    queued, recorded nor counted.  Roots and children whose ``x2`` meets
     *core*, the persistent core of the rows *steps* take (see the module
     docstring), are dropped the same way and do not count against
-    *max_states* either; the searches drop the roots that meet it (see
-    :func:`_roots`), and a dropped root leaves its position to the first
+    *max_states* either; a dropped root leaves its position to the first
     kept child that reaches it.
     """
     masks, moves = obs.masks, obs.moves
     limit = float("inf") if max_states is None else max_states
-    estimate, x2s = list(estimate), list(x2s)
+    # Roots are dropped by the children's rule, before they count.
+    roots = [(j, x2) for j, x2 in zip(estimate, x2s) if not (weak and x2 == masks[j] or x2 & core)]
+    estimate, x2s = [j for j, _ in roots], [x2 for _, x2 in roots]
     # The roots go in as a block, checked as if one at a time: an empty
     # root at position p is the hit when the p roots before it fit under
     # the cap, and the cap is passed otherwise.
@@ -510,31 +516,28 @@ def _verdict(table: RowTable, obs: Observer, walk: Walk, hit: int | None) -> Ver
     return Verdict(False, Witness(tuple(reversed(prefix)), tuple(reversed(continuation)), node))
 
 
-def _roots(obs: Observer, positions: Sequence[int], nonsecret: int, core: int) -> tuple[Sequence[int], list[int]]:
-    """The search roots at *positions* that keep clear of *core*, as :func:`_explore` takes them.
+def _search(
+    nfa: Nfa, obs: Observer | None, k: int | None, weak: bool, max_states: int | None, search: str
+) -> Verdict:
+    """The weak search (*weak*) or the K-step strong one, to depth *k* (None: unbounded).
 
-    A root's x2 is its estimate's *nonsecret* part.  The core holds no
-    secret state, so one pass drops the roots whose estimate meets it, and
-    a second reads the kept roots' x2s.
+    Every estimate roots a walk at its nonsecret part; see the module
+    docstring for the core and the roots that :func:`_explore` drops.
     """
-    masks = obs.masks
-    if core:
-        positions = [i for i in positions if not masks[i] & core]
-    return positions, [masks[i] & nonsecret for i in positions]
-
-
-def _weak_search(nfa: Nfa, obs: Observer | None, k: int | None, max_states: int | None = None, search: str = "") -> Verdict:
-    # A root's secret part is nonempty and outside x2, so every root is live.
+    if k is not None and k < 0:
+        raise ValueError("k must be nonnegative")
     table = row_table(nfa)
-    core = table.reach_core
+    core = table.reach_core if weak else table.avoid_core
     # Certified by the core; see the module docstring.
     if table.initial & core:
         return Verdict(True)
     if obs is None:
         obs = build_observer(nfa)
+    steps, tables = (table.reach_steps, table.reach_tables) if weak else (table.avoid_steps, table.avoid_tables)
+    nonsecret = table.nonsecret
     walk, hit = _explore(
-        obs, *_roots(obs, obs.secret_positions, table.nonsecret, core), table.reach_steps, k, True,
-        tables=table.reach_tables, weak=True, core=core, max_states=max_states, search=search,
+        obs, range(len(obs.masks)), [m & nonsecret for m in obs.masks], steps, k, True,
+        tables=tables, weak=weak, core=core, max_states=max_states, search=search,
     )
     return _verdict(table, obs, walk, hit)
 
@@ -547,9 +550,7 @@ def verify_k_step_weak(
     More than *max_states* visited pairs raise ResourceLimitError, here and
     in the other verdict searches.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _weak_search(nfa, obs, k, max_states, "k-step weak search")
+    return _search(nfa, obs, k, True, max_states, "k-step weak search")
 
 
 def verify_current_state_opacity(nfa: Nfa, obs: Observer | None = None) -> Verdict:
@@ -559,7 +560,7 @@ def verify_current_state_opacity(nfa: Nfa, obs: Observer | None = None) -> Verdi
     estimate has no nonsecret state.  Its nodes are the roots alone, one per
     estimate, so the observer's state cap already bounds it.
     """
-    return _weak_search(nfa, obs, 0)
+    return _search(nfa, obs, 0, True, None, "")
 
 
 def verify_infinite_step_weak(
@@ -571,7 +572,7 @@ def verify_infinite_step_weak(
     never empty), so the search terminates without an explicit depth bound;
     opaque iff no reachable pair has an empty second component.
     """
-    return _weak_search(nfa, obs, None, max_states, "infinite-step weak search")
+    return _search(nfa, obs, None, True, max_states, "infinite-step weak search")
 
 
 def tree_dot(tree: StateTree, name: str) -> str:

@@ -1,8 +1,9 @@
 """Metamorphic relations: changes of model whose effect on the verdicts is known.
 
 Each relation rewrites a model, and ``opaq verify --format json`` must print
-the same payload (verdict, witness and sizes) for both models, for all five
-properties and for ``k-weak`` and ``k-strong`` at K 0 to 2.  No oracle is
+the same payload (verdict, witness and sizes) for both models, or the parts
+of it that the relation keeps, for all five properties and for ``k-weak``
+and ``k-strong`` at K 0 to 2.  No oracle is
 needed, so the models may be larger than the crosscheck batch's; the drawn
 ones have 9 to 20 states, so both the prefilled byte tables and the steps
 filled on first use run.
@@ -13,6 +14,14 @@ filled on first use run.
   only the tagged automaton, and ``sipa_states`` with it, may grow.
 - *State order*: ``states`` and ``transitions`` in another order.  Estimates
   and x2s are sets, and events keep their order, so nothing changes.
+- *Clean saturation*: for nonsecret x and y with x -e-> y on an observable
+  e, and z in y's all-nonsecret silent closure, add x -e-> z.  Both x's
+  reach row and its secret-avoiding row under e already hold z, so nothing
+  changes.
+- *Event order*: the observable events in another order.  The estimates,
+  the pairs and their depths stay, so every verdict, every size and each
+  witness's continuation length (the least violating depth) stay; the
+  tie-break between witnesses of that length may move.
 """
 
 from __future__ import annotations
@@ -66,6 +75,42 @@ def shuffled(raw, seed):
     return dict(raw, states=states, transitions=transitions)
 
 
+def saturations(raw):
+    """Each edge x -e-> z that clean saturation adds to *raw*, in transition
+    order, leaving out those already in it."""
+    secret = set(raw["secret"])
+    loud = {e["name"] for e in raw["events"] if e["observable"]}
+    silent = {}
+    for a, e, b in raw["transitions"]:
+        if e not in loud and a not in secret and b not in secret:
+            silent.setdefault(a, []).append(b)
+    edges = set(map(tuple, raw["transitions"]))
+    added = {}
+    for x, e, y in raw["transitions"]:
+        if e in loud and x not in secret and y not in secret:
+            closure, todo = {y}, [y]
+            while todo:
+                for b in silent.get(todo.pop(), ()):
+                    if b not in closure:
+                        closure.add(b)
+                        todo.append(b)
+            added.update(((x, e, z), None) for z in sorted(closure) if (x, e, z) not in edges)
+    return [list(edge) for edge in added]
+
+
+def reordered_events(raw, seed):
+    """*raw* with its observable events in another order; silent events keep their places."""
+    rng = random.Random(seed)
+    events = list(raw["events"])
+    slots = [i for i, event in enumerate(events) if event["observable"]]
+    moved = [events[i] for i in slots]
+    while len(moved) > 1 and moved == [events[i] for i in slots]:
+        rng.shuffle(moved)
+    for i, event in zip(slots, moved):
+        events[i] = event
+    return dict(raw, events=events)
+
+
 @pytest.fixture(scope="module")
 def model_path(tmp_path_factory):
     return tmp_path_factory.mktemp("metamorphic") / "model.json"
@@ -88,11 +133,21 @@ def without_sipa(results):
             for code, payload in results]
 
 
-def check_relations(raw, path, splits, seed):
+def order_free(results):
+    """What event order keeps: the exit code, property, K, verdict, sizes and
+    witness continuation length of each call."""
+    return [(code, payload["property"], payload["k"], payload["opaque"], payload["sizes"],
+             payload["witness"] and len(payload["witness"]["continuation"])) for code, payload in results]
+
+
+def check_relations(raw, path, splits, seed, saturate):
     expected = payloads(raw, path)
     assert payloads(shuffled(raw, seed), path) == expected
+    assert order_free(payloads(reordered_events(raw, seed), path)) == order_free(expected)
     for x in splits:
         assert without_sipa(payloads(split(raw, x), path)) == without_sipa(expected), x
+    for edge in saturate:
+        assert payloads(dict(raw, transitions=raw["transitions"] + [edge]), path) == expected, edge
 
 
 def fixture(name):
@@ -117,7 +172,7 @@ def test_the_split_of_a_self_loop_yields_four_edges():
     (fixture("nth_last12.json"), ["0", "12"]),
 ], ids=["g2", "nth_last6", "nth_last12"])
 def test_fixtures_keep_their_payloads(raw, splits, model_path):
-    check_relations(raw, model_path, raw["states"] if splits is None else splits, 0)
+    check_relations(raw, model_path, raw["states"] if splits is None else splits, 0, saturations(raw))
 
 
 @settings(max_examples=48, deadline=None)
@@ -126,4 +181,5 @@ def test_drawn_models_keep_their_payloads(n, seed, pick, model_path):
     raw = model_to_dict(random_nfa(OracleConfig(
         n_states=n, n_events=3, unobservable_fraction=0.3, secret_fraction=0.3, density=1.6, seed=seed,
     )))
-    check_relations(raw, model_path, [raw["states"][pick % n]], seed)
+    saturate = saturations(raw)
+    check_relations(raw, model_path, [raw["states"][pick % n]], seed, saturate and [saturate[pick % len(saturate)]])

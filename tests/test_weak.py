@@ -467,6 +467,13 @@ def test_merging_branches_keep_their_verdicts_and_witness():
     assert not verify_k_step_weak(nfa, 2).opaque
 
 
+def every_root(nfa, obs):
+    """Every estimate's position and nonsecret part: the roots that the weak
+    and SST searches pass :func:`opaq.weak._explore`."""
+    nonsecret = row_table(nfa).nonsecret
+    return range(len(obs.masks)), [m & nonsecret for m in obs.masks]
+
+
 def recorded_walks(search):
     """(walk, hit, edges or None) of each pair walk that *search* runs."""
     calls = []
@@ -538,8 +545,10 @@ def test_a_search_whose_roots_all_meet_the_core_walks_nothing():
     nth_last = load_model(os.path.join(FIXTURES, "nth_last6.json"))
     obs = build_observer(nth_last)
     table = row_table(nth_last)
-    assert opaq.weak._roots(obs, obs.secret_positions, table.nonsecret, table.reach_core) == ([], [])
-    assert opaq.weak._roots(obs, range(64), table.nonsecret, table.avoid_core) == ([], [])
+    walks = ((table.reach_steps, True, table.reach_core), (table.avoid_steps, False, table.avoid_core))
+    for steps, weak, core in walks:
+        walk, hit = opaq.weak._explore(obs, *every_root(nth_last, obs), steps, 0, True, weak=weak, core=core)
+        assert walk == ([], [], [], [], [0]) and hit is None
     for search, family in ((verify_k_step_weak, "weak"), (verify_k_step_strong, "sst")):
         assert recorded_walks(lambda: search(nth_last, 2, obs)) == []
         assert search(nth_last, 2, obs) == reference(nth_last, obs, family, 2) == Verdict(True)
@@ -574,6 +583,58 @@ def test_roots_count_against_the_cap():
     for k in (0, 2):
         assert verify_k_step_weak(nth_last, k, max_states=0).opaque
         assert verify_k_step_strong(nth_last, k, max_states=0).opaque
+
+
+def secret_last():
+    """Three secret-free estimates, then the all-secret {s}.
+
+    ``0 -a-> 1 -a-> s`` and ``0 -b-> 2``; no state moves on both events, so
+    both cores are empty.  The observer is {0}, {1}, {2}, {s} in position
+    order, so {s} roots the only live weak root and is the hit at K = 0.
+    """
+    return validate_model({
+        "states": ["0", "1", "2", "s"],
+        "events": [{"name": e, "observable": True} for e in "ab"],
+        "initial": ["0"],
+        "secret": ["s"],
+        "transitions": [["0", "a", "1"], ["0", "b", "2"], ["1", "a", "s"]],
+    })
+
+
+def test_dead_roots_count_against_no_cap():
+    # Both models start at a secret-free estimate and are not certified.
+    # The weak searches root every estimate and drop the dead roots before
+    # the cap: nth_last6_without_core keeps its 32 secret-intersecting
+    # roots of 64, and one pair fewer stops it while it seeds them.
+    nfa = nth_last6_without_core()
+    obs = build_observer(nfa)
+    assert not obs.masks[0] & row_table(nfa).secret and not certified(nfa, "weak")
+    live = 32
+    assert len(obs.secret_positions) == live
+    searches = (
+        (lambda cap: verify_k_step_weak(nfa, 0, obs, cap), 0, "k-step weak search"),
+        (lambda cap: verify_infinite_step_weak(nfa, obs, cap), None, "infinite-step weak search"),
+    )
+    for search, k, name in searches:
+        [(walk, hit, _)] = recorded_walks(lambda: search(live))
+        assert walk.estimate == list(obs.secret_positions)
+        assert hit is None and search(live) == reference(nfa, obs, "weak", k) == Verdict(True)
+        with pytest.raises(ResourceLimitError, match=f"^{name} exceeded {live - 1} states$"):
+            search(live - 1)
+    # secret_last's one live root, at position 3, is the hit: position 0
+    # among the kept roots, so it fits under a cap of one, and of none.
+    nfa = secret_last()
+    obs = build_observer(nfa)
+    assert obs.states == (("0",), ("1",), ("2",), ("s",)) and not certified(nfa, "weak")
+    witness = Witness(("a", "a"), (), (("s",), ()))
+    for k in (0, None):
+        for cap in (1, 0):
+            search = lambda k=k, cap=cap: (
+                verify_k_step_weak(nfa, k, obs, cap) if k == 0 else verify_infinite_step_weak(nfa, obs, cap)
+            )
+            [(walk, hit, _)] = recorded_walks(search)
+            assert walk.estimate == [3] and hit == reference_walk(nfa, obs, "weak", k)[1] == 0
+            assert search() == reference(nfa, obs, "weak", k) == Verdict(False, witness)
 
 
 def nth_last6_behind_p():
@@ -738,17 +799,16 @@ def into_the_core():
 
 
 def search_walk(nfa, obs, family, k):
-    """(walk, hit, None) of the weak or SST search at *k*: roots from
-    ``_roots``, then ``_explore``, as the search runs them past its
-    certificate, and run here whether or not the search is certified."""
+    """(walk, hit, None) of the weak or SST search at *k*: ``_explore`` from
+    every estimate, as the search runs it past its certificate, and run here
+    whether or not the search is certified."""
     table = row_table(nfa)
     if family == "weak":
-        positions, steps, tables, core = obs.secret_positions, table.reach_steps, table.reach_tables, table.reach_core
+        steps, tables, core = table.reach_steps, table.reach_tables, table.reach_core
     else:
-        positions, steps, tables, core = range(len(obs.masks)), table.avoid_steps, table.avoid_tables, table.avoid_core
+        steps, tables, core = table.avoid_steps, table.avoid_tables, table.avoid_core
     walk, hit = opaq.weak._explore(
-        obs, *opaq.weak._roots(obs, positions, table.nonsecret, core), steps, k, True,
-        tables=tables, weak=family == "weak", core=core,
+        obs, *every_root(nfa, obs), steps, k, True, tables=tables, weak=family == "weak", core=core,
     )
     return walk, hit, None
 
@@ -904,8 +964,7 @@ def test_a_dead_first_child_leaves_the_estimate_to_a_live_one():
     assert verify_infinite_step_weak(nfa, obs).witness == Witness(("a",), ("c", "g"), (("w",), ()))
     # With edges: b's dead child is dropped, and d ends at the live node.
     edges = []
-    walk, _ = opaq.weak._explore(obs, *opaq.weak._roots(obs, obs.secret_positions, table.nonsecret, 0),
-                                 table.reach_steps, None, False, weak=True, edges=edges)
+    walk, _ = opaq.weak._explore(obs, *every_root(nfa, obs), table.reach_steps, None, False, weak=True, edges=edges)
     assert len(walk.x2) == 3
     assert edges == [(0, 2, 1), (1, 3, 1), (1, 4, 2)]
     check_against_reference(nfa)
@@ -997,19 +1056,18 @@ def core_problems(nfa):
 def pruned_nodes(nfa, family, k=3):
     """Roots that the *family* search at *k* skips by the core, and the
     nodes that the walk from its other roots then skips: the children that
-    meet the core and their descendants."""
+    meet the core and their descendants.  The roots are those of K = 0
+    walks from every estimate, without the core and with it."""
     table = row_table(nfa)
     obs = build_observer(nfa)
-    if family == "weak":
-        positions, steps, core = obs.secret_positions, table.reach_steps, table.reach_core
-    else:
-        positions, steps, core = range(len(obs.masks)), table.avoid_steps, table.avoid_core
-    roots = opaq.weak._roots(obs, positions, table.nonsecret, 0)
-    kept = opaq.weak._roots(obs, positions, table.nonsecret, core)
     weak = family == "weak"
-    walk, _ = opaq.weak._explore(obs, *kept, steps, k, False, weak=weak, core=core)
-    unpruned, _ = opaq.weak._explore(obs, *kept, steps, k, False, weak=weak)
-    return len(roots[0]) - len(kept[0]), len(unpruned.x2) - len(walk.x2)
+    steps, core = (table.reach_steps, table.reach_core) if weak else (table.avoid_steps, table.avoid_core)
+    roots = every_root(nfa, obs)
+    live, _ = opaq.weak._explore(obs, *roots, steps, 0, False, weak=weak)
+    kept, _ = opaq.weak._explore(obs, *roots, steps, 0, False, weak=weak, core=core)
+    walk, _ = opaq.weak._explore(obs, *roots, steps, k, False, weak=weak, core=core)
+    unpruned, _ = opaq.weak._explore(obs, kept.estimate, kept.x2, steps, k, False, weak=weak)
+    return len(live.x2) - len(kept.x2), len(unpruned.x2) - len(walk.x2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1088,14 +1146,14 @@ def nth_last(n, loop=False):
 def test_a_certified_search_finds_no_empty_x2_without_the_core(nfa):
     table, obs = row_table(nfa), build_observer(nfa)
     searches = (
-        (table.reach_core, obs.secret_positions, table.reach_steps, True, verify_k_step_weak),
-        (table.avoid_core, range(len(obs.masks)), table.avoid_steps, False, verify_k_step_strong),
+        (table.reach_core, table.reach_steps, True, verify_k_step_weak),
+        (table.avoid_core, table.avoid_steps, False, verify_k_step_strong),
     )
-    for core, positions, steps, weak, verify in searches:
+    roots = every_root(nfa, obs)
+    for core, steps, weak, verify in searches:
         if not table.initial & core:
             continue
         assert all(j >= 0 for row in obs.moves for j in row)
-        roots = opaq.weak._roots(obs, positions, table.nonsecret, 0)
         for k in (1, 2, 3, None):
             _, hit = opaq.weak._explore(obs, *roots, steps, k, True, weak=weak)
             assert hit is None
@@ -1193,14 +1251,11 @@ def pair_walk_runs(nfa):
     keyword arguments, with the cores the searches pass."""
     table, obs = row_table(nfa), build_observer(nfa)
     runs = [([0], [table.clean & obs.masks[0]], table.avoid_steps, table.avoid_tables, None, {})]
+    roots = every_root(nfa, obs)
     for k in (0, 1, 2, 3, None):
         if k is not None:
-            core = table.avoid_core
-            runs.append((*opaq.weak._roots(obs, range(len(obs.masks)), table.nonsecret, core),
-                         table.avoid_steps, table.avoid_tables, k, {"core": core}))
-        core = table.reach_core
-        runs.append((*opaq.weak._roots(obs, obs.secret_positions, table.nonsecret, core),
-                     table.reach_steps, table.reach_tables, k, {"weak": True, "core": core}))
+            runs.append((*roots, table.avoid_steps, table.avoid_tables, k, {"core": table.avoid_core}))
+        runs.append((*roots, table.reach_steps, table.reach_tables, k, {"weak": True, "core": table.reach_core}))
     return obs, runs
 
 
